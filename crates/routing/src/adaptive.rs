@@ -87,8 +87,12 @@ impl Router for AdaptiveVlbRouter {
         RouteDecision::ToNode(cell.dst)
     }
 
-    fn class_admits(&self, _class: ClassId, _cell: &Cell, _from: NodeId, _to: NodeId) -> bool {
-        true
+    fn class_admits(&self, class: ClassId, _cell: &Cell, from: NodeId, to: NodeId) -> bool {
+        self.circuit_admits(class, from, to) == Some(true)
+    }
+
+    fn circuit_admits(&self, _class: ClassId, _from: NodeId, _to: NodeId) -> Option<bool> {
+        Some(true)
     }
 
     fn on_transmit(&self, cell: &mut Cell, from: NodeId, to: NodeId) {
@@ -178,8 +182,12 @@ impl Router for AdaptiveSornRouter {
         }
     }
 
-    fn class_admits(&self, _class: ClassId, _cell: &Cell, from: NodeId, to: NodeId) -> bool {
-        self.cliques.same_clique(from, to)
+    fn class_admits(&self, class: ClassId, _cell: &Cell, from: NodeId, to: NodeId) -> bool {
+        self.circuit_admits(class, from, to) == Some(true)
+    }
+
+    fn circuit_admits(&self, _class: ClassId, from: NodeId, to: NodeId) -> Option<bool> {
+        Some(self.cliques.same_clique(from, to))
     }
 
     fn on_transmit(&self, cell: &mut Cell, from: NodeId, to: NodeId) {

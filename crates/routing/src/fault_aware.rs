@@ -68,9 +68,13 @@ impl Router for FaultAwareVlbRouter {
         RouteDecision::ToNode(cell.dst)
     }
 
-    fn class_admits(&self, _class: ClassId, _cell: &Cell, from: NodeId, to: NodeId) -> bool {
+    fn class_admits(&self, class: ClassId, _cell: &Cell, from: NodeId, to: NodeId) -> bool {
+        self.circuit_admits(class, from, to) == Some(true)
+    }
+
+    fn circuit_admits(&self, _class: ClassId, from: NodeId, to: NodeId) -> Option<bool> {
         // Any *live* circuit load-balances.
-        self.health.circuit_up(from, to)
+        Some(self.health.circuit_up(from, to))
     }
 
     fn classes(&self) -> &[ClassId] {
@@ -184,9 +188,13 @@ impl Router for FaultAwareSornRouter {
         }
     }
 
-    fn class_admits(&self, _class: ClassId, _cell: &Cell, from: NodeId, to: NodeId) -> bool {
+    fn class_admits(&self, class: ClassId, _cell: &Cell, from: NodeId, to: NodeId) -> bool {
+        self.circuit_admits(class, from, to) == Some(true)
+    }
+
+    fn circuit_admits(&self, _class: ClassId, from: NodeId, to: NodeId) -> Option<bool> {
         // The spray hop may use any *live* intra-clique circuit.
-        self.cliques.same_clique(from, to) && self.health.circuit_up(from, to)
+        Some(self.cliques.same_clique(from, to) && self.health.circuit_up(from, to))
     }
 
     fn classes(&self) -> &[ClassId] {

@@ -55,9 +55,13 @@ impl Router for HierarchicalRouter {
         RouteDecision::ToNode(target)
     }
 
-    fn class_admits(&self, _class: ClassId, _cell: &Cell, from: NodeId, to: NodeId) -> bool {
+    fn class_admits(&self, class: ClassId, _cell: &Cell, from: NodeId, to: NodeId) -> bool {
+        self.circuit_admits(class, from, to) == Some(true)
+    }
+
+    fn circuit_admits(&self, _class: ClassId, from: NodeId, to: NodeId) -> Option<bool> {
         // Spray over any level-0 circuit.
-        self.spec.highest_differing_level(from, to) == Some(0)
+        Some(self.spec.highest_differing_level(from, to) == Some(0))
     }
 
     fn classes(&self) -> &[ClassId] {

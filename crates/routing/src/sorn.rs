@@ -83,9 +83,13 @@ impl Router for SornRouter {
         }
     }
 
-    fn class_admits(&self, _class: ClassId, _cell: &Cell, from: NodeId, to: NodeId) -> bool {
+    fn class_admits(&self, class: ClassId, _cell: &Cell, from: NodeId, to: NodeId) -> bool {
+        self.circuit_admits(class, from, to) == Some(true)
+    }
+
+    fn circuit_admits(&self, _class: ClassId, from: NodeId, to: NodeId) -> Option<bool> {
         // The spray hop may use any intra-clique circuit.
-        self.cliques.same_clique(from, to)
+        Some(self.cliques.same_clique(from, to))
     }
 
     fn classes(&self) -> &[ClassId] {

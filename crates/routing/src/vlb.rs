@@ -47,9 +47,13 @@ impl Router for VlbRouter {
         }
     }
 
-    fn class_admits(&self, _class: ClassId, _cell: &Cell, _from: NodeId, _to: NodeId) -> bool {
+    fn class_admits(&self, class: ClassId, _cell: &Cell, from: NodeId, to: NodeId) -> bool {
+        self.circuit_admits(class, from, to) == Some(true)
+    }
+
+    fn circuit_admits(&self, _class: ClassId, _from: NodeId, _to: NodeId) -> Option<bool> {
         // Any circuit load-balances.
-        true
+        Some(true)
     }
 
     fn classes(&self) -> &[ClassId] {

@@ -31,7 +31,11 @@ pub struct SimConfig {
     pub max_hops: u8,
     /// How many cells deep to scan a class (spray) queue for one whose
     /// routing constraints admit the current circuit. `0` means scan the
-    /// whole queue.
+    /// whole queue. Bounds only the per-cell scan, i.e. classes for which
+    /// [`Router::circuit_admits`](crate::Router::circuit_admits) answers
+    /// `None`; a class answered for the circuit alone pops its head or is
+    /// skipped whatever this is. Nothing in the repository sets it
+    /// non-zero; it stays because checkpoints carry it.
     pub class_scan_limit: usize,
     /// Total queued cells a node may hold before arrivals are dropped;
     /// `0` means unbounded (the open-loop default for throughput

@@ -3,8 +3,9 @@
 //! Each node keeps one FIFO per *specific* next hop plus one FIFO per
 //! router-defined *class* (spray queues). When a circuit to `w` comes up,
 //! the node serves the specific queue for `w` first — targeted traffic has
-//! strict priority, as in RotorLB-style designs — then scans class queues
-//! in the router's priority order for a cell whose constraints admit `w`.
+//! strict priority, as in RotorLB-style designs — then tries the class
+//! queues in the router's priority order, touching a queued cell only
+//! when the router cannot answer for the circuit alone.
 //!
 //! Specific queues are *sparse*: a node only ever queues toward the
 //! handful of next hops its schedule connects it to, so holding one
@@ -35,9 +36,6 @@ pub struct NodeQueues {
     /// Maps `ClassId.0` to an index into `class`; `NO_CLASS` when
     /// undeclared.
     class_index: Vec<u16>,
-    /// Scratch for the order-preserving class scan (reused, empty
-    /// between calls).
-    scratch: Vec<Cell>,
     depth: usize,
 }
 
@@ -54,7 +52,6 @@ impl NodeQueues {
             specific: Vec::new(),
             class: classes.iter().map(|&c| (c, VecDeque::new())).collect(),
             class_index,
-            scratch: Vec::new(),
             depth: 0,
         }
     }
@@ -102,11 +99,14 @@ impl NodeQueues {
 
     /// Pops the cell to transmit on a circuit `from → to`, if any.
     ///
-    /// `scan_limit` bounds how deep each class queue is searched for an
-    /// admissible cell (`0` = unbounded). Head-of-line cells whose
-    /// constraints reject `to` are skipped, not dropped — they are
-    /// rotated back to the front in their original order, so an
-    /// admissible pop costs O(cells scanned), not O(queue length).
+    /// Each non-empty class queue is first asked about as a whole
+    /// ([`Router::circuit_admits`]): a circuit that serves none of its
+    /// cells skips it in O(1), one that serves all of them pops its head.
+    /// Only when the answer depends on the cell is the queue scanned, in
+    /// place, for the first cell [`Router::class_admits`] accepts;
+    /// `scan_limit` bounds how deep that scan goes (`0` = unbounded).
+    /// Head-of-line cells whose constraints reject `to` are skipped, not
+    /// dropped, and keep their order.
     pub fn pop_for_circuit<R: Router + ?Sized>(
         &mut self,
         router: &R,
@@ -123,29 +123,24 @@ impl NodeQueues {
                 return Some(cell);
             }
         }
-        let scratch = &mut self.scratch;
         for (class, q) in &mut self.class {
-            let limit = if scan_limit == 0 {
-                q.len()
-            } else {
-                scan_limit.min(q.len())
-            };
-            let mut admitted = None;
-            for _ in 0..limit {
-                let cell = q.pop_front().expect("limit <= len");
-                if router.class_admits(*class, &cell, from, to) {
-                    admitted = Some(cell);
-                    break;
+            if q.is_empty() {
+                continue;
+            }
+            let cell = match router.circuit_admits(*class, from, to) {
+                Some(false) => None,
+                Some(true) => q.pop_front(),
+                None => {
+                    let limit = if scan_limit == 0 { q.len() } else { scan_limit };
+                    q.iter()
+                        .take(limit)
+                        .position(|cell| router.class_admits(*class, cell, from, to))
+                        .and_then(|i| q.remove(i))
                 }
-                scratch.push(cell);
-            }
-            // Skipped heads go back to the front, original order intact.
-            for cell in scratch.drain(..).rev() {
-                q.push_front(cell);
-            }
-            if admitted.is_some() {
+            };
+            if cell.is_some() {
                 self.depth -= 1;
-                return admitted;
+                return cell;
             }
         }
         None
@@ -342,6 +337,152 @@ mod tests {
             assert_eq!(got.dst, NodeId(want));
         }
         assert!(q.is_empty());
+    }
+
+    /// The class scan as it was before `Router::circuit_admits`: pop,
+    /// test with `class_admits`, push the skipped heads back. Kept as
+    /// the reference `pop_for_circuit` is compared against.
+    fn reference_pop<R: Router>(
+        q: &mut NodeQueues,
+        router: &R,
+        from: NodeId,
+        to: NodeId,
+        scan_limit: usize,
+    ) -> Option<Cell> {
+        if let Ok(i) = q.specific.binary_search_by_key(&to.0, |&(k, _)| k) {
+            if let Some(cell) = q.specific[i].1.pop_front() {
+                q.depth -= 1;
+                return Some(cell);
+            }
+        }
+        let mut scratch = Vec::new();
+        for (class, fifo) in &mut q.class {
+            let limit = if scan_limit == 0 {
+                fifo.len()
+            } else {
+                scan_limit.min(fifo.len())
+            };
+            let mut admitted = None;
+            for _ in 0..limit {
+                let cell = fifo.pop_front().expect("limit <= len");
+                if router.class_admits(*class, &cell, from, to) {
+                    admitted = Some(cell);
+                    break;
+                }
+                scratch.push(cell);
+            }
+            for cell in scratch.drain(..).rev() {
+                fifo.push_front(cell);
+            }
+            if admitted.is_some() {
+                q.depth -= 1;
+                return admitted;
+            }
+        }
+        None
+    }
+
+    /// Class 0 rides any circuit, class 1 any circuit to an even node,
+    /// class 2 only the circuit to the cell's own destination — one
+    /// class per `circuit_admits` answer shape. Counts `class_admits`.
+    #[derive(Default)]
+    struct ThreeShapeRouter {
+        per_cell_calls: std::sync::atomic::AtomicUsize,
+    }
+    impl Router for ThreeShapeRouter {
+        fn decide(
+            &self,
+            _n: NodeId,
+            _c: &mut Cell,
+            _r: &mut crate::rng::NodeRng,
+        ) -> crate::router::RouteDecision {
+            crate::router::RouteDecision::ToClass(ClassId(0))
+        }
+        fn class_admits(&self, class: ClassId, cell: &Cell, from: NodeId, to: NodeId) -> bool {
+            self.per_cell_calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.circuit_admits(class, from, to)
+                .unwrap_or(cell.dst == to)
+        }
+        fn circuit_admits(&self, class: ClassId, _from: NodeId, to: NodeId) -> Option<bool> {
+            match class.0 {
+                0 => Some(true),
+                1 => Some(to.0.is_multiple_of(2)),
+                _ => None,
+            }
+        }
+        fn classes(&self) -> &[ClassId] {
+            &[ClassId(2), ClassId(1), ClassId(0)]
+        }
+        fn max_hops(&self) -> u8 {
+            4
+        }
+        fn name(&self) -> &str {
+            "three-shape"
+        }
+    }
+
+    #[test]
+    fn pop_matches_the_rotate_scan_reference_op_for_op() {
+        let r = ThreeShapeRouter::default();
+        for scan_limit in [0, 1, 3] {
+            let mut rng = crate::rng::NodeRng::for_node(0x51DE, scan_limit as u32);
+            let mut fast = NodeQueues::new(r.classes());
+            let mut slow = NodeQueues::new(r.classes());
+            let mut pops = 0;
+            for seq in 0..12_000u64 {
+                let peer = NodeId(rng.gen_range(8) as u32);
+                let mut c = cell(rng.gen_range(8) as u32);
+                c.seq = seq;
+                match rng.gen_range(20) {
+                    0..=8 => {
+                        let class = ClassId(rng.gen_range(3) as u8);
+                        fast.push_class(class, c);
+                        slow.push_class(class, c);
+                    }
+                    9 => {
+                        fast.push_specific(peer, c);
+                        slow.push_specific(peer, c);
+                    }
+                    _ => {
+                        let got = fast.pop_for_circuit(&r, NodeId(9), peer, scan_limit);
+                        let want = reference_pop(&mut slow, &r, NodeId(9), peer, scan_limit);
+                        assert_eq!(got, want, "op {seq}, scan_limit {scan_limit}");
+                        pops += got.is_some() as usize;
+                    }
+                }
+                assert_eq!(fast.depth(), slow.depth());
+                assert_eq!(fast.export_cells(), slow.export_cells(), "op {seq}");
+            }
+            assert!(pops > 2_000, "only {pops} pops returned a cell");
+        }
+    }
+
+    #[test]
+    fn answered_circuits_never_touch_a_cell() {
+        use std::sync::atomic::Ordering::Relaxed;
+        let r = ThreeShapeRouter::default();
+        let mut q = NodeQueues::new(r.classes());
+        for seq in 0..100_000 {
+            let mut c = cell(5);
+            c.seq = seq;
+            q.push_class(ClassId(1), c);
+        }
+        // `Some(false)`: the whole queue is skipped.
+        for _ in 0..1_000 {
+            assert!(q.pop_for_circuit(&r, NodeId(0), NodeId(3), 0).is_none());
+        }
+        // `Some(true)`: the head pops, in order.
+        for seq in 0..1_000 {
+            let got = q.pop_for_circuit(&r, NodeId(0), NodeId(4), 0).unwrap();
+            assert_eq!(got.seq, seq);
+        }
+        assert_eq!(q.depth(), 99_000);
+        assert_eq!(r.per_cell_calls.load(Relaxed), 0);
+        // A per-cell class in front of it is still scanned.
+        q.push_class(ClassId(2), cell(7));
+        assert!(q.pop_for_circuit(&r, NodeId(0), NodeId(3), 0).is_none());
+        assert_eq!(r.per_cell_calls.load(Relaxed), 1);
     }
 
     #[test]

@@ -5,12 +5,17 @@
 //! targeted circuit) or for *any* circuit in a *class* (a load-balancing
 //! spray hop — "the first available intra-clique link" of §4). The engine
 //! keeps one virtual output queue per specific next hop plus one queue per
-//! class, and asks the router two questions:
+//! class, and asks the router three questions:
 //!
 //! 1. [`Router::decide`] — when a cell arrives at a node: deliver it,
 //!    queue it for a specific neighbor, or queue it into a class.
-//! 2. [`Router::class_admits`] — when a circuit to `to` comes up: may a
-//!    given queued class cell use it?
+//! 2. [`Router::circuit_admits`] — when a circuit to `to` comes up: may
+//!    *every* cell of a class use it, may *none*, or does it depend on
+//!    the cell? In the paper's schemes the spray hop is defined by the
+//!    circuit alone, so a whole class queue is served from its head or
+//!    skipped without looking at a cell.
+//! 3. [`Router::class_admits`] — only when the answer to 2 was "it
+//!    depends": may this queued class cell use the circuit?
 
 use crate::cell::Cell;
 use crate::rng::NodeRng;
@@ -43,10 +48,10 @@ pub enum RouteDecision {
 /// and runs reproduce exactly — serial or sharded across threads.
 ///
 /// `Sync` is a supertrait because the engine calls `decide`,
-/// `class_admits`, and `on_transmit` from worker threads when
-/// `SimConfig::engine_threads > 1`. Routers with interior mutable state
-/// must key it by the acting node (the engine shards work by node), so
-/// a `Mutex` around per-node state stays deterministic.
+/// `circuit_admits`, `class_admits`, and `on_transmit` from worker
+/// threads when `SimConfig::engine_threads > 1`. Routers with interior
+/// mutable state must key it by the acting node (the engine shards work
+/// by node), so a `Mutex` around per-node state stays deterministic.
 pub trait Router: Sync {
     /// Decides the next step for `cell` arriving at `node`, possibly
     /// updating the cell's router-owned `tag`.
@@ -59,6 +64,18 @@ pub trait Router: Sync {
     /// Whether a cell queued in `class` at node `from` may ride a circuit
     /// to `to`.
     fn class_admits(&self, class: ClassId, cell: &Cell, from: NodeId, to: NodeId) -> bool;
+
+    /// The cell-independent form of [`Router::class_admits`]: `Some(b)`
+    /// when `class_admits(class, cell, from, to) == b` for *every* cell
+    /// that can be queued in `class`, `None` (the default) when the
+    /// answer depends on the cell. The transmit path asks this once per
+    /// non-empty class queue and only falls back to scanning cells with
+    /// `class_admits` on `None`, so a router that can answer here never
+    /// has a queued cell touched by a circuit that will not carry it.
+    fn circuit_admits(&self, class: ClassId, from: NodeId, to: NodeId) -> Option<bool> {
+        let _ = (class, from, to);
+        None
+    }
 
     /// Hook invoked when a cell is put on a circuit `from → to`, before it
     /// propagates. Routers that need per-cell state keyed to *which*
@@ -94,8 +111,12 @@ impl Router for DirectRouter {
         }
     }
 
-    fn class_admits(&self, _class: ClassId, _cell: &Cell, _from: NodeId, _to: NodeId) -> bool {
-        false
+    fn class_admits(&self, class: ClassId, _cell: &Cell, from: NodeId, to: NodeId) -> bool {
+        self.circuit_admits(class, from, to) == Some(true)
+    }
+
+    fn circuit_admits(&self, _class: ClassId, _from: NodeId, _to: NodeId) -> Option<bool> {
+        Some(false) // no classes: nothing ever sprays
     }
 
     fn classes(&self) -> &[ClassId] {
