@@ -73,11 +73,13 @@ pub fn run_with_decisions(
     let mut epoch_idx = 0;
     for (epochs, flows) in phases {
         let demand = empirical_demand(flows, n)?;
+        // Neither the static configuration nor the demand changes inside
+        // a phase: one score serves all its epochs.
+        let static_throughput = score(&static_sched, &static_map, &demand);
         for _ in 0..*epochs {
             // The adaptive system is scored with the configuration that
             // was installed *before* observing this epoch (no lookahead).
             let adaptive_throughput = score(ctl.schedule(), ctl.cliques(), &demand);
-            let static_throughput = score(&static_sched, &static_map, &demand);
 
             ctl.observe(flows);
             let outcome = ctl.end_epoch()?;

@@ -64,6 +64,25 @@ fn bench_update_preparation(c: &mut Criterion) {
                 .total_drained
         });
     });
+    // What the control loop really installs: `q` rounded to a denominator
+    // of up to 1000 — here 96 nodes in 4 cliques, from a 556 071-slot
+    // schedule to a 291 939-slot one.
+    let map = CliqueMap::contiguous(96, 4);
+    let long = sorn_schedule(&map, &SornScheduleParams::with_q(Ratio::new(7653, 406))).unwrap();
+    assert_eq!(long.period(), 556_071);
+    c.bench_function("bootstrap_nics_96_period_556071", |b| {
+        b.iter(|| ScheduleUpdater::bootstrap_nics(black_box(&long)));
+    });
+    c.bench_function("update_prepare_96_period_556071", |b| {
+        b.iter(|| {
+            let mut nics = ScheduleUpdater::bootstrap_nics(&long);
+            let updater = ScheduleUpdater::new(UpdateTiming::default());
+            updater
+                .prepare(&mut nics, black_box(&map), Ratio::new(3831, 400))
+                .unwrap()
+                .total_drained
+        });
+    });
 }
 
 criterion_group!(

@@ -22,9 +22,15 @@ fn bench_vlb_eval(c: &mut Criterion) {
 
 fn bench_sorn_eval(c: &mut Criterion) {
     let mut g = c.benchmark_group("flowlevel_sorn");
-    for (n, nc) in [(32usize, 4usize), (128, 8)] {
+    // The last row is an epoch of the 96-node control loop: 4 cliques of
+    // 24 under a `q` the optimizer installed.
+    for (n, nc, q) in [
+        (32usize, 4usize, Ratio::new(50, 11)),
+        (128, 8, Ratio::new(50, 11)),
+        (96, 4, Ratio::new(7653, 406)),
+    ] {
         let map = CliqueMap::contiguous(n, nc);
-        let topo = sorn_schedule(&map, &SornScheduleParams::with_q(Ratio::new(50, 11)))
+        let topo = sorn_schedule(&map, &SornScheduleParams::with_q(q))
             .unwrap()
             .logical_topology();
         let model = SornPaths::new(map.clone());

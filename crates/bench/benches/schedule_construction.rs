@@ -75,6 +75,14 @@ fn bench_logical_topology(c: &mut Criterion) {
     c.bench_function("logical_topology_1024", |b| {
         b.iter(|| black_box(&sched).logical_topology());
     });
+    // What the control loop really installs: `q` rounded to a denominator
+    // of up to 1000 — here 96 nodes, 26 pool matchings, 556 071 slots.
+    let map = CliqueMap::contiguous(96, 4);
+    let sched = sorn_schedule(&map, &SornScheduleParams::with_q(Ratio::new(7653, 406))).unwrap();
+    assert_eq!(sched.period(), 556_071);
+    c.bench_function("logical_topology_96_period_556071", |b| {
+        b.iter(|| black_box(&sched).logical_topology());
+    });
 }
 
 fn bench_hierarchy(c: &mut Criterion) {

@@ -1,10 +1,14 @@
 //! Node (NIC) hardware state and schedule updates — Figure 2(c), §5.
 //!
 //! In a Sirius-like deployment the circuit schedule lives entirely at the
-//! nodes: each NIC stores, per time slot, which wavelength to emit (i.e.
-//! which neighbor the slot reaches) and keeps per-neighbor queues. §5
-//! argues updates are cheap because the semi-oblivious abstraction keeps
-//! a *fixed superset of neighbors* per node and only rebalances how many
+//! nodes: each NIC cycles through the wavelengths of the installed
+//! schedule and keeps per-neighbor queues. What an update has to get
+//! right at a node is the *neighbor set* and each neighbor's *share of
+//! the period*, so that is what this model holds: per neighbor, how many
+//! slots of the period reach it and how much traffic is queued toward
+//! it. The slot order itself stays in the [`CircuitSchedule`]. §5 argues
+//! updates are cheap because the semi-oblivious abstraction keeps a
+//! *fixed superset of neighbors* per node and only rebalances how many
 //! slots each neighbor gets; queues never need to be created or destroyed
 //! for rebalance-only updates, and drain work is limited to neighbors
 //! whose slot share went to zero.
@@ -12,13 +16,13 @@
 use sorn_topology::{CircuitSchedule, NodeId};
 use std::collections::BTreeMap;
 
-/// Per-neighbor NIC state: which slots of the schedule reach it and how
-/// much traffic is queued toward it.
+/// Per-neighbor NIC state: how many slots of the schedule reach it and
+/// how much traffic is queued toward it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NeighborState {
-    /// Slot indices (within the schedule period) whose circuit goes to
-    /// this neighbor.
-    pub slots: Vec<u32>,
+    /// Number of slots in the schedule period whose circuit goes to this
+    /// neighbor (at least 1).
+    pub slot_count: u64,
     /// Cells currently queued for this neighbor.
     pub queued_cells: u64,
 }
@@ -45,7 +49,8 @@ impl NicUpdateReport {
     }
 }
 
-/// The schedule-related state of one node's NIC (Figure 2(c)).
+/// The schedule-related state of one node's NIC (Figure 2(c)): its
+/// neighbor set with per-neighbor slot counts and queue depths.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NicState {
     node: NodeId,
@@ -56,19 +61,27 @@ pub struct NicState {
 }
 
 impl NicState {
-    /// Extracts the NIC state of `node` from a schedule.
+    /// Extracts the NIC state of `node` from a schedule: one pass over
+    /// the schedule's matching pool, whatever its period.
     pub fn from_schedule(schedule: &CircuitSchedule, node: NodeId) -> Self {
         let mut neighbors: BTreeMap<u32, NeighborState> = BTreeMap::new();
-        for t in 0..schedule.period() as u64 {
-            if let Some(d) = schedule.dst_at(t, node) {
+        for (m, &count) in schedule
+            .matchings()
+            .iter()
+            .zip(schedule.matching_slot_counts())
+        {
+            // A pool matching no slot selects reaches nobody.
+            if count == 0 {
+                continue;
+            }
+            if let Some(d) = m.dst_of(node) {
                 neighbors
                     .entry(d.0)
-                    .or_insert_with(|| NeighborState {
-                        slots: Vec::new(),
+                    .or_insert(NeighborState {
+                        slot_count: 0,
                         queued_cells: 0,
                     })
-                    .slots
-                    .push(t as u32);
+                    .slot_count += count;
             }
         }
         NicState {
@@ -107,7 +120,7 @@ impl NicState {
     /// Fraction of the period allotted to `n`.
     pub fn bandwidth_share(&self, n: NodeId) -> f64 {
         self.neighbor(n)
-            .map(|s| s.slots.len() as f64 / self.period as f64)
+            .map(|s| s.slot_count as f64 / self.period as f64)
             .unwrap_or(0.0)
     }
 

@@ -8,7 +8,6 @@
 //! exactly, which is how the simulated series of Figure 2(f) is produced.
 
 use sorn_topology::{CliqueMap, LogicalTopology, NodeId};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Errors from flow-level evaluation.
@@ -222,7 +221,9 @@ pub struct ThroughputReport {
     /// network sustains. Values above 1 mean the demand as given fits
     /// with headroom.
     pub throughput: f64,
-    /// The bottleneck edge.
+    /// The bottleneck edge. When several edges tie for the minimum
+    /// `capacity/load` — every edge of a round robin under uniform
+    /// demand does — this is the first of them in `(src, dst)` order.
     pub bottleneck: (NodeId, NodeId),
     /// Load on the bottleneck at unit demand scaling.
     pub bottleneck_load: f64,
@@ -245,7 +246,17 @@ pub fn evaluate(
         )));
     }
     let n = topo.n();
-    let mut load: HashMap<(u32, u32), f64> = HashMap::new();
+    // One load slot per virtual edge, laid out as the topology's own
+    // adjacency rows (sorted by destination) back to back: edge
+    // `src -> row[i]` lives at `row_start[src] + i`.
+    let mut row_start = Vec::with_capacity(n + 1);
+    let mut edges = 0usize;
+    for s in 0..n as u32 {
+        row_start.push(edges);
+        edges += topo.neighbors(NodeId(s)).len();
+    }
+    row_start.push(edges);
+    let mut load = vec![0.0f64; edges];
     let mut hop_integral = 0.0;
     let mut total_demand = 0.0;
     let mut bad_edge: Option<(NodeId, NodeId)> = None;
@@ -261,10 +272,13 @@ pub fn evaluate(
             model.for_each_path(s, t, &mut |path, prob| {
                 hop_integral += dem * prob * (path.len() - 1) as f64;
                 for w in path.windows(2) {
-                    if topo.capacity(w[0], w[1]) <= 0.0 && bad_edge.is_none() {
-                        bad_edge = Some((w[0], w[1]));
+                    let row = topo.neighbors(w[0]);
+                    match row.binary_search_by_key(&w[1], |&(d, _)| d) {
+                        Ok(i) if row[i].1 > 0.0 => load[row_start[w[0].index()] + i] += dem * prob,
+                        _ => {
+                            bad_edge.get_or_insert((w[0], w[1]));
+                        }
                     }
-                    *load.entry((w[0].0, w[1].0)).or_insert(0.0) += dem * prob;
                 }
             });
         }
@@ -280,12 +294,11 @@ pub fn evaluate(
     let mut throughput = f64::INFINITY;
     let mut bottleneck = (NodeId(0), NodeId(0));
     let mut bottleneck_load = 0.0;
-    for (&(a, b), &l) in &load {
-        let cap = topo.capacity(NodeId(a), NodeId(b));
+    for ((a, b, cap), &l) in topo.edges().zip(&load) {
         let r = cap / l;
         if r < throughput {
             throughput = r;
-            bottleneck = (NodeId(a), NodeId(b));
+            bottleneck = (a, b);
             bottleneck_load = l;
         }
     }

@@ -15,7 +15,9 @@ use crate::node::NodeId;
 ///
 /// Stores a pool of distinct matchings (the realizable "wavelengths") and a
 /// periodic slot sequence indexing into the pool. Slot `t` of global time
-/// uses `slots[t mod period]`.
+/// uses `slots[t mod period]`. It also keeps how many slots of the period
+/// use each pool matching, so a circuit's bandwidth share costs a walk over
+/// the pool, not over the period.
 ///
 /// ```
 /// use sorn_topology::builders::round_robin;
@@ -34,6 +36,8 @@ pub struct CircuitSchedule {
     n: usize,
     matchings: Vec<Matching>,
     slots: Vec<usize>,
+    /// `slot_counts[i]` = number of entries of `slots` equal to `i`.
+    slot_counts: Vec<u64>,
 }
 
 impl CircuitSchedule {
@@ -51,18 +55,23 @@ impl CircuitSchedule {
                 });
             }
         }
+        let mut slot_counts = vec![0u64; matchings.len()];
         for &s in &slots {
-            if s >= matchings.len() {
-                return Err(TopologyError::UnknownMatching {
-                    index: s,
-                    available: matchings.len(),
-                });
+            match slot_counts.get_mut(s) {
+                Some(count) => *count += 1,
+                None => {
+                    return Err(TopologyError::UnknownMatching {
+                        index: s,
+                        available: matchings.len(),
+                    })
+                }
             }
         }
         Ok(CircuitSchedule {
             n,
             matchings,
             slots,
+            slot_counts,
         })
     }
 
@@ -94,6 +103,14 @@ impl CircuitSchedule {
     #[inline]
     pub fn slot_indices(&self) -> &[usize] {
         &self.slots
+    }
+
+    /// How many slots of the period use each matching of the pool
+    /// (parallel to [`CircuitSchedule::matchings`]; sums to the period,
+    /// zero for a pool matching no slot selects).
+    #[inline]
+    pub fn matching_slot_counts(&self) -> &[u64] {
+        &self.slot_counts
     }
 
     /// The matching active at global slot `t`.
@@ -157,29 +174,45 @@ impl CircuitSchedule {
     /// This is the `l` of §4: the virtual edge `src → dst` has bandwidth
     /// `b·l`.
     pub fn circuit_fraction(&self, src: NodeId, dst: NodeId) -> f64 {
-        let ups = (0..self.period() as u64)
-            .filter(|&t| self.matching_at(t).connects(src, dst))
-            .count();
+        let ups: u64 = self
+            .matchings
+            .iter()
+            .zip(&self.slot_counts)
+            .filter(|(m, _)| m.connects(src, dst))
+            .map(|(_, &count)| count)
+            .sum();
         ups as f64 / self.period() as f64
     }
 
     /// Extracts the logical topology: every virtual edge and its capacity
     /// fraction.
+    ///
+    /// Costs one pass over the circuits of each pool matching in use plus
+    /// a sort of each node's row, whatever the period.
     pub fn logical_topology(&self) -> LogicalTopology {
-        let mut counts: Vec<std::collections::BTreeMap<u32, u64>> =
-            vec![std::collections::BTreeMap::new(); self.n];
-        for t in 0..self.period() as u64 {
-            for (s, d) in self.matching_at(t).circuits() {
-                *counts[s.index()].entry(d.0).or_insert(0) += 1;
+        let mut rows: Vec<Vec<(NodeId, u64)>> = vec![Vec::new(); self.n];
+        for (m, &count) in self.matchings.iter().zip(&self.slot_counts) {
+            if count > 0 {
+                for (s, d) in m.circuits() {
+                    rows[s.index()].push((d, count));
+                }
             }
         }
         let p = self.period() as f64;
-        let adj = counts
+        let adj = rows
             .into_iter()
-            .map(|row| {
-                row.into_iter()
-                    .map(|(d, c)| (NodeId(d), c as f64 / p))
-                    .collect()
+            .map(|mut row| {
+                row.sort_unstable_by_key(|&(d, _)| d);
+                // Two pool matchings may carry the same circuit: fold their
+                // slot counts into one edge before dividing.
+                row.dedup_by(|later, kept| {
+                    let same = later.0 == kept.0;
+                    if same {
+                        kept.1 += later.1;
+                    }
+                    same
+                });
+                row.into_iter().map(|(d, c)| (d, c as f64 / p)).collect()
             })
             .collect();
         LogicalTopology { n: self.n, adj }
@@ -323,7 +356,8 @@ impl LogicalTopology {
         self.n
     }
 
-    /// Out-neighbors of `src` with their capacity fractions.
+    /// Out-neighbors of `src` with their capacity fractions, sorted by
+    /// neighbor with no neighbor repeated.
     #[inline]
     pub fn neighbors(&self, src: NodeId) -> &[(NodeId, f64)] {
         &self.adj[src.index()]
