@@ -306,6 +306,10 @@ pub struct Engine<'a, P: Probe = NoopProbe, F: Profiler = NoopProfiler> {
     /// entries are slots into `table`.
     injecting: Vec<VecDeque<usize>>,
     injecting_flows: usize,
+    /// One bit per node, set exactly while `injecting[v]` is non-empty;
+    /// injection walks set bits instead of every node's list. Derived
+    /// state: rebuilt from the lists on restore, never checkpointed.
+    injecting_occ: Vec<u64>,
     /// Active flows in struct-of-arrays columns with a direct-mapped id
     /// index — no hash probe per delivered cell.
     table: FlowTable,
@@ -438,6 +442,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             future_pending: 0,
             injecting: vec![VecDeque::new(); n],
             injecting_flows: 0,
+            injecting_occ: vec![0; n.div_ceil(64)],
             table: FlowTable::new(),
             occupancy: vec![0; n.div_ceil(64)],
             idle_tables: IdleTables::build(schedule, &cfg),
@@ -831,31 +836,36 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             let slot = self.table.insert(&flow, total_cells);
             self.injecting[src].push_back(slot);
             self.injecting_flows += 1;
+            self.injecting_occ[src / 64] |= 1u64 << (src % 64);
         }
         drop(enqueue_span);
 
         // 3. Source NICs inject at line rate (uplinks cells per slot).
         // Stays serial: injection is node-local and cheap next to the
         // sharded passes, and each injected cell is timed inside
-        // `route_cell`. The flow counter skips the per-node scan
-        // entirely during injection-free stretches.
-        for src in 0..self.queues.len() {
-            if self.injecting_flows == 0 {
-                break;
-            }
-            let mut budget = self.cfg.uplinks;
-            while budget > 0 {
-                let Some(&slot) = self.injecting[src].front() else {
-                    break;
-                };
-                let (cell, done_injecting) = self.table.next_cell(slot, now);
-                self.metrics.injected_cells += 1;
-                self.route_cell(cell.src, cell, now);
-                if done_injecting {
-                    self.injecting[src].pop_front();
-                    self.injecting_flows -= 1;
+        // `route_cell`. Only nodes with a flow to inject are visited, in
+        // ascending node order.
+        for w in 0..self.injecting_occ.len() {
+            let mut bits = self.injecting_occ[w];
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let src = w * 64 + b;
+                for _ in 0..self.cfg.uplinks {
+                    let Some(&slot) = self.injecting[src].front() else {
+                        break;
+                    };
+                    let (cell, done_injecting) = self.table.next_cell(slot, now);
+                    self.metrics.injected_cells += 1;
+                    self.route_cell(cell.src, cell, now);
+                    if done_injecting {
+                        self.injecting[src].pop_front();
+                        self.injecting_flows -= 1;
+                    }
                 }
-                budget -= 1;
+                if self.injecting[src].is_empty() {
+                    self.injecting_occ[w] &= !(1u64 << b);
+                }
             }
         }
 
@@ -1628,7 +1638,8 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         }
         let mut injecting: Vec<VecDeque<usize>> = Vec::with_capacity(n);
         let mut injecting_flows = 0usize;
-        for list in &snapshot.injecting {
+        let mut injecting_occ = vec![0u64; n.div_ceil(64)];
+        for (v, list) in snapshot.injecting.iter().enumerate() {
             let mut deque = VecDeque::with_capacity(list.len());
             for &idx in list {
                 let idx = idx as usize;
@@ -1638,6 +1649,9 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
                 deque.push_back(idx);
             }
             injecting_flows += deque.len();
+            if !deque.is_empty() {
+                injecting_occ[v / 64] |= 1u64 << (v % 64);
+            }
             injecting.push(deque);
         }
 
@@ -1759,6 +1773,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             future_pending,
             injecting,
             injecting_flows,
+            injecting_occ,
             table,
             occupancy,
             idle_tables: IdleTables::build(schedule, &cfg),
@@ -2594,6 +2609,61 @@ mod tests {
         let serial = run(1);
         assert_eq!(serial, run(2));
         assert_eq!(serial, run(4));
+    }
+
+    /// `injecting_occ` bit v ⇔ `injecting[v]` non-empty, at every slot
+    /// boundary, at 1–4 threads, and on both sides of a
+    /// checkpoint/restore (the bitset is rebuilt, not checkpointed).
+    #[test]
+    fn injecting_bitset_matches_the_per_node_lists() {
+        fn assert_mirrors(eng: &Engine<'_>) {
+            for (v, list) in eng.injecting.iter().enumerate() {
+                let bit = eng.injecting_occ[v / 64] >> (v % 64) & 1 == 1;
+                assert_eq!(bit, !list.is_empty(), "slot {}: node {v}", eng.slot);
+            }
+        }
+        // 70 nodes: two bitset words, the second partly used.
+        let sched = round_robin(70).unwrap();
+        let router = RandomViaRouter;
+        for threads in 1..=4 {
+            let mut rng = NodeRng::for_node(0x1217, threads as u32);
+            let mut cfg = SimConfig::default();
+            cfg.uplinks = 2;
+            cfg.seed = threads as u64;
+            cfg.engine_threads = threads;
+            let mut eng = Engine::new(cfg, &sched, &router);
+            // Sizes from one cell to a few slots' worth, several flows
+            // per source, arrivals spread over the run: lists fill,
+            // drain mid-slot and refill.
+            let flows: Vec<Flow> = (0..300)
+                .map(|i| {
+                    let src = rng.gen_range(70) as u32;
+                    let dst = (src + 1 + rng.gen_range(69) as u32) % 70;
+                    flow(i, src, dst, 1 + rng.gen_range(12_000), rng.gen_range(8_000))
+                })
+                .collect();
+            eng.add_flows(flows).unwrap();
+            let mut busy_boundaries = 0;
+            for _ in 0..60 {
+                eng.step().unwrap();
+                assert_mirrors(&eng);
+                busy_boundaries += (eng.injecting_flows > 0) as usize;
+            }
+            let snap = eng.checkpoint();
+            let mut eng = Engine::restore(&snap, &sched, &router).unwrap();
+            assert_mirrors(&eng);
+            while !eng.is_drained() {
+                eng.step().unwrap();
+                assert_mirrors(&eng);
+                busy_boundaries += (eng.injecting_flows > 0) as usize;
+                assert!(eng.slot < 50_000, "run did not drain");
+            }
+            assert!(
+                busy_boundaries > 20,
+                "only {busy_boundaries} boundaries mid-injection"
+            );
+            assert_eq!(eng.metrics().flows.len(), 300);
+        }
     }
 
     proptest::proptest! {

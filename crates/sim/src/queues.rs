@@ -7,52 +7,101 @@
 //! queues in the router's priority order, touching a queued cell only
 //! when the router cannot answer for the circuit alone.
 //!
-//! Specific queues are *sparse*: a node only ever queues toward the
-//! handful of next hops its schedule connects it to, so holding one
-//! `VecDeque` slot per node in the network is quadratic across the
-//! fleet (16k nodes → 256M deque headers). Instead each node keeps a
-//! short `(next-hop, FIFO)` list sorted by next-hop id and binary
-//! searches it; emptied FIFOs stay in place so their capacity is
-//! reused. Class pushes go through a precomputed `ClassId → index`
-//! table — the transmit hot path never hashes and never scans for a
-//! class.
+//! The specific half costs what is queued *now*, not what was ever
+//! queued. All targeted cells of a node live in one slab (`Vec<Slot>`
+//! with a free list) and each next hop's FIFO is a 12-byte
+//! `{head, tail, len}` list threaded through it: a FIFO that
+//! materialises allocates nothing and the slab is as long as the node's
+//! peak targeted depth. The next-hop index is two parallel vectors —
+//! sorted `u32` keys beside the FIFO descriptors — so a binary search
+//! probes 4-byte keys; a key stays once seen (a node only ever queues
+//! toward the handful of next hops its schedule connects it to, and
+//! those FIFOs flip empty ↔ non-empty constantly), so entries never
+//! move when a FIFO empties. In front of the index sits a 64-bit
+//! summary word: bit `summary_bit(next)` is set exactly while some
+//! non-empty FIFO hashes to it (a per-bit count of such FIFOs keeps it
+//! exact under collisions), so most circuits that have nothing to send
+//! are answered from the node header without a search. The word only
+//! ever skips a search that would have found an empty FIFO or none;
+//! results never depend on it.
+//!
+//! Class queues are one `VecDeque` per declared class, found by a
+//! linear scan of the one-to-three declared ids.
 
 use crate::cell::Cell;
 use crate::router::{ClassId, Router};
 use sorn_topology::NodeId;
 use std::collections::VecDeque;
 
-/// Sentinel in the class-index table for undeclared classes.
-const NO_CLASS: u16 = u16::MAX;
+/// "No slot": the end of a FIFO and of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry: a queued cell and the slot behind it in its FIFO
+/// (or, for a vacant entry, the next vacant one).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    cell: Cell,
+    next: u32,
+}
+
+/// One next hop's FIFO, as a list of slab slots.
+#[derive(Debug, Clone, Copy)]
+struct Fifo {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl Fifo {
+    const EMPTY: Fifo = Fifo {
+        head: NIL,
+        tail: NIL,
+        len: 0,
+    };
+}
+
+/// The summary-word bit a next hop maps to (multiplicative hash, top
+/// six bits).
+#[inline]
+fn summary_bit(next: u32) -> usize {
+    (next.wrapping_mul(0x9E37_79B1) >> 26) as usize
+}
 
 /// The queue set of one node.
 #[derive(Debug, Clone)]
 pub struct NodeQueues {
-    /// Nonempty-or-recycled FIFOs keyed by specific next hop, sorted by
-    /// next-hop id. Emptied deques stay in the list so their capacity
-    /// is reused on the next push toward the same hop.
-    specific: Vec<(u32, VecDeque<Cell>)>,
-    class: Vec<(ClassId, VecDeque<Cell>)>,
-    /// Maps `ClassId.0` to an index into `class`; `NO_CLASS` when
-    /// undeclared.
-    class_index: Vec<u16>,
+    /// Bit `b` is set exactly while `live_per_bit[b] > 0`.
+    summary: u64,
     depth: usize,
+    /// Cells in class queues; `depth` minus this is the targeted depth.
+    class_cells: usize,
+    /// Every next hop ever queued toward, ascending.
+    hops: Vec<u32>,
+    /// `fifos[i]` is the FIFO toward `hops[i]`.
+    fifos: Vec<Fifo>,
+    slab: Vec<Slot>,
+    /// Head of the vacant-slot list through `slab`.
+    free: u32,
+    class: Vec<(ClassId, VecDeque<Cell>)>,
+    /// Non-empty FIFOs per summary bit. A node has at most one FIFO per
+    /// other node and node ids are `u32`, so the count cannot wrap.
+    live_per_bit: [u32; 64],
 }
 
 impl NodeQueues {
     /// Creates queues for a node, with one class FIFO per router class.
     /// Specific next-hop FIFOs materialize on first push.
     pub fn new(classes: &[ClassId]) -> Self {
-        let table_len = classes.iter().map(|c| c.0 as usize + 1).max().unwrap_or(0);
-        let mut class_index = vec![NO_CLASS; table_len];
-        for (i, c) in classes.iter().enumerate() {
-            class_index[c.0 as usize] = i as u16;
-        }
         NodeQueues {
-            specific: Vec::new(),
-            class: classes.iter().map(|&c| (c, VecDeque::new())).collect(),
-            class_index,
+            summary: 0,
             depth: 0,
+            class_cells: 0,
+            hops: Vec::new(),
+            fifos: Vec::new(),
+            slab: Vec::new(),
+            free: NIL,
+            class: classes.iter().map(|&c| (c, VecDeque::new())).collect(),
+            live_per_bit: [0; 64],
         }
     }
 
@@ -70,15 +119,39 @@ impl NodeQueues {
 
     /// Enqueues a cell destined for a specific next hop.
     pub fn push_specific(&mut self, next: NodeId, cell: Cell) {
-        let key = next.0;
-        match self.specific.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => self.specific[i].1.push_back(cell),
+        let i = match self.hops.binary_search(&next.0) {
+            Ok(i) => i,
             Err(i) => {
-                let mut q = VecDeque::new();
-                q.push_back(cell);
-                self.specific.insert(i, (key, q));
+                self.hops.insert(i, next.0);
+                self.fifos.insert(i, Fifo::EMPTY);
+                i
             }
+        };
+        let slot = if self.free != NIL {
+            let slot = self.free;
+            let entry = &mut self.slab[slot as usize];
+            self.free = entry.next;
+            *entry = Slot { cell, next: NIL };
+            slot
+        } else {
+            assert!(
+                self.slab.len() < NIL as usize,
+                "more targeted cells queued at one node than slot indices"
+            );
+            self.slab.push(Slot { cell, next: NIL });
+            (self.slab.len() - 1) as u32
+        };
+        let fifo = &mut self.fifos[i];
+        if fifo.len == 0 {
+            fifo.head = slot;
+            let bit = summary_bit(next.0);
+            self.live_per_bit[bit] += 1;
+            self.summary |= 1 << bit;
+        } else {
+            self.slab[fifo.tail as usize].next = slot;
         }
+        fifo.tail = slot;
+        fifo.len += 1;
         self.depth += 1;
     }
 
@@ -87,14 +160,41 @@ impl NodeQueues {
     /// # Panics
     /// Panics if the router never declared `class` — that is a scheme bug.
     pub fn push_class(&mut self, class: ClassId, cell: Cell) {
-        let idx = self
-            .class_index
-            .get(class.0 as usize)
-            .copied()
-            .filter(|&i| i != NO_CLASS)
+        let (_, q) = self
+            .class
+            .iter_mut()
+            .find(|(c, _)| *c == class)
             .unwrap_or_else(|| panic!("router routed into undeclared class {class:?}"));
-        self.class[idx as usize].1.push_back(cell);
+        q.push_back(cell);
+        self.class_cells += 1;
         self.depth += 1;
+    }
+
+    /// Pops the head of the FIFO toward `next`, whose summary bit is
+    /// `bit`, if it holds a cell.
+    #[inline]
+    fn pop_specific(&mut self, next: u32, bit: usize) -> Option<Cell> {
+        let i = self.hops.binary_search(&next).ok()?;
+        let fifo = &mut self.fifos[i];
+        if fifo.len == 0 {
+            return None;
+        }
+        let slot = fifo.head;
+        let entry = &mut self.slab[slot as usize];
+        let cell = entry.cell;
+        fifo.head = entry.next;
+        fifo.len -= 1;
+        entry.next = self.free;
+        self.free = slot;
+        if fifo.len == 0 {
+            fifo.tail = NIL;
+            self.live_per_bit[bit] -= 1;
+            if self.live_per_bit[bit] == 0 {
+                self.summary &= !(1 << bit);
+            }
+        }
+        self.depth -= 1;
+        Some(cell)
     }
 
     /// Pops the cell to transmit on a circuit `from → to`, if any.
@@ -114,14 +214,14 @@ impl NodeQueues {
         to: NodeId,
         scan_limit: usize,
     ) -> Option<Cell> {
-        if self.depth == 0 {
-            return None; // nothing queued anywhere on this node
-        }
-        if let Ok(i) = self.specific.binary_search_by_key(&to.0, |&(k, _)| k) {
-            if let Some(cell) = self.specific[i].1.pop_front() {
-                self.depth -= 1;
+        let bit = summary_bit(to.0);
+        if self.summary >> bit & 1 != 0 {
+            if let Some(cell) = self.pop_specific(to.0, bit) {
                 return Some(cell);
             }
+        }
+        if self.class_cells == 0 {
+            return None; // nothing for this circuit, no router call made
         }
         for (class, q) in &mut self.class {
             if q.is_empty() {
@@ -139,6 +239,7 @@ impl NodeQueues {
                 }
             };
             if cell.is_some() {
+                self.class_cells -= 1;
                 self.depth -= 1;
                 return cell;
             }
@@ -146,16 +247,38 @@ impl NodeQueues {
         None
     }
 
+    /// The cells of one specific FIFO, front to back.
+    fn fifo_cells(&self, fifo: &Fifo) -> impl Iterator<Item = &Cell> {
+        let mut at = fifo.head;
+        std::iter::from_fn(move || {
+            if at == NIL {
+                return None;
+            }
+            let entry = &self.slab[at as usize];
+            at = entry.next;
+            Some(&entry.cell)
+        })
+    }
+
     /// Drains every queued cell (used when re-routing after a schedule
-    /// update); returns the cells in an arbitrary but deterministic order.
+    /// update). The order is part of the contract — the caller re-routes
+    /// in it and draws from the node's RNG per cell: specific FIFOs in
+    /// ascending next-hop order, each front to back, then class queues
+    /// in declaration order, each front to back.
     pub fn drain_all(&mut self) -> Vec<Cell> {
         let mut out = Vec::with_capacity(self.depth);
-        for (_, q) in &mut self.specific {
-            out.extend(q.drain(..));
+        for fifo in &self.fifos {
+            out.extend(self.fifo_cells(fifo).copied());
         }
+        self.fifos.fill(Fifo::EMPTY);
+        self.slab.clear();
+        self.free = NIL;
+        self.summary = 0;
+        self.live_per_bit = [0; 64];
         for (_, q) in &mut self.class {
             out.extend(q.drain(..));
         }
+        self.class_cells = 0;
         self.depth = 0;
         out
     }
@@ -164,9 +287,10 @@ impl NodeQueues {
     /// waits for (`None` for class-queued cells). Order is unspecified;
     /// use for whole-queue accounting, not replay.
     pub fn iter_cells(&self) -> impl Iterator<Item = (Option<NodeId>, &Cell)> {
-        self.specific
+        self.hops
             .iter()
-            .flat_map(|(k, q)| q.iter().map(move |c| (Some(NodeId(*k)), c)))
+            .zip(&self.fifos)
+            .flat_map(|(&k, fifo)| self.fifo_cells(fifo).map(move |c| (Some(NodeId(k)), c)))
             .chain(
                 self.class
                     .iter()
@@ -179,14 +303,17 @@ impl NodeQueues {
     /// ascending next-hop order, and nonempty class queues as
     /// `(class id, cells front-to-back)` in declaration order. A
     /// restore replays the cells through `push_specific`/`push_class`
-    /// in this order, which reproduces each FIFO byte-for-byte.
+    /// in this order, which reproduces each FIFO byte-for-byte (and
+    /// rebuilds the slab, index and summary word, none of which is
+    /// checkpointed).
     #[allow(clippy::type_complexity)]
     pub(crate) fn export_cells(&self) -> (Vec<(u32, Vec<Cell>)>, Vec<(u16, Vec<Cell>)>) {
         let specific = self
-            .specific
+            .hops
             .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|&(next, ref q)| (next, q.iter().copied().collect()))
+            .zip(&self.fifos)
+            .filter(|(_, fifo)| fifo.len != 0)
+            .map(|(&next, fifo)| (next, self.fifo_cells(fifo).copied().collect()))
             .collect();
         let class = self
             .class
@@ -199,19 +326,18 @@ impl NodeQueues {
 
     /// Number of cells queued for a specific next hop.
     pub fn specific_depth(&self, next: NodeId) -> usize {
-        match self.specific.binary_search_by_key(&next.0, |&(k, _)| k) {
-            Ok(i) => self.specific[i].1.len(),
+        match self.hops.binary_search(&next.0) {
+            Ok(i) => self.fifos[i].len as usize,
             Err(_) => 0,
         }
     }
 
     /// Number of cells queued in a class.
     pub fn class_depth(&self, class: ClassId) -> usize {
-        self.class_index
-            .get(class.0 as usize)
-            .copied()
-            .filter(|&i| i != NO_CLASS)
-            .map_or(0, |i| self.class[i as usize].1.len())
+        self.class
+            .iter()
+            .find(|(c, _)| *c == class)
+            .map_or(0, |(_, q)| q.len())
     }
 }
 
@@ -339,47 +465,140 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// The class scan as it was before `Router::circuit_admits`: pop,
-    /// test with `class_admits`, push the skipped heads back. Kept as
-    /// the reference `pop_for_circuit` is compared against.
-    fn reference_pop<R: Router>(
-        q: &mut NodeQueues,
-        router: &R,
-        from: NodeId,
-        to: NodeId,
-        scan_limit: usize,
-    ) -> Option<Cell> {
-        if let Ok(i) = q.specific.binary_search_by_key(&to.0, |&(k, _)| k) {
-            if let Some(cell) = q.specific[i].1.pop_front() {
-                q.depth -= 1;
-                return Some(cell);
+    /// The queue set as it was before the slab: one `VecDeque` per next
+    /// hop in a sorted `(next-hop, FIFO)` list whose emptied entries
+    /// stay, and the class scan as it was before
+    /// `Router::circuit_admits` (pop, test with `class_admits`, push the
+    /// skipped heads back). Kept as the reference `NodeQueues` is
+    /// compared against op for op.
+    struct RefQueues {
+        specific: Vec<(u32, VecDeque<Cell>)>,
+        class: Vec<(ClassId, VecDeque<Cell>)>,
+        depth: usize,
+    }
+
+    impl RefQueues {
+        fn new(classes: &[ClassId]) -> Self {
+            RefQueues {
+                specific: Vec::new(),
+                class: classes.iter().map(|&c| (c, VecDeque::new())).collect(),
+                depth: 0,
             }
         }
-        let mut scratch = Vec::new();
-        for (class, fifo) in &mut q.class {
-            let limit = if scan_limit == 0 {
-                fifo.len()
-            } else {
-                scan_limit.min(fifo.len())
-            };
-            let mut admitted = None;
-            for _ in 0..limit {
-                let cell = fifo.pop_front().expect("limit <= len");
-                if router.class_admits(*class, &cell, from, to) {
-                    admitted = Some(cell);
-                    break;
+
+        fn push_specific(&mut self, next: NodeId, cell: Cell) {
+            match self.specific.binary_search_by_key(&next.0, |&(k, _)| k) {
+                Ok(i) => self.specific[i].1.push_back(cell),
+                Err(i) => self.specific.insert(i, (next.0, VecDeque::from([cell]))),
+            }
+            self.depth += 1;
+        }
+
+        fn push_class(&mut self, class: ClassId, cell: Cell) {
+            let (_, q) = self.class.iter_mut().find(|(c, _)| *c == class).unwrap();
+            q.push_back(cell);
+            self.depth += 1;
+        }
+
+        fn pop_for_circuit<R: Router>(
+            &mut self,
+            router: &R,
+            from: NodeId,
+            to: NodeId,
+            scan_limit: usize,
+        ) -> Option<Cell> {
+            if let Ok(i) = self.specific.binary_search_by_key(&to.0, |&(k, _)| k) {
+                if let Some(cell) = self.specific[i].1.pop_front() {
+                    self.depth -= 1;
+                    return Some(cell);
                 }
-                scratch.push(cell);
             }
-            for cell in scratch.drain(..).rev() {
-                fifo.push_front(cell);
+            let mut scratch = Vec::new();
+            for (class, fifo) in &mut self.class {
+                let limit = if scan_limit == 0 {
+                    fifo.len()
+                } else {
+                    scan_limit.min(fifo.len())
+                };
+                let mut admitted = None;
+                for _ in 0..limit {
+                    let cell = fifo.pop_front().expect("limit <= len");
+                    if router.class_admits(*class, &cell, from, to) {
+                        admitted = Some(cell);
+                        break;
+                    }
+                    scratch.push(cell);
+                }
+                for cell in scratch.drain(..).rev() {
+                    fifo.push_front(cell);
+                }
+                if admitted.is_some() {
+                    self.depth -= 1;
+                    return admitted;
+                }
             }
-            if admitted.is_some() {
-                q.depth -= 1;
-                return admitted;
-            }
+            None
         }
-        None
+
+        fn drain_all(&mut self) -> Vec<Cell> {
+            let mut out = Vec::with_capacity(self.depth);
+            for (_, q) in &mut self.specific {
+                out.extend(q.drain(..));
+            }
+            for (_, q) in &mut self.class {
+                out.extend(q.drain(..));
+            }
+            self.depth = 0;
+            out
+        }
+
+        #[allow(clippy::type_complexity)]
+        fn export_cells(&self) -> (Vec<(u32, Vec<Cell>)>, Vec<(u16, Vec<Cell>)>) {
+            let specific = self
+                .specific
+                .iter()
+                .filter(|(_, q)| !q.is_empty())
+                .map(|&(next, ref q)| (next, q.iter().copied().collect()))
+                .collect();
+            let class = self
+                .class
+                .iter()
+                .filter(|(_, q)| !q.is_empty())
+                .map(|(c, q)| (c.0 as u16, q.iter().copied().collect()))
+                .collect();
+            (specific, class)
+        }
+
+        /// `(next hop, seq)` of every queued cell, sorted: `seq` is
+        /// unique in these tests, so this is the cells as a multiset.
+        fn cell_multiset(&self) -> Vec<(Option<u32>, u64)> {
+            let mut all: Vec<_> = self
+                .specific
+                .iter()
+                .flat_map(|(k, q)| q.iter().map(move |c| (Some(*k), c.seq)))
+                .chain(
+                    self.class
+                        .iter()
+                        .flat_map(|(_, q)| q.iter().map(|c| (None, c.seq))),
+                )
+                .collect();
+            all.sort_unstable();
+            all
+        }
+
+        fn specific_depth(&self, next: NodeId) -> usize {
+            self.specific
+                .iter()
+                .find(|(k, _)| *k == next.0)
+                .map_or(0, |(_, q)| q.len())
+        }
+
+        fn class_depth(&self, class: ClassId) -> usize {
+            self.class
+                .iter()
+                .find(|(c, _)| *c == class)
+                .map_or(0, |(_, q)| q.len())
+        }
     }
 
     /// Class 0 rides any circuit, class 1 any circuit to an even node,
@@ -422,40 +641,156 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pop_matches_the_rotate_scan_reference_op_for_op() {
+    /// Drives `NodeQueues` and the `VecDeque`-per-next-hop reference
+    /// with the same random pushes, pops and drains toward `hops`, and
+    /// compares every observable after every op.
+    fn drive_against_reference(hops: &[u32], ops_per_limit: u64) {
         let r = ThreeShapeRouter::default();
         for scan_limit in [0, 1, 3] {
             let mut rng = crate::rng::NodeRng::for_node(0x51DE, scan_limit as u32);
             let mut fast = NodeQueues::new(r.classes());
-            let mut slow = NodeQueues::new(r.classes());
+            let mut slow = RefQueues::new(r.classes());
             let mut pops = 0;
-            for seq in 0..12_000u64 {
-                let peer = NodeId(rng.gen_range(8) as u32);
-                let mut c = cell(rng.gen_range(8) as u32);
+            let mut peak = 0;
+            for seq in 0..ops_per_limit {
+                let peer = NodeId(hops[rng.gen_range(hops.len() as u64) as usize]);
+                // Destinations among the first hops, so the per-cell
+                // class (2) has circuits that admit.
+                let mut c = cell(hops[rng.gen_range(8) as usize]);
                 c.seq = seq;
-                match rng.gen_range(20) {
-                    0..=8 => {
+                match rng.gen_range(1_000) {
+                    0..=149 => {
+                        fast.push_specific(peer, c);
+                        slow.push_specific(peer, c);
+                    }
+                    150..=229 => {
                         let class = ClassId(rng.gen_range(3) as u8);
                         fast.push_class(class, c);
                         slow.push_class(class, c);
                     }
-                    9 => {
-                        fast.push_specific(peer, c);
-                        slow.push_specific(peer, c);
-                    }
+                    230 => assert_eq!(fast.drain_all(), slow.drain_all(), "op {seq}"),
                     _ => {
                         let got = fast.pop_for_circuit(&r, NodeId(9), peer, scan_limit);
-                        let want = reference_pop(&mut slow, &r, NodeId(9), peer, scan_limit);
+                        let want = slow.pop_for_circuit(&r, NodeId(9), peer, scan_limit);
                         assert_eq!(got, want, "op {seq}, scan_limit {scan_limit}");
                         pops += got.is_some() as usize;
                     }
                 }
-                assert_eq!(fast.depth(), slow.depth());
+                assert_eq!(fast.depth(), slow.depth);
+                assert_eq!(fast.specific_depth(peer), slow.specific_depth(peer));
+                for class in r.classes() {
+                    assert_eq!(fast.class_depth(*class), slow.class_depth(*class));
+                }
                 assert_eq!(fast.export_cells(), slow.export_cells(), "op {seq}");
+                let mut cells: Vec<_> = fast
+                    .iter_cells()
+                    .map(|(next, c)| (next.map(|n| n.0), c.seq))
+                    .collect();
+                cells.sort_unstable();
+                assert_eq!(cells, slow.cell_multiset(), "op {seq}");
+                peak = peak.max(fast.depth() - fast.class_cells);
+                assert!(
+                    fast.slab.len() <= peak,
+                    "slab outgrew the peak targeted depth"
+                );
             }
-            assert!(pops > 2_000, "only {pops} pops returned a cell");
+            assert!(
+                pops > ops_per_limit as usize / 8,
+                "only {pops} pops returned a cell"
+            );
         }
+    }
+
+    #[test]
+    fn pop_matches_the_rotate_scan_reference_op_for_op() {
+        // 224 next hops over 64 summary bits: several share each bit.
+        let hops: Vec<u32> = (0..224).collect();
+        drive_against_reference(&hops, 35_000);
+    }
+
+    #[test]
+    fn results_do_not_depend_on_the_summary_word() {
+        // Every next hop on one summary bit: the word never says "no"
+        // while anything targeted is queued, and the pops are the same.
+        let hops: Vec<u32> = (0..).filter(|&h| summary_bit(h) == 17).take(200).collect();
+        drive_against_reference(&hops, 8_000);
+    }
+
+    #[test]
+    fn a_shared_summary_bit_clears_only_with_its_last_fifo() {
+        let r = EvenClassRouter;
+        let (a, b) = (
+            0u32,
+            (1..).find(|&h| summary_bit(h) == summary_bit(0)).unwrap(),
+        );
+        let bit = 1u64 << summary_bit(a);
+        let mut q = NodeQueues::new(r.classes());
+        q.push_specific(NodeId(a), cell(1));
+        q.push_specific(NodeId(b), cell(2));
+        assert_eq!(q.summary, bit);
+        // One of the two empties: the bit stays and the other still pops.
+        assert_eq!(
+            q.pop_for_circuit(&r, NodeId(9), NodeId(a), 0).unwrap().dst,
+            NodeId(1)
+        );
+        assert!(q.pop_for_circuit(&r, NodeId(9), NodeId(a), 0).is_none());
+        assert_eq!(q.summary, bit);
+        assert_eq!(
+            q.pop_for_circuit(&r, NodeId(9), NodeId(b), 0).unwrap().dst,
+            NodeId(2)
+        );
+        assert_eq!(q.summary, 0);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn slab_slots_are_reused() {
+        let r = EvenClassRouter;
+        let mut rng = crate::rng::NodeRng::for_node(0x51AB, 0);
+        let mut q = NodeQueues::new(r.classes());
+        let mut peak = 0;
+        for seq in 0..1_000_000u64 {
+            let hop = NodeId(rng.gen_range(48) as u32);
+            if q.depth() < 32 && rng.gen_range(2) == 0 {
+                let mut c = cell(0);
+                c.seq = seq;
+                q.push_specific(hop, c);
+                peak = peak.max(q.depth());
+            } else {
+                q.pop_for_circuit(&r, NodeId(99), hop, 0);
+            }
+        }
+        assert!(peak >= 16, "peak depth {peak}: the cycle never filled");
+        assert!(
+            q.slab.len() <= peak,
+            "{} slots for peak depth {peak}",
+            q.slab.len()
+        );
+    }
+
+    #[test]
+    fn drain_all_order_is_next_hop_then_fifo_then_class_declaration() {
+        let classes = [ClassId(7), ClassId(2)];
+        let mut q = NodeQueues::new(&classes);
+        // (queue, dst) pushed in an order that differs from drain order
+        // on every axis: hops descending, classes against declaration.
+        q.push_class(ClassId(2), cell(60));
+        q.push_specific(NodeId(9), cell(30));
+        q.push_class(ClassId(7), cell(50));
+        q.push_specific(NodeId(4), cell(10));
+        q.push_specific(NodeId(9), cell(31));
+        q.push_specific(NodeId(4), cell(11));
+        q.push_class(ClassId(2), cell(61));
+        q.push_specific(NodeId(6), cell(20));
+        // A pop and a push in between, so slab order ≠ FIFO order.
+        let r = EvenClassRouter;
+        assert_eq!(
+            q.pop_for_circuit(&r, NodeId(0), NodeId(4), 0).unwrap().dst,
+            NodeId(10)
+        );
+        q.push_specific(NodeId(4), cell(12));
+        let order: Vec<u32> = q.drain_all().iter().map(|c| c.dst.0).collect();
+        assert_eq!(order, [11, 12, 20, 30, 31, 50, 60, 61]);
     }
 
     #[test]
@@ -494,15 +829,15 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "undeclared class")]
-    fn undeclared_class_below_table_len_panics() {
-        // Class 2 is inside the index table (class 3 sizes it) but was
-        // never declared — the sentinel must still reject it.
+    fn undeclared_class_between_declared_ids_panics() {
+        // Class 2 sits between the declared ids 0 and 3 but was never
+        // declared itself.
         let mut q = NodeQueues::new(&[ClassId(0), ClassId(3)]);
         q.push_class(ClassId(2), cell(1));
     }
 
     #[test]
-    fn sparse_class_ids_resolve_through_the_table() {
+    fn sparse_class_ids_resolve_by_scan() {
         let classes = [ClassId(7), ClassId(2)];
         let mut q = NodeQueues::new(&classes);
         q.push_class(ClassId(7), cell(1));
