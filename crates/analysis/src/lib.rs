@@ -15,8 +15,6 @@
 //! - [`adaptation`]: the §5 reconfiguration experiment (static vs
 //!   adaptive across macro-pattern shifts, with update-cost accounting).
 //! - [`render`]: plain-text table rendering shared by the bench binaries.
-//! - [`perfreport`]: the `BENCH_<label>.json` self-profiling report
-//!   schema, with baseline comparison for perf-regression checks.
 //! - [`timeseries`]: percentile summaries and CSV timelines over the
 //!   JSONL run traces that `sorn-telemetry` probes produce.
 //! - [`autopsy`]: tail-latency attribution tables over the causal flow
@@ -30,7 +28,6 @@ pub mod autopsy;
 pub mod blast;
 pub mod fct;
 pub mod fig2f;
-pub mod perfreport;
 pub mod render;
 pub mod resilience;
 pub mod saturation;

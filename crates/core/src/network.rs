@@ -8,9 +8,7 @@
 use crate::config::{CoreError, SornConfig};
 use crate::model;
 use sorn_routing::{evaluate, DemandMatrix, SornPaths, SornRouter, ThroughputReport};
-use sorn_sim::{
-    Engine, Flow, Metrics, NoopProbe, NoopProfiler, Probe, Profiler, SimConfig, SimError,
-};
+use sorn_sim::{Engine, Flow, Metrics, NoopProbe, Probe, SimConfig, SimError};
 use sorn_topology::builders::{sorn_schedule, SornScheduleParams};
 use sorn_topology::{CircuitSchedule, CliqueMap};
 
@@ -155,21 +153,6 @@ impl SornNetwork {
         max_slots: u64,
         probe: P,
     ) -> Result<(Metrics, bool, P), SimError> {
-        self.simulate_instrumented(flows, seed, max_slots, probe, NoopProfiler)
-            .map(|(metrics, drained, probe, NoopProfiler)| (metrics, drained, probe))
-    }
-
-    /// Like [`SornNetwork::simulate_with_probe`], but also attaches a
-    /// self-profiler to the engine's scoped phase timers. Hands both
-    /// instruments back so the caller can read the phase breakdown.
-    pub fn simulate_instrumented<P: Probe, F: Profiler>(
-        &self,
-        flows: Vec<Flow>,
-        seed: u64,
-        max_slots: u64,
-        probe: P,
-        profiler: F,
-    ) -> Result<(Metrics, bool, P, F), SimError> {
         let cfg = SimConfig {
             slot_ns: self.config.slot_ns,
             propagation_ns: self.config.propagation_ns,
@@ -179,13 +162,11 @@ impl SornNetwork {
             trace_one_in: self.config.trace_one_in,
             ..SimConfig::default()
         };
-        let mut engine =
-            Engine::with_probe_and_profiler(cfg, &self.schedule, &self.router, probe, profiler);
+        let mut engine = Engine::with_probe(cfg, &self.schedule, &self.router, probe);
         engine.add_flows(flows)?;
         let drained = engine.run_until_drained(max_slots)?;
         let metrics = engine.metrics().clone();
-        let profiler = engine.profiler().clone();
-        Ok((metrics, drained, engine.finish(), profiler))
+        Ok((metrics, drained, engine.finish()))
     }
 }
 

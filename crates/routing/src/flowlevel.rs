@@ -311,59 +311,6 @@ pub fn evaluate(
     })
 }
 
-/// Adapts the flow-level evaluator to the simulator's
-/// [`RateOracle`](sorn_sim::RateOracle), so the fluid macroflow tier
-/// (`sorn_sim::macroflow`) drains bulk flows at exactly the worst-case
-/// throughput this module computes for the live demand.
-///
-/// ```
-/// use sorn_routing::{FlowLevelOracle, VlbPaths};
-/// use sorn_sim::RateOracle;
-/// use sorn_topology::builders::round_robin;
-///
-/// let topo = round_robin(8).unwrap().logical_topology();
-/// let model = VlbPaths::new(8);
-/// let mut oracle = FlowLevelOracle::new(&topo, &model);
-/// // Uniform demand over 2-hop VLB sustains at least half rate.
-/// let uniform: Vec<f64> = (0..64)
-///     .map(|k| if k / 8 == k % 8 { 0.0 } else { 1.0 / 7.0 })
-///     .collect();
-/// assert!(oracle.throughput(8, &uniform) >= 0.5);
-/// ```
-pub struct FlowLevelOracle<'a> {
-    topo: &'a LogicalTopology,
-    model: &'a dyn PathModel,
-}
-
-impl<'a> FlowLevelOracle<'a> {
-    /// Evaluates `model`'s fixed path distribution over `topo`.
-    pub fn new(topo: &'a LogicalTopology, model: &'a dyn PathModel) -> Self {
-        FlowLevelOracle { topo, model }
-    }
-}
-
-impl sorn_sim::RateOracle for FlowLevelOracle<'_> {
-    fn throughput(&mut self, n: usize, demand: &[f64]) -> f64 {
-        let rows = demand.chunks(n).map(<[f64]>::to_vec).collect();
-        let matrix = match DemandMatrix::from_rows(rows) {
-            Ok(m) => m,
-            Err(e) => panic!("fluid tier produced an invalid demand matrix: {e}"),
-        };
-        match evaluate(self.topo, self.model, &matrix) {
-            Ok(report) => report.throughput,
-            // No traffic constrains nothing.
-            Err(FlowLevelError::EmptyDemand) => f64::INFINITY,
-            // A path over a circuit the schedule never provides means
-            // the model/topology pairing is wrong: no rate is
-            // sustainable, so the tier stalls and demotes.
-            Err(FlowLevelError::UnscheduledEdge { .. }) => 0.0,
-            Err(e @ FlowLevelError::InvalidDemand(_)) => {
-                panic!("fluid tier produced an invalid demand matrix: {e}")
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

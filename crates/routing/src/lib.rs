@@ -33,9 +33,7 @@ mod vlb;
 pub use adaptive::{AdaptiveSornRouter, AdaptiveVlbRouter};
 pub use adversarial::{worst_demand_search, AdversarialResult};
 pub use fault_aware::{FaultAwareSornRouter, FaultAwareVlbRouter};
-pub use flowlevel::{
-    evaluate, DemandMatrix, FlowLevelError, FlowLevelOracle, PathModel, ThroughputReport,
-};
+pub use flowlevel::{evaluate, DemandMatrix, FlowLevelError, PathModel, ThroughputReport};
 pub use general::{GeneralSornRouter, GEN_INTER_ANY, GEN_INTRA_SPRAY};
 pub use hdim::{HdimRouter, HDIM_CORRECT, HDIM_SPRAY};
 pub use hierarchical::{HierarchicalPaths, HierarchicalRouter, HIER_SPRAY};

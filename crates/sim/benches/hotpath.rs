@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks for the engine's per-slot hot path.
 //!
-//! Three costs dominate a slot (see `results/BENCH_ci.json` spans):
+//! Three costs dominate a slot (see the `sim.*` rows of the traced
+//! ledger `benchmark/run.sh` prints):
 //! per-cell routing decisions, the transmit walk over `uplinks × nodes`
 //! circuits, and the in-flight calendar's push/pop churn. Each gets an
 //! isolated bench here so regressions show up attributed, not smeared

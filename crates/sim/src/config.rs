@@ -55,9 +55,9 @@ pub struct SimConfig {
     /// Checkpoint cadence for long runs, in slots; `0` — the default —
     /// disables periodic checkpointing. The engine itself only exposes
     /// [`Engine::checkpoint`](crate::Engine::checkpoint) at slot
-    /// boundaries; run drivers (the `perf`/`resilience`/`sorn-cli`
-    /// binaries) consult this cadence to decide *when* to call it and
-    /// where the snapshot files go. Restoring a snapshot carries the
+    /// boundaries; run drivers (the `resilience`/`sorn-cli` binaries)
+    /// consult this cadence to decide *when* to call it and where the
+    /// snapshot files go. Restoring a snapshot carries the
     /// cadence along, so a resumed run keeps checkpointing on schedule.
     pub checkpoint_every_slots: u64,
 }

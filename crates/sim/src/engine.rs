@@ -478,13 +478,6 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         &self.probe
     }
 
-    /// Shared access to the attached profiler. Handle-style profilers
-    /// (the telemetry wall-clock one) can also be read through a clone
-    /// kept by the caller.
-    pub fn profiler(&self) -> &F {
-        &self.profiler
-    }
-
     /// Mutable access to the attached probe.
     pub fn probe_mut(&mut self) -> &mut P {
         &mut self.probe

@@ -47,7 +47,6 @@ mod failure;
 mod fault;
 mod flow_table;
 mod hash;
-pub mod macroflow;
 mod metrics;
 mod par;
 mod probe;
@@ -67,9 +66,6 @@ pub use engine::{Engine, SimError};
 pub use failure::FailureSet;
 pub use fault::{
     FaultAction, FaultEvent, FaultPlan, FaultStorm, FaultTarget, FaultView, LinkHealth,
-};
-pub use macroflow::{
-    run_hybrid, FluidStats, FluidStop, FluidTier, HybridReport, IdealOracle, MacroFlow, RateOracle,
 };
 pub use metrics::{FlowRecord, LatencyHistogram, LinkMatrix, Metrics};
 pub use par::WorkerPool;

@@ -9,9 +9,9 @@
 //! reads the clock and the whole mechanism compiles away, mirroring
 //! the zero-cost `NoopProbe` contract.
 //!
-//! Concrete profilers (wall-clock accumulation with percentiles) live
-//! in `sorn-telemetry`; this module only defines the contract so the
-//! engine stays dependency-free.
+//! This module only defines the contract; whoever times the engine
+//! brings the accumulator (the repo benchmark's `PhaseTimes`, in
+//! `benchmark/src/instrument.rs`).
 
 use std::time::Instant;
 
@@ -160,6 +160,8 @@ impl<F: Profiler> Drop for PhaseSpan<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DirectRouter, Engine, Flow, FlowId, NoopProbe, SimConfig};
+    use sorn_topology::{builders::round_robin, NodeId};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -193,6 +195,44 @@ mod tests {
             span.set_phase(Phase::Deliver);
         }
         assert_eq!(p.0.borrow()[0].0, Phase::Deliver);
+    }
+
+    /// The engine's side of the contract, on one real run: spans never
+    /// nest (so their sum fits inside the run's wall time), each
+    /// delivered cell closes exactly one `Deliver` span, the per-slot
+    /// phases all fire, and nothing reconfigures without a swap.
+    #[test]
+    fn engine_spans_are_disjoint_with_one_deliver_span_per_cell() {
+        let schedule = round_robin(8).unwrap();
+        let p = Recording::default();
+        let start = Instant::now();
+        let mut eng = Engine::with_probe_and_profiler(
+            SimConfig::default(),
+            &schedule,
+            &DirectRouter,
+            NoopProbe,
+            p.clone(),
+        );
+        eng.add_flows((0..8u32).map(|i| Flow {
+            id: FlowId(i as u64),
+            src: NodeId(i),
+            dst: NodeId((i + 1) % 8),
+            size_bytes: 8 * 1250,
+            arrival_ns: 100 * i as u64,
+        }))
+        .unwrap();
+        assert!(eng.run_until_drained(100_000).unwrap());
+        let wall_ns = start.elapsed().as_nanos() as u64;
+
+        let log = p.0.borrow();
+        assert!(log.iter().map(|&(_, ns)| ns).sum::<u64>() <= wall_ns);
+        let spans = |phase| log.iter().filter(|&&(p, _)| p == phase).count() as u64;
+        assert_eq!(eng.metrics().delivered_cells, 8 * 8);
+        assert_eq!(spans(Phase::Deliver), eng.metrics().delivered_cells);
+        for phase in [Phase::Transmit, Phase::Enqueue, Phase::Route] {
+            assert!(spans(phase) > 0, "{phase:?} never fired");
+        }
+        assert_eq!(spans(Phase::Reconfigure), 0);
     }
 
     #[test]

@@ -153,6 +153,10 @@ fn healthy_runs_match_at_any_thread_count() {
         (8, 2, 80, 2),
         (12, 3, 150, 3),
         (16, 4, 250, 4),
+        // The engine shards in whole 64-node occupancy words, so only a
+        // fabric above 64 nodes runs more than one shard: 200 nodes are
+        // four shards at four threads, the last one short.
+        (200, 2, 1_500, 9),
     ] {
         assert_thread_invariant(&Scenario {
             n,
@@ -168,12 +172,18 @@ fn healthy_runs_match_at_any_thread_count() {
 
 #[test]
 fn faulted_runs_match_at_any_thread_count() {
-    for (seed, node_outage) in [(5u64, None), (6, Some((3u32, 300u64, 2_500u64)))] {
+    for (n, flows, seed, node_outage) in [
+        (10, 120, 5u64, None),
+        (10, 120, 6, Some((3u32, 300u64, 2_500u64))),
+        // Multi-shard, as in the healthy sweep: cells for the failed
+        // links and node strand at senders in all four shards.
+        (200, 1_500, 8, Some((3, 300, 2_500))),
+    ] {
         assert_thread_invariant(&Scenario {
-            n: 10,
+            n,
             uplinks: 2,
             seed,
-            flows: seeded_flows(10, seed, 120),
+            flows: seeded_flows(n, seed, flows),
             outages: vec![(0, 1, 100, 2_000), (2, 5, 400, 1_500), (7, 3, 0, 3_000)],
             node_outage,
             swap_after_slots: None,

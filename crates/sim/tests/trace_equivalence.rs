@@ -144,6 +144,10 @@ fn traced_spans_match_at_any_thread_count() {
         (8, 2, 80, 2, 2),
         (12, 3, 150, 3, 1),
         (16, 4, 250, 4, 4),
+        // Above 64 nodes the engine runs more than one shard (four at
+        // four threads, the last one short): hop events then merge
+        // across shards, which no smaller fabric exercises.
+        (200, 2, 1_500, 9, 8),
     ] {
         assert_trace_invariant(&Scenario {
             n,

@@ -17,9 +17,6 @@
 //!   time interval, and forwards discrete events as they happen;
 //! - [`CountingProbe`] — counts hook invocations, for tests and smoke
 //!   checks;
-//! - [`WallClockProfiler`] / [`ProfileReport`] — the self-profiling
-//!   backend for the engine's scoped phase timers (where the
-//!   *simulator's* wall-clock goes, not the simulation's);
 //! - [`MetricRegistry`] — named counters/gauges/histograms with
 //!   Prometheus text export and a JSON snapshot;
 //! - [`FlowTraceCollector`] — collects the engine's causal hop spans
@@ -64,7 +61,6 @@
 
 mod counting;
 mod event;
-mod profiler;
 mod recorder;
 mod registry;
 mod sampler;
@@ -75,7 +71,6 @@ mod weather;
 
 pub use counting::CountingProbe;
 pub use event::{Snapshot, TraceEvent};
-pub use profiler::{PhaseSummary, ProfileReport, WallClockProfiler};
 pub use recorder::{FlightRecorder, RecordedEvent, DEFAULT_CAPACITY, DEFAULT_DROP_SPIKE};
 pub use registry::{HistogramMetric, MetricRegistry};
 pub use sampler::IntervalSampler;

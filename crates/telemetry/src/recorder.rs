@@ -5,8 +5,7 @@
 //! noteworthy events — drops, fault transitions, reconfigurations,
 //! stranded-cell onsets, per-slot drop spikes — in a preallocated ring.
 //! Memory is strictly bounded by the capacity regardless of run length
-//! or network size, so it is safe to leave attached at `--scale512` and
-//! beyond.
+//! or network size, so it is safe to leave attached on any fabric.
 //!
 //! Every recorded event is derived from *simulated* state (slots,
 //! simulated time, deterministic counters), so the ring contents are

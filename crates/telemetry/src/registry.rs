@@ -3,8 +3,7 @@
 //! [`MetricRegistry`] holds counters, gauges, and log-bucketed
 //! histograms under stable snake_case names following the scheme
 //! `sorn_<subsystem>_<metric>[_<unit>][_total]` (e.g.
-//! `sorn_engine_cells_delivered_total`,
-//! `sorn_profiler_transmit_ns_total`). Two renderings are offered:
+//! `sorn_engine_cells_delivered_total`). Two renderings are offered:
 //! the Prometheus text exposition format ([`MetricRegistry::render_prometheus`])
 //! and a JSON snapshot ([`MetricRegistry::snapshot_json`]).
 //!
@@ -12,13 +11,11 @@
 //! tiny and fixed, and hand-writing it keeps this crate's export path
 //! free of any serializer behavior differences across environments.
 //!
-//! Wiring helpers pull in whole subsystems at once:
-//! [`MetricRegistry::record_engine`] (run metrics, including the fault
-//! machinery's counters) and [`MetricRegistry::record_profile`] (the
-//! self-profiler's per-phase timings). The control plane exports its
-//! decision log via `sorn_control::DecisionLog::export_metrics`.
+//! [`MetricRegistry::record_engine`] pulls in a whole run's metrics at
+//! once (including the fault machinery's counters). The control plane
+//! exports its decision log via
+//! `sorn_control::DecisionLog::export_metrics`.
 
-use crate::profiler::ProfileReport;
 use sorn_sim::{LatencyHistogram, Metrics, Nanos};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -146,15 +143,6 @@ impl MetricRegistry {
             m.cell_latency.clone(),
             m.cell_latency_sum_ns,
         );
-    }
-
-    /// Imports a self-profiling report under `sorn_profiler_<phase>_*`.
-    pub fn record_profile(&mut self, report: &ProfileReport) {
-        for p in &report.phases {
-            let phase = p.phase.name();
-            self.set_counter(&format!("sorn_profiler_{phase}_spans_total"), p.calls);
-            self.set_counter(&format!("sorn_profiler_{phase}_ns_total"), p.total_ns);
-        }
     }
 
     /// Renders the registry in the Prometheus text exposition format.
@@ -291,7 +279,6 @@ fn join_entries(entries: impl Iterator<Item = String>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sorn_sim::Phase;
 
     #[test]
     fn counters_and_gauges_round_through_accessors() {
@@ -379,20 +366,6 @@ mod tests {
         assert_eq!(r.counter("sorn_engine_failure_slots_total"), Some(2));
         assert_eq!(r.gauge("sorn_engine_delivery_fraction"), Some(0.5));
         assert!(r.histogram("sorn_engine_cell_latency_ns").is_some());
-    }
-
-    #[test]
-    fn profile_import_names_every_phase() {
-        use crate::profiler::WallClockProfiler;
-        use sorn_sim::Profiler as _;
-        let p = WallClockProfiler::new();
-        p.record(Phase::Transmit, 1_000);
-        p.record(Phase::Transmit, 3_000);
-        let mut r = MetricRegistry::new();
-        r.record_profile(&p.report());
-        assert_eq!(r.counter("sorn_profiler_transmit_spans_total"), Some(2));
-        assert_eq!(r.counter("sorn_profiler_transmit_ns_total"), Some(4_000));
-        assert_eq!(r.counter("sorn_profiler_route_spans_total"), Some(0));
     }
 
     #[test]

@@ -8,7 +8,10 @@ use sorn_telemetry::WeatherProbe;
 use sorn_topology::builders::round_robin;
 use sorn_topology::{CliqueMap, NodeId};
 
-const N: usize = 16;
+/// Above 64 nodes, so a threaded run has more than one shard (the
+/// engine shards in whole 64-node occupancy words): four at four
+/// threads, the last one short.
+const N: usize = 200;
 const CLIQUES: usize = 4;
 const TOPK: usize = 8;
 const MAX_SLOTS: u64 = 50_000;

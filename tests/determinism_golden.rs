@@ -19,12 +19,14 @@
 //!
 //! and paste the printed tables over the constants below.
 
+use sorn_routing::HierarchicalRouter;
 use sorn_sim::{
     Cell, ClassId, DirectRouter, Engine, Flow, FlowId, Metrics, NodeRng, RouteDecision, Router,
     SimConfig,
 };
-use sorn_topology::builders::round_robin;
-use sorn_topology::NodeId;
+use sorn_topology::builders::{clique_of_cliques, round_robin, HierarchySpec};
+use sorn_topology::{CliqueMap, NodeId};
+use sorn_traffic::{spatial::CliqueLocal, FlowSizeDist, PoissonWorkload};
 
 const N: usize = 32;
 const FLOWS: usize = 16;
@@ -195,6 +197,47 @@ fn parallel_engine_matches_golden_metrics() {
             &format!("spray@{threads}t"),
         );
     }
+}
+
+/// The warehouse fabric — 16 384 nodes, 128 racks of 128, hierarchical
+/// routing — is 256 occupancy words, so two engine threads are two
+/// 8 192-node shards where every input above is one. A 2 µs injection
+/// window keeps the run short; the node count is what it is for. The
+/// serial and sharded runs must agree on the whole `Metrics`.
+#[test]
+fn warehouse_fabric_matches_across_shards() {
+    const RADICES: [usize; 2] = [128, 128];
+    const DURATION_NS: u64 = 2_000;
+    let n: usize = RADICES.iter().product();
+    let flows = PoissonWorkload {
+        n,
+        load: 0.15,
+        node_bandwidth_bytes_per_ns: 12.5,
+        duration_ns: DURATION_NS,
+        seed: 7,
+    }
+    .generate(
+        &FlowSizeDist::fixed(10 * 1250),
+        &CliqueLocal::new(CliqueMap::contiguous(n, n / RADICES[0]), 0.5),
+    );
+    let schedule = clique_of_cliques(RADICES.to_vec(), 1 << 20).expect("schedule");
+    let spec = HierarchySpec::new(RADICES.to_vec(), vec![1; RADICES.len()]).expect("spec");
+    let router = HierarchicalRouter::new(spec);
+    let run = |engine_threads: usize| {
+        let cfg = SimConfig {
+            engine_threads,
+            ..SimConfig::default()
+        };
+        // Each targeted hop can wait a full rotation for its circuit.
+        let max_slots = DURATION_NS / cfg.slot_ns + 12 * schedule.period() as u64;
+        let mut eng = Engine::new(cfg, &schedule, &router);
+        eng.add_flows(flows.clone()).expect("flows in range");
+        assert!(eng.run_until_drained(max_slots).expect("run"), "must drain");
+        eng.metrics().clone()
+    };
+    let serial = run(1);
+    assert!(serial.delivered_cells > 10_000, "a real workload ran");
+    assert!(serial == run(2), "engine_threads=2 diverged from serial");
 }
 
 /// Regeneration helper: prints the golden constants for the current
