@@ -7,7 +7,9 @@
 //! circuit is down they re-spray the cell through the load-balancing
 //! class, buying another chance to reach the destination over live
 //! links. Cells whose destination node itself is dead are shed
-//! ([`RouteDecision::Drop`]) rather than left to clog queues.
+//! ([`RouteDecision::Drop`]) rather than left to clog queues. Each
+//! decision reads the view once ([`LinkHealth::view`]) and asks all of
+//! its questions of that one state: no lock at all on a healthy fabric.
 //!
 //! Detours cost hops, so both wrappers raise the hop bound and stop
 //! detouring when the remaining budget only covers the pinned path —
@@ -52,7 +54,8 @@ impl Router for FaultAwareVlbRouter {
         if node == cell.dst {
             return RouteDecision::Deliver;
         }
-        if self.health.node_failed(cell.dst) {
+        let health = self.health.view();
+        if health.node_failed(cell.dst) {
             // The destination itself is dead: delivering is impossible,
             // shed instead of clogging queues.
             return RouteDecision::Drop;
@@ -62,7 +65,7 @@ impl Router for FaultAwareVlbRouter {
         }
         // Direct hop — or a detour re-spray when the direct circuit is
         // down and the hop budget still covers spray + direct.
-        if !self.health.circuit_up(node, cell.dst) && cell.hops + 2 <= self.max_hops() {
+        if !health.circuit_up(node, cell.dst) && cell.hops + 2 <= self.max_hops() {
             return RouteDecision::ToClass(VLB_SPRAY);
         }
         RouteDecision::ToNode(cell.dst)
@@ -152,7 +155,8 @@ impl Router for FaultAwareSornRouter {
         if node == cell.dst {
             return RouteDecision::Deliver;
         }
-        if self.health.node_failed(cell.dst) {
+        let health = self.health.view();
+        if health.node_failed(cell.dst) {
             return RouteDecision::Drop;
         }
         let here = self.cliques.clique_of(node);
@@ -170,7 +174,7 @@ impl Router for FaultAwareSornRouter {
         if here == dest_clique {
             // Direct intra circuit — or a detour re-spray (spray + direct
             // = 2 more hops) when it is down.
-            if !self.health.circuit_up(node, cell.dst) && self.can_respray(node, cell.hops, 1) {
+            if !health.circuit_up(node, cell.dst) && self.can_respray(node, cell.hops, 1) {
                 return RouteDecision::ToClass(INTRA_SPRAY);
             }
             RouteDecision::ToNode(cell.dst)
@@ -179,9 +183,8 @@ impl Router for FaultAwareSornRouter {
             // re-spray toward a member with a live gateway (spray + inter
             // + intra = 3 more hops).
             let gateway = self.inter_gateway(node, cell.dst);
-            let gateway_down =
-                self.health.node_failed(gateway) || !self.health.circuit_up(node, gateway);
-            if gateway_down && self.can_respray(node, cell.hops, 2) {
+            // `circuit_up` is false for a dead gateway node too.
+            if !health.circuit_up(node, gateway) && self.can_respray(node, cell.hops, 2) {
                 return RouteDecision::ToClass(INTRA_SPRAY);
             }
             RouteDecision::ToNode(gateway)
@@ -362,6 +365,42 @@ mod tests {
             eng.set_fault_plan(plan.clone());
         });
         assert!(aware_drained, "fault-aware routing must detour and drain");
+    }
+
+    #[test]
+    fn a_manual_failure_reaches_the_mirror_by_the_next_slot() {
+        // Node 7, node 3's pinned gateway toward clique 1, dies through a
+        // manual `failures_mut` poke rather than a fault plan. The mirror
+        // must carry it into the next slot's decisions; a stale one pins
+        // cells on a circuit the engine already refuses, and they strand.
+        let map = CliqueMap::contiguous(8, 2);
+        let sched = sorn_topology::builders::sorn_schedule(
+            &map,
+            &sorn_topology::builders::SornScheduleParams::with_q(sorn_topology::Ratio::integer(3)),
+        )
+        .unwrap();
+        let health = LinkHealth::new();
+        let router = FaultAwareSornRouter::new(map, health.clone());
+        let mut eng = Engine::new(SimConfig::default(), &sched, &router);
+        eng.set_health_mirror(health);
+        eng.add_flows([Flow {
+            id: FlowId(1),
+            src: NodeId(0),
+            dst: NodeId(6),
+            size_bytes: 8 * 1250,
+            arrival_ns: 0,
+        }])
+        .unwrap();
+        eng.step().unwrap();
+        eng.failures_mut().fail_node(NodeId(7));
+        eng.step().unwrap();
+        let mut rng = sorn_sim::NodeRng::for_node(0, 0);
+        assert_eq!(
+            router.decide(NodeId(3), &mut cell(0, 6, 1), &mut rng),
+            RouteDecision::ToClass(INTRA_SPRAY),
+            "the slot after the poke must detour around the dead gateway"
+        );
+        assert!(eng.run_until_drained(20_000).unwrap());
     }
 
     #[test]

@@ -38,6 +38,14 @@
 //! work (nothing queued, injecting, in flight, arriving, or faulting)
 //! fast-forward through [`Engine::step_quiet`], touching only the
 //! idle-port counters.
+//!
+//! There is one transmit walk, for healthy and degraded fabrics alike
+//! ([`run_transmit_shard`]). On a degraded fabric it pays a
+//! [`FailureSet`] bit test per circuit it visits: a down circuit is
+//! skipped, and the idle ports charged to a 64-node word up front
+//! exclude the word's down ports, which are counted once per failure
+//! epoch rather than once per slot. On a healthy fabric it pays nothing:
+//! the body is specialised on whether anything has failed.
 
 use crate::calendar::SlotCalendar;
 use crate::cell::{Cell, Flow, FlowId};
@@ -215,6 +223,12 @@ struct TransmitShard<'w> {
 /// [`Engine::fast_forward_to`]).
 struct IdleTables {
     words: Vec<Vec<u32>>,
+    /// Per pool matching `m`, the failure epoch its counts were taken at
+    /// and the counts: `down[m].1[w]` is how many ports of `words[m][w]`
+    /// have their circuit down — neither idle nor transmitting. Filled by
+    /// [`IdleTables::refresh_down`] for the matchings a degraded slot
+    /// walks; a run that never degrades never allocates it.
+    down: Vec<(Option<u64>, Vec<u32>)>,
     /// `phase_totals[p]` sums the matchings' circuit totals over the
     /// uplink-staggered matchings active when `slot % period == p` — the
     /// idle-port charge of one fully-quiet slot at that phase. Summed in
@@ -255,8 +269,31 @@ impl IdleTables {
         let period_total = phase_totals.iter().sum();
         IdleTables {
             words,
+            down: Vec::new(),
             phase_totals,
             period_total,
+        }
+    }
+
+    /// Brings the down-port counts of `active`'s matchings up to failure
+    /// epoch `epoch`, recounting only those last counted at another one.
+    fn refresh_down(&mut self, active: &[(usize, &Matching)], failures: &FailureSet, epoch: u64) {
+        if self.down.is_empty() {
+            self.down = vec![(None, Vec::new()); self.words.len()];
+        }
+        for &(pi, matching) in active {
+            let (counted_at, down) = &mut self.down[pi];
+            if *counted_at == Some(epoch) {
+                continue;
+            }
+            down.clear();
+            down.resize(self.words[pi].len(), 0);
+            for (v, w) in matching.circuits() {
+                if !failures.circuit_up(v, w) {
+                    down[v.index() / 64] += 1;
+                }
+            }
+            *counted_at = Some(epoch);
         }
     }
 }
@@ -332,6 +369,9 @@ pub struct Engine<'a, P: Probe = NoopProbe, F: Profiler = NoopProfiler> {
     fault_plan: FaultPlan,
     fault_cursor: usize,
     health_mirror: Option<LinkHealth>,
+    /// The failure epoch the mirror last published; see
+    /// [`Engine::sync_health_mirror`].
+    mirror_epoch: u64,
     episode: EpisodeState,
     metrics: Metrics,
     slot: u64,
@@ -454,6 +494,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             fault_plan: FaultPlan::new(),
             fault_cursor: 0,
             health_mirror: None,
+            mirror_epoch: 0,
             episode: EpisodeState::default(),
             metrics: Metrics {
                 link_transmissions: LinkMatrix::with_nodes(n),
@@ -520,13 +561,13 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
 
     /// Mutable access to the failure set (§6 blast-radius experiments).
     ///
-    /// Manual pokes bypass the fault plan: no `on_fault` hook fires, no
-    /// episode is tracked, and an attached health mirror is not
-    /// republished until the next scripted event. Prefer
+    /// Manual pokes bypass the fault plan: no `on_fault` hook fires and
+    /// no episode is tracked. An attached health mirror is republished
+    /// before the engine next advances or re-routes. Prefer
     /// [`Engine::set_fault_plan`] for timed failures.
     pub fn failures_mut(&mut self) -> &mut FailureSet {
         // Conservatively assume the borrow mutates: a stale stranded
-        // memo is recomputed on the next query.
+        // memo, down-port count or mirror is refreshed on next use.
         self.failure_epoch += 1;
         &mut self.failures
     }
@@ -546,12 +587,25 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
     }
 
     /// Attaches a health view that mirrors the engine's failure set.
-    /// Published immediately and after every applied fault event, so
-    /// failure-aware routers and the control plane share one picture of
-    /// what is down.
+    /// Published immediately and again whenever the failure set may have
+    /// changed (applied fault events, [`Engine::failures_mut`] borrows)
+    /// before the next slot routes, so failure-aware routers and the
+    /// control plane share one picture of what is down.
     pub fn set_health_mirror(&mut self, health: LinkHealth) {
         health.publish(&self.failures);
         self.health_mirror = Some(health);
+        self.mirror_epoch = self.failure_epoch;
+    }
+
+    /// Republishes the attached mirror if the failure epoch has moved
+    /// since its last publish: one `u64` compare when nothing changed.
+    fn sync_health_mirror(&mut self) {
+        if self.mirror_epoch != self.failure_epoch {
+            if let Some(health) = &self.health_mirror {
+                health.publish(&self.failures);
+            }
+            self.mirror_epoch = self.failure_epoch;
+        }
     }
 
     /// Collected metrics so far.
@@ -723,6 +777,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         if !self.ff_enabled {
             return 0;
         }
+        self.sync_health_mirror();
         let now = self.cfg.slot_start(self.slot);
         if !self.slot_is_quiet(now) {
             return 0;
@@ -797,6 +852,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
     /// Advances one slot: deliveries, arrivals, injection, transmission.
     pub fn step(&mut self) -> Result<(), SimError> {
         let now = self.cfg.slot_start(self.slot);
+        self.sync_health_mirror();
 
         if self.slot_is_quiet(now) {
             self.step_quiet(now);
@@ -1043,16 +1099,24 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         let transmit_span = self.profiler.span(Phase::Transmit);
         let track = self.stranded_tracking();
         let n = self.queues.len();
+        let matchings = staggered_matchings(self.schedule, &self.cfg, self.slot);
+        let walk = if self.failures.is_empty() {
+            run_transmit_shard::<false>
+        } else {
+            self.idle_tables
+                .refresh_down(&matchings, &self.failures, self.failure_epoch);
+            run_transmit_shard::<true>
+        };
         let mut scratch = std::mem::take(&mut self.shards);
         let shards_used;
         {
             let router = self.router;
             let cfg = &self.cfg;
             let failures = &self.failures;
-            let schedule = self.schedule;
             let slot = self.slot;
             let tracer = self.tracer;
             let tables = &self.idle_tables;
+            let matchings = &matchings[..];
             match &self.pool {
                 Some(pool) if n > 1 => {
                     let k = pool.threads().min(n);
@@ -1089,8 +1153,8 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
                             .expect("shard slot poisoned")
                             .take()
                             .expect("each shard is claimed once");
-                        run_transmit_shard(
-                            &mut shard, router, cfg, schedule, tables, slot, failures, track,
+                        walk(
+                            &mut shard, router, cfg, matchings, tables, slot, failures, track,
                             tracer,
                         );
                     });
@@ -1111,8 +1175,8 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
                         occ: &mut self.occupancy,
                         out: &mut scratch[0],
                     };
-                    run_transmit_shard(
-                        &mut shard, router, cfg, schedule, tables, slot, failures, track, tracer,
+                    walk(
+                        &mut shard, router, cfg, matchings, tables, slot, failures, track, tracer,
                     );
                 }
             }
@@ -1180,9 +1244,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         }
         if applied {
             self.failure_epoch += 1;
-            if let Some(health) = &self.health_mirror {
-                health.publish(&self.failures);
-            }
+            self.sync_health_mirror();
         }
     }
 
@@ -1435,6 +1497,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
     /// Returns the number of cells re-routed.
     pub fn reroute_queued(&mut self) -> Result<usize, SimError> {
         let now = self.cfg.slot_start(self.slot);
+        self.sync_health_mirror();
         // Bulk surgery: strandedness is recomputed on the next query.
         self.stranded_invalidate();
         let mut total = 0;
@@ -1719,6 +1782,12 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
 
         let mut failures = FailureSet::none();
         for &v in &snapshot.failed_nodes {
+            // The node bitset is sized by the largest failed id.
+            if v as usize >= n {
+                return Err(bad(format!(
+                    "failed node {v} outside the network (n = {n})"
+                )));
+            }
             failures.fail_node(NodeId(v));
         }
         for &(a, b) in &snapshot.failed_links {
@@ -1780,6 +1849,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             fault_plan,
             fault_cursor: snapshot.fault_cursor as usize,
             health_mirror: None,
+            mirror_epoch: snapshot.failure_epoch,
             episode: snapshot.episode,
             metrics: snapshot.metrics.clone(),
             slot: snapshot.slot,
@@ -1930,167 +2000,109 @@ fn run_arrival_shard(
     }
 }
 
-/// Transmits one popped cell on circuit `v → w`: the shared tail of the
-/// healthy and degraded transmit walks. Returns `true` when the cell was
-/// actually sent (hop-bound violations are recorded, not sent).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn transmit_popped(
-    shard_out: &mut ShardScratch,
-    depth_after: usize,
-    mut cell: Cell,
-    v: NodeId,
-    w: NodeId,
-    router: &dyn Router,
-    max_hops: u8,
-    now: Nanos,
-    tracer: Option<FlowSampler>,
-    links_row: &mut LinkRow,
-) {
-    router.on_transmit(&mut cell, v, w);
-    cell.hops += 1;
-    if cell.hops > max_hops {
-        // Record the first violation in canonical order and finish the
-        // pass: both the inline and the sharded path then abort with
-        // identical state.
-        if shard_out.err.is_none() {
-            shard_out.err = Some(SimError::HopBoundExceeded {
-                flow: cell.flow,
-                hops: cell.hops,
-                bound: max_hops,
-            });
-        }
-        return;
-    }
-    shard_out.transmissions += 1;
-    if LinkMatrix::bump_row(links_row, w.0) {
-        shard_out.links_nonzero_delta += 1;
-    }
-    if tracer.is_some_and(|t| t.is_traced(cell.flow)) {
-        shard_out.hops.push(HopEvent::for_cell(
-            &cell,
-            v,
-            now,
-            HopKind::Transmit { to: w, depth_after },
-        ));
-    }
-    shard_out.sent.push((v, w, cell));
-}
-
 /// Walks one shard's node range across every uplink, popping node-local
 /// queues and buffering transmitted cells in `(node, uplink)` order.
 ///
-/// On a healthy fabric the walk is occupancy-driven: every scheduled
-/// port in a 64-node word is charged idle up front from the precomputed
-/// [`IdleTables`], a zero word skips all 64 nodes, and each successful
-/// pop refunds one pre-charged idle port — the counters come out
-/// identical to the per-node reference walk, which remains in place for
-/// degraded fabrics (failure checks are per-circuit there anyway).
+/// The walk is occupancy-driven: every live scheduled port in a 64-node
+/// word is charged idle up front — the precomputed [`IdleTables`] count
+/// minus, on a degraded fabric, the word's down ports (a down circuit is
+/// neither idle nor transmitting) — a zero word skips all 64 nodes, a
+/// down circuit is skipped, and each successful pop refunds one
+/// pre-charged idle port.
+///
+/// `DEGRADED` is `!failures.is_empty()`, chosen once per slot: the one
+/// body is compiled twice so that a healthy slot's loop carries no
+/// failure checks at all. (With a runtime flag instead, the checks'
+/// inlined code cost a healthy, per-slot-bound run about 10 %.)
 #[allow(clippy::too_many_arguments)]
-fn run_transmit_shard(
+fn run_transmit_shard<const DEGRADED: bool>(
     shard: &mut TransmitShard<'_>,
     router: &dyn Router,
     cfg: &SimConfig,
-    schedule: &CircuitSchedule,
+    matchings: &[(usize, &Matching)],
     tables: &IdleTables,
     slot: u64,
     failures: &FailureSet,
     track_stranded: bool,
     tracer: Option<FlowSampler>,
 ) {
+    debug_assert_eq!(shard.base % 64, 0, "shard bases must be word-aligned");
+    debug_assert_eq!(DEGRADED, !failures.is_empty());
     let now = cfg.slot_start(slot);
     let max_hops = router.max_hops();
-    // One matching resolution per uplink per shard call, as in the old
-    // hoisted serial walk.
-    let matchings = staggered_matchings(schedule, cfg, slot);
-    if failures.is_empty() {
-        debug_assert_eq!(shard.base % 64, 0, "shard bases must be word-aligned");
-        for gw_local in 0..shard.occ.len() {
-            let gw = shard.base / 64 + gw_local;
-            // Pre-charge every scheduled port in this word as idle;
-            // pops below refund theirs.
-            for &(pi, _) in &matchings {
-                shard.out.idle += tables.words[pi][gw] as u64;
+    for gw_local in 0..shard.occ.len() {
+        let gw = shard.base / 64 + gw_local;
+        // Pre-charge every live scheduled port in this word as idle;
+        // pops below refund theirs.
+        for &(pi, _) in matchings {
+            let mut ports = tables.words[pi][gw];
+            if DEGRADED {
+                ports -= tables.down[pi].1[gw];
             }
-            let mut bits = shard.occ[gw_local];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let li = gw_local * 64 + b;
-                let v = NodeId((shard.base + li) as u32);
-                for &(_, matching) in &matchings {
-                    let Some(w) = matching.dst_of(v) else {
-                        continue; // idle port this slot
-                    };
-                    let Some(cell) =
-                        shard.queues[li].pop_for_circuit(router, v, w, cfg.class_scan_limit)
-                    else {
-                        continue; // stays idle, as pre-charged
-                    };
-                    shard.out.idle -= 1;
-                    shard.out.queued_delta -= 1;
-                    transmit_popped(
-                        shard.out,
-                        shard.queues[li].depth(),
-                        cell,
-                        v,
-                        w,
-                        router,
-                        max_hops,
-                        now,
-                        tracer,
-                        &mut shard.links[li],
-                    );
-                }
-                if shard.queues[li].is_empty() {
-                    shard.occ[gw_local] &= !(1u64 << b);
-                }
-            }
+            shard.out.idle += u64::from(ports);
         }
-        return;
-    }
-    // Degraded fabric: the per-node reference walk with per-circuit
-    // health checks (a down circuit is neither idle nor transmitting).
-    for li in 0..shard.queues.len() {
-        let v = NodeId((shard.base + li) as u32);
-        let mut popped = false;
-        for &(_, matching) in &matchings {
-            let Some(w) = matching.dst_of(v) else {
-                continue; // idle port this slot
-            };
-            if !failures.circuit_up(v, w) {
-                continue;
-            }
-            match shard.queues[li].pop_for_circuit(router, v, w, cfg.class_scan_limit) {
-                Some(cell) => {
-                    popped = true;
-                    shard.out.queued_delta -= 1;
-                    // A popped cell rode a live circuit, so it was
-                    // stranded only if its destination is dead.
-                    if track_stranded && failures.node_failed(cell.dst) {
-                        shard.out.stranded_delta -= 1;
+        let mut bits = shard.occ[gw_local];
+        while bits != 0 {
+            let b = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let li = gw_local * 64 + b;
+            let v = NodeId((shard.base + li) as u32);
+            for &(_, matching) in matchings {
+                let Some(w) = matching.dst_of(v) else {
+                    continue; // idle port this slot
+                };
+                if DEGRADED && !failures.circuit_up(v, w) {
+                    continue; // down: charged neither idle nor sent
+                }
+                let Some(mut cell) =
+                    shard.queues[li].pop_for_circuit(router, v, w, cfg.class_scan_limit)
+                else {
+                    continue; // stays idle, as pre-charged
+                };
+                shard.out.idle -= 1;
+                shard.out.queued_delta -= 1;
+                // A popped cell rode a live circuit, so it was stranded
+                // only if its destination is dead.
+                if DEGRADED && track_stranded && failures.node_failed(cell.dst) {
+                    shard.out.stranded_delta -= 1;
+                }
+                router.on_transmit(&mut cell, v, w);
+                cell.hops += 1;
+                if cell.hops > max_hops {
+                    // Record the first violation in canonical order and
+                    // finish the pass: both the inline and the sharded
+                    // path then abort with identical state.
+                    if shard.out.err.is_none() {
+                        shard.out.err = Some(SimError::HopBoundExceeded {
+                            flow: cell.flow,
+                            hops: cell.hops,
+                            bound: max_hops,
+                        });
                     }
-                    transmit_popped(
-                        shard.out,
-                        shard.queues[li].depth(),
-                        cell,
-                        v,
-                        w,
-                        router,
-                        max_hops,
-                        now,
-                        tracer,
-                        &mut shard.links[li],
-                    );
+                    continue;
                 }
-                None => shard.out.idle += 1,
+                shard.out.transmissions += 1;
+                if LinkMatrix::bump_row(&mut shard.links[li], w.0) {
+                    shard.out.links_nonzero_delta += 1;
+                }
+                if tracer.is_some_and(|t| t.is_traced(cell.flow)) {
+                    let depth_after = shard.queues[li].depth();
+                    shard.out.hops.push(HopEvent::for_cell(
+                        &cell,
+                        v,
+                        now,
+                        HopKind::Transmit { to: w, depth_after },
+                    ));
+                }
+                shard.out.sent.push((v, w, cell));
             }
-        }
-        if popped && shard.queues[li].is_empty() {
-            shard.occ[li / 64] &= !(1u64 << (li % 64));
+            if shard.queues[li].is_empty() {
+                shard.occ[gw_local] &= !(1u64 << b);
+            }
         }
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2272,6 +2284,21 @@ mod tests {
         assert_eq!(
             injected,
             m.delivered_cells + m.dropped_cells + stranded + inflight
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_failed_node_outside_the_network() {
+        let sched = round_robin(4).unwrap();
+        let router = DirectRouter;
+        let mut eng = Engine::new(SimConfig::default(), &sched, &router);
+        eng.failures_mut().fail_node(NodeId(3));
+        assert!(Engine::restore(&eng.checkpoint(), &sched, &router).is_ok());
+        eng.failures_mut().fail_node(NodeId(4_000_000));
+        let err = Engine::restore(&eng.checkpoint(), &sched, &router).err();
+        assert!(
+            matches!(err, Some(RestoreError::Inconsistent { .. })),
+            "{err:?}"
         );
     }
 

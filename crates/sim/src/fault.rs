@@ -12,13 +12,17 @@
 //! [`LinkHealth`] is the routing-facing side of the same state: a shared,
 //! cheaply clonable snapshot of the current [`FailureSet`] that
 //! failure-aware routers consult to detour cells around dead circuits.
-//! The engine republishes it whenever a fault event fires.
+//! The engine republishes it whenever its failure set may have changed —
+//! a fault event, or a `failures_mut` borrow — before the next slot
+//! routes anything.
 
 use crate::config::Nanos;
 use crate::failure::FailureSet;
 use sorn_base::rng::Rng;
 use sorn_topology::NodeId;
-use std::sync::{Arc, RwLock};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 /// The element a fault event acts on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -253,9 +257,42 @@ pub struct FaultView<'a> {
 /// from dead circuits. This models the paper's §6 observation that
 /// recovery needs only local health knowledge: routers see *which*
 /// elements are down, not why.
+///
+/// What a read costs: while the published set is empty, one atomic load
+/// of a `degraded` flag and no lock. While it is not, one shared
+/// `RwLock` acquisition, after which every question is a
+/// [`FailureSet`] bit test. [`LinkHealth::view`] takes that read once so
+/// a caller with several questions (a routing decision) pays it once and
+/// sees one consistent state; the per-question methods each take their
+/// own.
 #[derive(Debug, Clone, Default)]
 pub struct LinkHealth {
-    inner: Arc<RwLock<FailureSet>>,
+    inner: Arc<HealthState>,
+}
+
+#[derive(Debug, Default)]
+struct HealthState {
+    /// `!failures.is_empty()` as of the last publish, stored under the
+    /// write lock after the set itself.
+    degraded: AtomicBool,
+    failures: RwLock<FailureSet>,
+}
+
+/// The failure set a healthy view answers from.
+static NO_FAILURES: FailureSet = FailureSet::none();
+
+/// One read of a [`LinkHealth`]: derefs to the published
+/// [`FailureSet`], holding the shared lock only when that set was
+/// non-empty at the time of the read.
+pub struct HealthView<'a>(Option<RwLockReadGuard<'a, FailureSet>>);
+
+impl Deref for HealthView<'_> {
+    type Target = FailureSet;
+
+    #[inline]
+    fn deref(&self) -> &FailureSet {
+        self.0.as_deref().unwrap_or(&NO_FAILURES)
+    }
 }
 
 impl LinkHealth {
@@ -266,27 +303,41 @@ impl LinkHealth {
 
     /// Replaces the published failure state.
     pub fn publish(&self, failures: &FailureSet) {
-        *self.inner.write().expect("health lock") = failures.clone();
+        let mut set = self.inner.failures.write().expect("health lock");
+        set.clone_from(failures);
+        self.inner
+            .degraded
+            .store(!failures.is_empty(), Ordering::Release);
+    }
+
+    /// Reads the published state once; see the type docs for the cost.
+    #[inline]
+    pub fn view(&self) -> HealthView<'_> {
+        if self.inner.degraded.load(Ordering::Acquire) {
+            HealthView(Some(self.inner.failures.read().expect("health lock")))
+        } else {
+            HealthView(None)
+        }
     }
 
     /// True when the circuit `src → dst` is believed usable.
     pub fn circuit_up(&self, src: NodeId, dst: NodeId) -> bool {
-        self.inner.read().expect("health lock").circuit_up(src, dst)
+        self.view().circuit_up(src, dst)
     }
 
     /// True when `node` is believed failed.
     pub fn node_failed(&self, node: NodeId) -> bool {
-        self.inner.read().expect("health lock").node_failed(node)
+        self.view().node_failed(node)
     }
 
     /// True when nothing is believed failed.
     pub fn is_healthy(&self) -> bool {
-        self.inner.read().expect("health lock").is_empty()
+        self.view().is_empty()
     }
 
     /// A copy of the current failure state (for control-plane reports).
     pub fn snapshot(&self) -> FailureSet {
-        self.inner.read().expect("health lock").clone()
+        self.view().clone()
     }
 }
 
@@ -411,5 +462,25 @@ mod tests {
         assert_eq!(clone.snapshot(), fs);
         health.publish(&FailureSet::none());
         assert!(clone.is_healthy());
+    }
+
+    #[test]
+    fn one_view_answers_every_question() {
+        let health = LinkHealth::new();
+        assert!(health.view().is_empty());
+        let mut fs = FailureSet::none();
+        fs.fail_node(NodeId(70));
+        fs.fail_link(NodeId(1), NodeId(2));
+        health.publish(&fs);
+        let view = health.view();
+        assert!(view.node_failed(NodeId(70)));
+        assert!(!view.circuit_up(NodeId(70), NodeId(3)));
+        assert!(!view.circuit_up(NodeId(1), NodeId(2)));
+        assert!(view.circuit_up(NodeId(2), NodeId(1)));
+        assert_eq!(*view, fs);
+        drop(view);
+        health.publish(&FailureSet::none());
+        let view = health.view();
+        assert!(view.is_empty() && view.circuit_up(NodeId(1), NodeId(2)));
     }
 }

@@ -1,13 +1,15 @@
 //! A fast, deterministic hasher for the engine's internal maps.
 //!
-//! The engine consults `active_index` once per delivered cell, so the
+//! The engine consults `active_index` once per delivered cell, and the
+//! failure set's link table once per degraded circuit visit, so the
 //! default SipHash (keyed, DoS-resistant) is measurable overhead on
 //! the hot path. Keys here are [`FlowId`](crate::FlowId)s the
-//! simulation itself assigns — never attacker-controlled — so a
-//! single-multiply mix (the FxHash construction) is safe and several
-//! times cheaper. The hasher is unkeyed, so it is also deterministic
-//! across runs; the engine never iterates these maps, so even the
-//! bucket order cannot leak into results.
+//! simulation itself assigns and `src << 32 | dst` ids of the fabric's
+//! own links — never attacker-controlled — so a single-multiply mix
+//! (the FxHash construction) is safe and several times cheaper. The
+//! hasher is unkeyed, so it is also deterministic across runs; nothing
+//! that reaches results depends on bucket order (the failure set sorts
+//! what it lists).
 
 use std::hash::{BuildHasher, Hasher};
 

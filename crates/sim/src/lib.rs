@@ -65,7 +65,7 @@ pub use config::{Nanos, SimConfig};
 pub use engine::{Engine, SimError};
 pub use failure::FailureSet;
 pub use fault::{
-    FaultAction, FaultEvent, FaultPlan, FaultStorm, FaultTarget, FaultView, LinkHealth,
+    FaultAction, FaultEvent, FaultPlan, FaultStorm, FaultTarget, FaultView, HealthView, LinkHealth,
 };
 pub use metrics::{FlowRecord, LatencyHistogram, LinkMatrix, Metrics};
 pub use par::WorkerPool;

@@ -71,6 +71,8 @@ struct Scenario {
     flows: Vec<Flow>,
     /// `(src, dst, from_ns, until_ns)` scripted link outages.
     outages: Vec<(u32, u32, u64, u64)>,
+    /// `(node, from_ns, until_ns)` scripted node outages.
+    node_outages: Vec<(u32, u64, u64)>,
     /// Adds a seeded MTBF/MTTR `FaultStorm` over the low links/nodes.
     storm: bool,
     /// Installs a rotated schedule (plus reroute) when this slot starts.
@@ -144,6 +146,9 @@ fn plan(sc: &Scenario) -> FaultPlan {
     };
     for &(s, d, from, until) in &sc.outages {
         plan.link_outage(NodeId(s), NodeId(d), from, until);
+    }
+    for &(v, from, until) in &sc.node_outages {
+        plan.node_outage(NodeId(v), from, until);
     }
     plan
 }
@@ -278,6 +283,7 @@ fn plain_run_resumes_identically() {
             trace_one_in: 1,
             flows: seeded_flows(8, 3, 80),
             outages: vec![],
+            node_outages: vec![],
             storm: false,
             reconfigure_at: None,
         },
@@ -297,11 +303,47 @@ fn faultstorm_run_resumes_identically() {
             trace_one_in: 1,
             flows: seeded_flows(10, 6, 100),
             outages: vec![(4, 7, 100, 2_000), (5, 2, 400, 1_500)],
+            node_outages: vec![],
             storm: true,
             reconfigure_at: None,
         },
         &[2, 8],
     );
+}
+
+#[test]
+fn high_node_failures_resume_identically() {
+    // 200 nodes: failed nodes and links sit in the second, third and
+    // fourth words of the failure bitset at every checkpoint slot, and
+    // the restored failure set must equal the live one before the run
+    // resumes.
+    let sc = Scenario {
+        n: 200,
+        uplinks: 2,
+        seed: 12,
+        trace_one_in: 8,
+        flows: seeded_flows(200, 12, 300),
+        outages: vec![(130, 131, 100, 3_000), (199, 70, 0, 2_500)],
+        node_outages: vec![(64, 200, 2_500), (150, 0, 1_800), (199, 400, 900)],
+        storm: false,
+        reconfigure_at: None,
+    };
+    let (base, _) = schedules(&sc);
+    let router = CoinSprayRouter;
+    let mut eng = Engine::new(config(&sc, 1), &base, &router);
+    eng.add_flows(sc.flows.clone()).unwrap();
+    eng.set_fault_plan(plan(&sc));
+    for stop_at in [3, 9] {
+        while eng.now_slot() < stop_at {
+            eng.step().unwrap();
+        }
+        let failed = eng.failures().failed_node_ids();
+        assert!(failed.contains(&NodeId(64)) && failed.contains(&NodeId(150)));
+        let snap = Snapshot::from_bytes(&eng.checkpoint().to_bytes()).unwrap();
+        let restored = Engine::restore(&snap, &base, &router).unwrap();
+        assert_eq!(restored.failures(), eng.failures());
+    }
+    assert_resume_equivalence(&sc, &[3, 9]);
 }
 
 #[test]
@@ -317,6 +359,7 @@ fn midrun_reconfiguration_resumes_identically() {
             trace_one_in: 1,
             flows: seeded_flows(8, 9, 90),
             outages: vec![(0, 3, 200, 1_800)],
+            node_outages: vec![],
             storm: false,
             reconfigure_at: Some(6),
         },
@@ -433,6 +476,7 @@ fn golden_scenario() -> Scenario {
         trace_one_in: 2,
         flows: seeded_flows(6, 42, 24),
         outages: vec![(1, 4, 200, 1_200)],
+        node_outages: vec![],
         storm: false,
         reconfigure_at: None,
     }
@@ -511,6 +555,7 @@ fn restore_equals_uninterrupted_for_random_scenarios() {
                 .filter(|&(s, d, _, _)| s != d && (s as usize) < n && (d as usize) < n)
                 .map(|(s, d, from, len)| (s, d, from, from + len))
                 .collect(),
+            node_outages: vec![],
             storm,
             reconfigure_at: reconfigure,
         };
