@@ -14,7 +14,7 @@
 //!   recovery-time summaries from the engine's metrics.
 //! - [`adaptation`]: the §5 reconfiguration experiment (static vs
 //!   adaptive across macro-pattern shifts, with update-cost accounting).
-//! - [`render`]: plain-text table rendering shared by the bench binaries.
+//! - [`render`]: plain-text table rendering shared by the `sorn-cli` commands.
 //! - [`timeseries`]: percentile summaries and CSV timelines over the
 //!   JSONL run traces that `sorn-telemetry` probes produce.
 //! - [`autopsy`]: tail-latency attribution tables over the causal flow

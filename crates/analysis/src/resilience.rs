@@ -9,7 +9,7 @@
 //! takes to drain its backlog after repairs land. The inputs are the
 //! engine's own degradation counters
 //! ([`Metrics`](sorn_sim::Metrics)), so the table is consistent with
-//! every other report the bench binaries print.
+//! every other report the `sorn-cli` experiments print.
 
 use crate::render::{fmt_latency, TextTable};
 use sorn_sim::Metrics;

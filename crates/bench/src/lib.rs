@@ -1,35 +1,54 @@
 //! # sorn-bench
 //!
-//! The reproduction harness for every table and figure in the paper's
-//! evaluation. (The simulator is timed by the repository benchmark,
-//! `benchmark/run.sh`.)
+//! Every experiment of the reproduction, and the command-line front end
+//! that runs them. `sorn-cli <name> [--flag value]...` looks `name` up in
+//! [`COMMANDS`] — one entry per paper table or figure (a module under
+//! [`experiments`]), plus the `analyze`/`schedule`/`gen-trace`/`simulate`
+//! tools — parses the rest of the line into [`Args`], and calls the
+//! entry's `run`. `sorn-cli list` prints the table. (The simulator is
+//! timed by the repository benchmark, `benchmark/run.sh`.)
 //!
-//! ## Reproduction binaries (one per paper artifact)
-//!
-//! | binary | artifact |
-//! |---|---|
-//! | `fig1_schedule` | Figure 1 — round-robin ORN schedule |
-//! | `fig2_topologies` | Figure 2(a,b,d,e) — matchings and topologies A/B |
-//! | `fig2f` | Figure 2(f) — throughput vs locality (theory + simulated) |
-//! | `table1` | Table 1 — systems comparison for a 4096-rack DCN |
-//! | `expressivity` | §5 — realizable clique sizes on the reference AWGR setup |
-//! | `blast_radius` | §6 — failure blast radius, flat vs modular |
-//! | `adaptation` | §5 — static vs adaptive across a pattern shift |
-//! | `table1_sim_validation` | Table 1's latency column re-measured in the packet simulator |
-//! | `ablation_routing` | routing ablation: VLB / adaptive / SORN tax & saturation |
-//! | `sync_domains` | §6 — synchronization-domain guard times and efficiency |
-//! | `diurnal_tracking` | §6 — q-retuning across a diurnal locality swing |
-//! | `nonuniform_cliques` | §5 — non-uniform clique sizes vs forced-uniform |
-//! | `hierarchy` | multi-level (pods/clusters/blocks) SORN vs two-level |
-//! | `adversarial` | worst-demand search: the semi-oblivious assumption's price & gravity remedy |
-//!
-//! Run any of them with `cargo run --release -p sorn-bench --bin <name>`.
+//! Shared pieces: [`Args`] and the flag groups several commands read
+//! ([`TelemetryOpts`], [`WeatherOpts`], [`CheckpointOpts`]);
+//! [`drive_checkpointed`], the one slot loop for plain and
+//! checkpointed runs; and [`run_jobs`] for `--jobs`.
 
-/// Prints a paper-artifact section header used by the bin targets.
+mod args;
+mod drive;
+pub mod experiments;
+
+pub use args::{Args, CheckpointOpts, TelemetryOpts, WeatherOpts};
+pub use drive::{
+    drive_checkpointed, load_resume, stop_flag, DriveOutcome, RunMode, EXIT_INTERRUPTED,
+};
+pub use experiments::{dispatch, Command, COMMANDS};
+
+/// Prints a paper-artifact section header.
 pub fn header(title: &str) {
     println!("==============================================================");
     println!("{title}");
     println!("==============================================================");
+}
+
+/// Packet-simulates `flows` on `schedule` under `router` (default
+/// `SimConfig`, at most 100 000 slots to drain) and writes the run's
+/// JSONL trace to `path`, sampled every `interval_ns`; returns the
+/// number of events written. The `--trace-out` companion run of the
+/// analytical experiments.
+pub fn trace_packet_run(
+    path: &std::path::Path,
+    interval_ns: u64,
+    schedule: &sorn_topology::CircuitSchedule,
+    router: &dyn sorn_sim::Router,
+    flows: Vec<sorn_sim::Flow>,
+) -> Result<u64, String> {
+    let file = |e: std::io::Error| format!("--trace-out file {}: {e}", path.display());
+    let sink = sorn_telemetry::JsonlTraceSink::create(path).map_err(file)?;
+    let sampler = sorn_telemetry::IntervalSampler::new(sink, interval_ns);
+    let mut eng = sorn_sim::Engine::with_probe(Default::default(), schedule, router, sampler);
+    eng.add_flows(flows).map_err(|e| e.to_string())?;
+    eng.run_until_drained(100_000).map_err(|e| e.to_string())?;
+    eng.finish().into_sink().finish().map_err(file)
 }
 
 /// A unit of work for [`run_jobs`]: boxed so heterogeneous scenario
@@ -40,10 +59,9 @@ pub type Task<T> = Box<dyn FnOnce() -> T + Send>;
 /// thread pool), returning results in the tasks' original order.
 ///
 /// `jobs <= 1` — or a single task — runs everything inline on the
-/// caller's thread: exactly the code path the sequential binaries
-/// always had, so a `--jobs 1` run is trivially identical to the
-/// pre-parallel behavior. Workers pull tasks from a shared queue, so
-/// uneven task durations still keep all threads busy.
+/// caller's thread, in order, so a `--jobs 1` run is trivially the
+/// sequential one. Workers pull tasks from a shared queue, so uneven
+/// task durations still keep all threads busy.
 pub fn run_jobs<T: Send>(jobs: usize, tasks: Vec<Task<T>>) -> Vec<T> {
     if jobs <= 1 || tasks.len() <= 1 {
         return tasks.into_iter().map(|t| t()).collect();
@@ -73,575 +91,11 @@ pub fn run_jobs<T: Send>(jobs: usize, tasks: Vec<Task<T>>) -> Vec<T> {
         .collect()
 }
 
-/// Splits a `--jobs N` / `--jobs=N` flag out of an argument list,
-/// returning the worker count (default 1) and the remaining arguments
-/// for the binary's own parser.
-pub fn take_jobs_flag(
-    args: impl IntoIterator<Item = String>,
-) -> Result<(usize, Vec<String>), String> {
-    take_count_flag("--jobs", args)
-}
-
-/// Splits an `--engine-threads N` / `--engine-threads=N` flag out of an
-/// argument list, returning the per-simulation thread count (default 1,
-/// the serial engine path) and the remaining arguments.
-///
-/// `--jobs` parallelizes across scenarios; `--engine-threads` shards the
-/// slot phases *inside* one simulation (`SimConfig::engine_threads`).
-/// Both are bit-deterministic, so they compose freely — but on a small
-/// machine prefer `--jobs` until scenarios run out.
-pub fn take_engine_threads_flag(
-    args: impl IntoIterator<Item = String>,
-) -> Result<(usize, Vec<String>), String> {
-    take_count_flag("--engine-threads", args)
-}
-
-/// Network-weather flags shared by the reproduction binaries.
-///
-/// - `--weather`: attach the clique-granularity weather probe and emit
-///   `WEATHER_<scheme>.txt`/`.json` run reports;
-/// - `--weather-topk <K>`: size of the heavy-hitter sketches (default
-///   [`WeatherOpts::DEFAULT_TOPK`]; implies `--weather`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WeatherOpts {
-    /// True when the weather layer is on.
-    pub enabled: bool,
-    /// Heavy-hitter slots per sketch.
-    pub topk: usize,
-}
-
-impl WeatherOpts {
-    /// Default sketch capacity, matching `sorn_telemetry::DEFAULT_TOPK`.
-    pub const DEFAULT_TOPK: usize = 32;
-
-    /// Splits the weather flags out of an argument list, passing every
-    /// other argument through untouched.
-    pub fn take(
-        args: impl IntoIterator<Item = String>,
-    ) -> Result<(WeatherOpts, Vec<String>), String> {
-        let mut opts = WeatherOpts {
-            enabled: false,
-            topk: Self::DEFAULT_TOPK,
-        };
-        let mut rest = Vec::new();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            let topk_value = if arg == "--weather-topk" {
-                Some(
-                    it.next()
-                        .ok_or_else(|| "--weather-topk needs a value".to_string())?,
-                )
-            } else {
-                arg.strip_prefix("--weather-topk=").map(str::to_string)
-            };
-            if let Some(value) = topk_value {
-                opts.topk = value
-                    .parse()
-                    .map_err(|_| format!("--weather-topk: bad count {value:?}"))?;
-                if opts.topk == 0 {
-                    return Err("--weather-topk must be at least 1".to_string());
-                }
-                opts.enabled = true;
-            } else if arg == "--weather" {
-                opts.enabled = true;
-            } else {
-                rest.push(arg);
-            }
-        }
-        Ok((opts, rest))
-    }
-}
-
-/// Splits a `--flight-ring N` / `--flight-ring=N` flag out of an
-/// argument list: the flight-recorder ring capacity (default
-/// [`sorn_telemetry::DEFAULT_CAPACITY`]). Rejects capacities that are
-/// not a power of two — the ring masks its head index, and a usage
-/// error here must exit 2 like every other bad flag.
-pub fn take_flight_ring_flag(
-    args: impl IntoIterator<Item = String>,
-) -> Result<(usize, Vec<String>), String> {
-    let mut capacity = sorn_telemetry::DEFAULT_CAPACITY;
-    let mut rest = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let value = if arg == "--flight-ring" {
-            it.next()
-                .ok_or_else(|| "--flight-ring needs a value".to_string())?
-        } else if let Some(v) = arg.strip_prefix("--flight-ring=") {
-            v.to_string()
-        } else {
-            rest.push(arg);
-            continue;
-        };
-        capacity = value
-            .parse()
-            .map_err(|_| format!("--flight-ring: bad capacity {value:?}"))?;
-        if !capacity.is_power_of_two() {
-            return Err(format!(
-                "--flight-ring must be a power of two, got {capacity}"
-            ));
-        }
-    }
-    Ok((capacity, rest))
-}
-
-/// Splits a `--trace-flows N` / `--trace-flows=N` flag out of an
-/// argument list: causal-trace sampling (`SimConfig::trace_one_in`,
-/// roughly one flow in N; 1 traces everything). Default 0 — tracing
-/// off; an explicit value must be at least 1.
-pub fn take_trace_flows_flag(
-    args: impl IntoIterator<Item = String>,
-) -> Result<(u64, Vec<String>), String> {
-    let mut one_in = 0u64;
-    let mut rest = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let value = if arg == "--trace-flows" {
-            it.next()
-                .ok_or_else(|| "--trace-flows needs a value".to_string())?
-        } else if let Some(v) = arg.strip_prefix("--trace-flows=") {
-            v.to_string()
-        } else {
-            rest.push(arg);
-            continue;
-        };
-        one_in = value
-            .parse()
-            .map_err(|_| format!("--trace-flows: bad count {value:?}"))?;
-        if one_in == 0 {
-            return Err("--trace-flows must be at least 1 (1 traces all)".to_string());
-        }
-    }
-    Ok((one_in, rest))
-}
-
-/// Shared parser behind [`take_jobs_flag`] and
-/// [`take_engine_threads_flag`]: extracts one positive-count flag,
-/// passing every other argument through untouched.
-fn take_count_flag(
-    name: &str,
-    args: impl IntoIterator<Item = String>,
-) -> Result<(usize, Vec<String>), String> {
-    let mut count = 1usize;
-    let mut rest = Vec::new();
-    let mut it = args.into_iter();
-    let prefix = format!("{name}=");
-    while let Some(arg) = it.next() {
-        let value = if arg == name {
-            it.next().ok_or_else(|| format!("{name} needs a value"))?
-        } else if let Some(v) = arg.strip_prefix(&prefix) {
-            v.to_string()
-        } else {
-            rest.push(arg);
-            continue;
-        };
-        count = value
-            .parse()
-            .map_err(|_| format!("{name}: bad count {value:?}"))?;
-        if count == 0 {
-            return Err(format!("{name} must be at least 1"));
-        }
-    }
-    Ok((count, rest))
-}
-
-/// Telemetry flags shared by the reproduction binaries.
-///
-/// - `--trace-out <path>`: write a JSONL run trace (or, for the
-///   control-plane binaries, a decision log) to `path`;
-/// - `--sample-interval-ns <n>`: simulated time between trace snapshots
-///   (default 100 µs);
-/// - `--serve-metrics <addr>`: serve live `/metrics`, `/health`, and
-///   `/progress` over HTTP while the run executes (port `0` picks a
-///   free one);
-/// - `--serve-linger-ms <n>`: keep the endpoint up this long after the
-///   run finishes, so scrapers can collect the final snapshot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TelemetryOpts {
-    /// Where to write the JSONL trace; `None` disables tracing.
-    pub trace_out: Option<std::path::PathBuf>,
-    /// Snapshot sampling interval in simulated nanoseconds.
-    pub sample_interval_ns: u64,
-    /// Address for the live metrics endpoint; `None` disables it.
-    pub serve_metrics: Option<String>,
-    /// How long the endpoint outlives the run, in milliseconds.
-    pub serve_linger_ms: u64,
-}
-
-impl Default for TelemetryOpts {
-    fn default() -> Self {
-        TelemetryOpts {
-            trace_out: None,
-            sample_interval_ns: Self::DEFAULT_INTERVAL_NS,
-            serve_metrics: None,
-            serve_linger_ms: 0,
-        }
-    }
-}
-
-impl TelemetryOpts {
-    /// Default snapshot interval: 100 µs of simulated time.
-    pub const DEFAULT_INTERVAL_NS: u64 = 100_000;
-
-    /// Parses the telemetry flags from an argument list (without the
-    /// program name). Accepts `--flag value` and `--flag=value` forms;
-    /// rejects unknown arguments.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        let mut opts = TelemetryOpts::default();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            let (flag, inline) = match arg.split_once('=') {
-                Some((f, v)) => (f.to_string(), Some(v.to_string())),
-                None => (arg, None),
-            };
-            let value = |it: &mut dyn Iterator<Item = String>| -> Result<String, String> {
-                match inline.clone() {
-                    Some(v) => Ok(v),
-                    None => it.next().ok_or(format!("{flag} needs a value")),
-                }
-            };
-            match flag.as_str() {
-                "--trace-out" => opts.trace_out = Some(value(&mut it)?.into()),
-                "--sample-interval-ns" => {
-                    let v = value(&mut it)?;
-                    let ns: u64 = v
-                        .parse()
-                        .map_err(|_| format!("--sample-interval-ns: bad number {v:?}"))?;
-                    if ns == 0 {
-                        return Err("--sample-interval-ns must be positive".to_string());
-                    }
-                    opts.sample_interval_ns = ns;
-                }
-                "--serve-metrics" => opts.serve_metrics = Some(value(&mut it)?),
-                "--serve-linger-ms" => {
-                    let v = value(&mut it)?;
-                    opts.serve_linger_ms = v
-                        .parse()
-                        .map_err(|_| format!("--serve-linger-ms: bad number {v:?}"))?;
-                }
-                other => return Err(format!("unknown argument {other:?}")),
-            }
-        }
-        Ok(opts)
-    }
-
-    /// Parses the process arguments, exiting with a usage message on
-    /// error.
-    pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(opts) => opts,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!(
-                    "usage: [--trace-out <path>] [--sample-interval-ns <n>] \
-                     [--serve-metrics <addr>] [--serve-linger-ms <n>]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-}
-
-/// Checkpoint/resume flags shared by the long-running binaries.
-///
-/// - `--checkpoint-dir <dir>`: keep rolling checkpoint generations in
-///   `dir` (created if missing). Enables checkpointing.
-/// - `--checkpoint-every <n>`: write a checkpoint every `n` slots
-///   (default [`CheckpointOpts::DEFAULT_EVERY_SLOTS`]); requires
-///   `--checkpoint-dir`.
-/// - `--resume`: before running, load the newest valid checkpoint from
-///   `--checkpoint-dir` and continue from it; requires
-///   `--checkpoint-dir`. Starting fresh when the directory holds no
-///   checkpoint yet is an error (a silent fresh start would masquerade
-///   as a resumed run).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CheckpointOpts {
-    /// Rolling checkpoint directory; `None` disables checkpointing.
-    pub dir: Option<std::path::PathBuf>,
-    /// Slots between periodic checkpoints.
-    pub every_slots: Option<u64>,
-    /// Resume from the newest valid checkpoint before running.
-    pub resume: bool,
-}
-
-impl CheckpointOpts {
-    /// Default checkpoint cadence when `--checkpoint-dir` is given
-    /// without `--checkpoint-every`.
-    pub const DEFAULT_EVERY_SLOTS: u64 = 10_000;
-
-    /// True when checkpointing is configured at all.
-    pub fn enabled(&self) -> bool {
-        self.dir.is_some()
-    }
-
-    /// The effective checkpoint cadence in slots.
-    pub fn cadence(&self) -> u64 {
-        self.every_slots.unwrap_or(Self::DEFAULT_EVERY_SLOTS)
-    }
-
-    /// Splits the checkpoint flags out of an argument list, returning
-    /// the parsed options and the remaining arguments for the binary's
-    /// own parser. Accepts `--flag value` and `--flag=value` forms.
-    pub fn take(args: impl IntoIterator<Item = String>) -> Result<(Self, Vec<String>), String> {
-        let mut opts = CheckpointOpts::default();
-        let mut rest = Vec::new();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            let (flag, inline) = match arg.split_once('=') {
-                Some((f, v)) => (f.to_string(), Some(v.to_string())),
-                None => (arg.clone(), None),
-            };
-            let value = |it: &mut dyn Iterator<Item = String>| -> Result<String, String> {
-                match inline.clone() {
-                    Some(v) => Ok(v),
-                    None => it.next().ok_or(format!("{flag} needs a value")),
-                }
-            };
-            match flag.as_str() {
-                "--checkpoint-dir" => opts.dir = Some(value(&mut it)?.into()),
-                "--checkpoint-every" => {
-                    let v = value(&mut it)?;
-                    let n: u64 = v
-                        .parse()
-                        .map_err(|_| format!("--checkpoint-every: bad slot count {v:?}"))?;
-                    if n == 0 {
-                        return Err("--checkpoint-every must be at least 1".to_string());
-                    }
-                    opts.every_slots = Some(n);
-                }
-                "--resume" => opts.resume = true,
-                _ => rest.push(arg),
-            }
-        }
-        if opts.dir.is_none() && (opts.every_slots.is_some() || opts.resume) {
-            return Err("--checkpoint-every / --resume require --checkpoint-dir".to_string());
-        }
-        Ok((opts, rest))
-    }
-}
-
-/// Exit code for a run interrupted by SIGINT/SIGTERM after writing a
-/// final checkpoint: distinct from success (0) and usage errors (2) so
-/// wrappers can tell "stopped cleanly, resume me" apart from both.
-pub const EXIT_INTERRUPTED: i32 = 3;
-
-static STOP_FLAG: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-extern "C" fn record_stop_signal(_signum: i32) {
-    STOP_FLAG.store(true, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Installs SIGINT/SIGTERM handlers that set a stop flag instead of
-/// killing the process, and returns that flag.
-///
-/// The checkpointed run loops poll the flag at slot boundaries: on the
-/// first signal the current slot finishes, a final checkpoint is
-/// written, sinks are flushed, and the process exits with
-/// [`EXIT_INTERRUPTED`]. Installing twice is harmless. On non-unix
-/// targets this returns the (never-set) flag without registering
-/// handlers.
-pub fn install_stop_handler() -> &'static std::sync::atomic::AtomicBool {
-    #[cfg(unix)]
-    {
-        // Raw libc signal(2) via FFI keeps this std-only: the handler
-        // merely stores to a static atomic, which is async-signal-safe.
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        const SIGINT: i32 = 2;
-        const SIGTERM: i32 = 15;
-        unsafe {
-            signal(SIGINT, record_stop_signal as *const () as usize);
-            signal(SIGTERM, record_stop_signal as *const () as usize);
-        }
-    }
-    &STOP_FLAG
-}
-
-/// Loads the newest valid checkpoint for a resuming run. `Ok(None)`
-/// means "not resuming" or "no checkpoint written yet — start fresh"
-/// (a scenario may have finished before the interruption; rerunning it
-/// is deterministic). A directory whose every generation is corrupt is
-/// an error, never a silent fresh start.
-pub fn load_resume(
-    store: &sorn_sim::CheckpointStore,
-    resume: bool,
-) -> Result<Option<sorn_sim::LoadOutcome>, String> {
-    if !resume {
-        return Ok(None);
-    }
-    match store.load_latest() {
-        Ok(out) => Ok(Some(out)),
-        Err(sorn_sim::CheckpointError::NoValidCheckpoint { ref skipped, .. })
-            if skipped.is_empty() =>
-        {
-            Ok(None)
-        }
-        Err(e) => Err(format!("cannot resume: {e}")),
-    }
-}
-
-/// How far [`drive_checkpointed`] should run the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunMode {
-    /// Run until the engine's absolute slot counter reaches this value
-    /// (so a resumed engine continues to the same end slot).
-    UntilSlot(u64),
-    /// Run until the engine drains, giving up at this absolute slot.
-    UntilDrained(u64),
-}
-
-/// What ended a [`drive_checkpointed`] run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DriveOutcome {
-    /// The run mode's goal was reached.
-    Completed {
-        /// Whether the engine had drained when the goal was reached.
-        drained: bool,
-    },
-    /// The stop flag was raised; the current slot was finished and a
-    /// final checkpoint written to `path`.
-    Interrupted {
-        /// Slot the final checkpoint captures.
-        slot: u64,
-        /// Where the final checkpoint landed.
-        path: std::path::PathBuf,
-    },
-}
-
-/// An error from a checkpointed run: the simulation itself failed, or a
-/// checkpoint could not be written.
-#[derive(Debug)]
-pub enum DriveError {
-    /// The engine returned an error mid-run.
-    Sim(sorn_sim::SimError),
-    /// Writing a checkpoint failed.
-    Checkpoint(sorn_sim::CheckpointError),
-}
-
-impl std::fmt::Display for DriveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DriveError::Sim(e) => write!(f, "simulation failed: {e}"),
-            DriveError::Checkpoint(e) => write!(f, "checkpoint failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DriveError {}
-
-/// Runs `engine` under periodic checkpointing with graceful-stop
-/// support. This is the shared slot loop behind every binary's
-/// `--checkpoint-*` flags.
-///
-/// Every `every_slots` slots (and when `stop` is raised) the engine is
-/// snapshotted at a slot boundary, `decorate` may attach sidecar blobs
-/// (probe state such as trace or flight-recorder bytes), the snapshot
-/// goes through `store`, and `on_written(slot, path, bytes)` fires so
-/// the caller can log or publish telemetry. When `stop` is observed the
-/// current slot is already complete; a final checkpoint is written and
-/// [`DriveOutcome::Interrupted`] returned.
-///
-/// When the engine has batched fast-forward enabled
-/// (`Engine::set_fast_forward`), quiet gaps are jumped in one step —
-/// bounded by the next checkpoint boundary, so the snapshot cadence
-/// (and therefore every written checkpoint) is identical to the
-/// slot-by-slot loop.
-#[allow(clippy::too_many_arguments)]
-pub fn drive_checkpointed<P, F, FS>(
-    engine: &mut sorn_sim::Engine<'_, P, F>,
-    mode: RunMode,
-    store: &mut sorn_sim::CheckpointStore<FS>,
-    every_slots: u64,
-    stop: &std::sync::atomic::AtomicBool,
-    mut decorate: impl FnMut(&sorn_sim::Engine<'_, P, F>, &mut sorn_sim::Snapshot),
-    mut on_written: impl FnMut(u64, &std::path::Path, usize),
-) -> Result<DriveOutcome, DriveError>
-where
-    P: sorn_sim::Probe,
-    F: sorn_sim::Profiler,
-    FS: sorn_sim::CheckpointFs,
-{
-    use std::sync::atomic::Ordering;
-
-    let every = every_slots.max(1);
-    let mut write =
-        |engine: &sorn_sim::Engine<'_, P, F>,
-         decorate: &mut dyn FnMut(&sorn_sim::Engine<'_, P, F>, &mut sorn_sim::Snapshot),
-         on_written: &mut dyn FnMut(u64, &std::path::Path, usize)|
-         -> Result<std::path::PathBuf, DriveError> {
-            let mut snap = engine.checkpoint();
-            decorate(engine, &mut snap);
-            let (path, bytes) = store.write(&snap).map_err(DriveError::Checkpoint)?;
-            on_written(engine.now_slot(), &path, bytes);
-            Ok(path)
-        };
-
-    let mut next_ckpt = engine.now_slot().saturating_add(every);
-    loop {
-        let done = match mode {
-            RunMode::UntilSlot(end) => {
-                if engine.now_slot() >= end {
-                    Some(DriveOutcome::Completed {
-                        drained: engine.is_drained(),
-                    })
-                } else {
-                    None
-                }
-            }
-            RunMode::UntilDrained(max_slot) => {
-                if engine.is_drained() {
-                    Some(DriveOutcome::Completed { drained: true })
-                } else if engine.now_slot() >= max_slot {
-                    Some(DriveOutcome::Completed { drained: false })
-                } else {
-                    None
-                }
-            }
-        };
-        if let Some(outcome) = done {
-            return Ok(outcome);
-        }
-        if stop.load(Ordering::SeqCst) {
-            let slot = engine.now_slot();
-            let path = write(engine, &mut decorate, &mut on_written)?;
-            return Ok(DriveOutcome::Interrupted { slot, path });
-        }
-        // Fast-forward quiet gaps (a no-op unless the engine has
-        // `set_fast_forward(true)`), but never past the run goal or the
-        // next checkpoint boundary — checkpoint cadence must be
-        // identical to the slot-by-slot loop so a resumed run replays
-        // the same snapshot sequence.
-        let goal = match mode {
-            RunMode::UntilSlot(end) => end,
-            RunMode::UntilDrained(max_slot) => max_slot,
-        };
-        if engine.fast_forward_to(goal.min(next_ckpt)) == 0 {
-            engine.step().map_err(DriveError::Sim)?;
-        }
-        if engine.now_slot() >= next_ckpt {
-            write(engine, &mut decorate, &mut on_written)?;
-            next_ckpt = engine.now_slot().saturating_add(every);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::TelemetryOpts;
-
-    fn parse(args: &[&str]) -> Result<TelemetryOpts, String> {
-        TelemetryOpts::parse(args.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn header_prints() {
-        super::header("test");
-    }
-
     fn squares(jobs: usize) -> Vec<usize> {
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16)
-            .map(|i| -> Box<dyn FnOnce() -> usize + Send> { Box::new(move || i * i) })
+        let tasks: Vec<super::Task<usize>> = (0..16)
+            .map(|i| -> super::Task<usize> { Box::new(move || i * i) })
             .collect();
         super::run_jobs(jobs, tasks)
     }
@@ -653,279 +107,5 @@ mod tests {
         assert_eq!(squares(4), want);
         // More workers than tasks is fine.
         assert_eq!(squares(64), want);
-    }
-
-    #[test]
-    fn jobs_flag_parses_both_forms_and_passes_the_rest() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let (jobs, rest) =
-            super::take_jobs_flag(args(&["--jobs", "4", "--trace-out", "t"])).unwrap();
-        assert_eq!(jobs, 4);
-        assert_eq!(rest, args(&["--trace-out", "t"]));
-        let (jobs, rest) = super::take_jobs_flag(args(&["--jobs=2"])).unwrap();
-        assert_eq!(jobs, 2);
-        assert!(rest.is_empty());
-        let (jobs, _) = super::take_jobs_flag(args(&[])).unwrap();
-        assert_eq!(jobs, 1);
-        assert!(super::take_jobs_flag(args(&["--jobs"])).is_err());
-        assert!(super::take_jobs_flag(args(&["--jobs", "0"])).is_err());
-        assert!(super::take_jobs_flag(args(&["--jobs", "many"])).is_err());
-    }
-
-    #[test]
-    fn engine_threads_flag_parses_and_composes_with_jobs() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let (threads, rest) =
-            super::take_engine_threads_flag(args(&["--engine-threads", "4", "--jobs", "2"]))
-                .unwrap();
-        assert_eq!(threads, 4);
-        let (jobs, rest) = super::take_jobs_flag(rest).unwrap();
-        assert_eq!(jobs, 2);
-        assert!(rest.is_empty());
-        let (threads, _) = super::take_engine_threads_flag(args(&["--engine-threads=2"])).unwrap();
-        assert_eq!(threads, 2);
-        let (threads, _) = super::take_engine_threads_flag(args(&[])).unwrap();
-        assert_eq!(threads, 1);
-        assert!(super::take_engine_threads_flag(args(&["--engine-threads", "0"])).is_err());
-    }
-
-    #[test]
-    fn weather_flags_parse_and_imply_each_other() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let (opts, rest) = super::WeatherOpts::take(args(&["--weather", "--jobs", "2"])).unwrap();
-        assert!(opts.enabled);
-        assert_eq!(opts.topk, super::WeatherOpts::DEFAULT_TOPK);
-        assert_eq!(rest, args(&["--jobs", "2"]));
-        // --weather-topk implies --weather; both value forms work.
-        let (opts, _) = super::WeatherOpts::take(args(&["--weather-topk", "8"])).unwrap();
-        assert!(opts.enabled);
-        assert_eq!(opts.topk, 8);
-        let (opts, _) = super::WeatherOpts::take(args(&["--weather-topk=16"])).unwrap();
-        assert_eq!(opts.topk, 16);
-        let (opts, _) = super::WeatherOpts::take(args(&[])).unwrap();
-        assert!(!opts.enabled);
-        assert!(super::WeatherOpts::take(args(&["--weather-topk"])).is_err());
-        assert!(super::WeatherOpts::take(args(&["--weather-topk", "0"])).is_err());
-        assert!(super::WeatherOpts::take(args(&["--weather-topk", "x"])).is_err());
-    }
-
-    #[test]
-    fn flight_ring_flag_requires_a_power_of_two() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let (cap, rest) = super::take_flight_ring_flag(args(&["--flight-ring", "1024"])).unwrap();
-        assert_eq!(cap, 1024);
-        assert!(rest.is_empty());
-        let (cap, _) = super::take_flight_ring_flag(args(&["--flight-ring=64"])).unwrap();
-        assert_eq!(cap, 64);
-        let (cap, _) = super::take_flight_ring_flag(args(&[])).unwrap();
-        assert_eq!(cap, sorn_telemetry::DEFAULT_CAPACITY);
-        assert!(super::take_flight_ring_flag(args(&["--flight-ring", "1000"])).is_err());
-        assert!(super::take_flight_ring_flag(args(&["--flight-ring", "0"])).is_err());
-        assert!(super::take_flight_ring_flag(args(&["--flight-ring"])).is_err());
-    }
-
-    #[test]
-    fn trace_flows_flag_defaults_off_and_rejects_zero() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let (one_in, rest) =
-            super::take_trace_flows_flag(args(&["--trace-flows", "4", "--jobs", "2"])).unwrap();
-        assert_eq!(one_in, 4);
-        assert_eq!(rest, args(&["--jobs", "2"]));
-        let (one_in, _) = super::take_trace_flows_flag(args(&["--trace-flows=1"])).unwrap();
-        assert_eq!(one_in, 1);
-        let (one_in, _) = super::take_trace_flows_flag(args(&[])).unwrap();
-        assert_eq!(one_in, 0);
-        assert!(super::take_trace_flows_flag(args(&["--trace-flows", "0"])).is_err());
-        assert!(super::take_trace_flows_flag(args(&["--trace-flows"])).is_err());
-        assert!(super::take_trace_flows_flag(args(&["--trace-flows", "x"])).is_err());
-    }
-
-    #[test]
-    fn no_args_gives_defaults() {
-        let opts = parse(&[]).unwrap();
-        assert_eq!(opts, TelemetryOpts::default());
-        assert!(opts.trace_out.is_none());
-        assert_eq!(opts.sample_interval_ns, TelemetryOpts::DEFAULT_INTERVAL_NS);
-    }
-
-    #[test]
-    fn both_flag_forms_parse() {
-        let a = parse(&["--trace-out", "t.jsonl", "--sample-interval-ns", "5000"]).unwrap();
-        let b = parse(&["--trace-out=t.jsonl", "--sample-interval-ns=5000"]).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(
-            a.trace_out.as_deref(),
-            Some(std::path::Path::new("t.jsonl"))
-        );
-        assert_eq!(a.sample_interval_ns, 5000);
-    }
-
-    #[test]
-    fn bad_args_are_rejected() {
-        assert!(parse(&["--frobnicate"]).is_err());
-        assert!(parse(&["--trace-out"]).is_err());
-        assert!(parse(&["--sample-interval-ns", "zero"]).is_err());
-        assert!(parse(&["--sample-interval-ns", "0"]).is_err());
-        assert!(parse(&["--serve-linger-ms", "soon"]).is_err());
-    }
-
-    #[test]
-    fn serve_flags_parse() {
-        let opts = parse(&["--serve-metrics", "127.0.0.1:0", "--serve-linger-ms=250"]).unwrap();
-        assert_eq!(opts.serve_metrics.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(opts.serve_linger_ms, 250);
-    }
-
-    #[test]
-    fn checkpoint_flags_parse_and_pass_the_rest() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let (opts, rest) = super::CheckpointOpts::take(args(&[
-            "--checkpoint-dir",
-            "ckpts",
-            "--checkpoint-every=500",
-            "--resume",
-            "--trace-out",
-            "t",
-        ]))
-        .unwrap();
-        assert!(opts.enabled());
-        assert_eq!(opts.dir.as_deref(), Some(std::path::Path::new("ckpts")));
-        assert_eq!(opts.cadence(), 500);
-        assert!(opts.resume);
-        assert_eq!(rest, args(&["--trace-out", "t"]));
-
-        let (opts, rest) = super::CheckpointOpts::take(args(&["--foo"])).unwrap();
-        assert!(!opts.enabled());
-        assert!(!opts.resume);
-        assert_eq!(opts.cadence(), super::CheckpointOpts::DEFAULT_EVERY_SLOTS);
-        assert_eq!(rest, args(&["--foo"]));
-    }
-
-    #[test]
-    fn checkpoint_flags_reject_bad_combinations() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert!(super::CheckpointOpts::take(args(&["--resume"])).is_err());
-        assert!(super::CheckpointOpts::take(args(&["--checkpoint-every", "9"])).is_err());
-        assert!(super::CheckpointOpts::take(args(&[
-            "--checkpoint-dir",
-            "d",
-            "--checkpoint-every",
-            "0"
-        ]))
-        .is_err());
-        assert!(super::CheckpointOpts::take(args(&["--checkpoint-dir"])).is_err());
-        assert!(super::CheckpointOpts::take(args(&[
-            "--checkpoint-dir",
-            "d",
-            "--checkpoint-every",
-            "x"
-        ]))
-        .is_err());
-    }
-
-    #[test]
-    fn stop_handler_returns_the_flag() {
-        let flag = super::install_stop_handler();
-        assert!(!flag.load(std::sync::atomic::Ordering::SeqCst));
-        // Idempotent.
-        let again = super::install_stop_handler();
-        assert!(std::ptr::eq(flag, again));
-    }
-
-    fn seeded_flows(n: u32, count: u64) -> Vec<sorn_sim::Flow> {
-        use sorn_topology::NodeId;
-        (0..count)
-            .map(|i| sorn_sim::Flow {
-                id: sorn_sim::FlowId(i + 1),
-                src: NodeId((i as u32 * 7) % n),
-                dst: NodeId((i as u32 * 13 + 3) % n),
-                size_bytes: 1250 * (1 + i % 5),
-                arrival_ns: 40 * i,
-            })
-            .map(|f| {
-                if f.src == f.dst {
-                    sorn_sim::Flow {
-                        dst: sorn_topology::NodeId((f.dst.0 + 1) % n),
-                        ..f
-                    }
-                } else {
-                    f
-                }
-            })
-            .collect()
-    }
-
-    /// Interrupt mid-run, resume from the written checkpoint, and land
-    /// on exactly the metrics of an uninterrupted run.
-    #[test]
-    fn drive_checkpointed_interrupt_then_resume_matches_uninterrupted() {
-        use sorn_sim::{CheckpointFaultFs, CheckpointStore, DirectRouter, Engine, SimConfig};
-        use sorn_topology::builders::round_robin;
-        use std::sync::atomic::{AtomicBool, Ordering};
-
-        let sched = round_robin(8).unwrap();
-        let router = DirectRouter;
-        let flows = seeded_flows(8, 40);
-
-        // Reference: run to drain, no interruptions.
-        let mut reference = Engine::new(SimConfig::default(), &sched, &router);
-        reference.add_flows(flows.clone()).unwrap();
-        assert!(reference.run_until_drained(100_000).unwrap());
-        let want = reference.metrics().clone();
-
-        // Checkpointed run, stopped by the flag partway through.
-        let mut store = CheckpointStore::with_fs("ckpt", CheckpointFaultFs::new(), 2);
-        let stop = AtomicBool::new(false);
-        let mut engine = Engine::new(SimConfig::default(), &sched, &router);
-        engine.add_flows(flows).unwrap();
-        let mut written = Vec::new();
-        // Run a few slots, then raise the flag as if a signal landed.
-        let outcome = super::drive_checkpointed(
-            &mut engine,
-            super::RunMode::UntilSlot(5),
-            &mut store,
-            2,
-            &stop,
-            |_, snap| snap.attach_blob("marker", b"x".to_vec()),
-            |slot, path, bytes| written.push((slot, path.to_path_buf(), bytes)),
-        )
-        .unwrap();
-        assert_eq!(outcome, super::DriveOutcome::Completed { drained: false });
-        assert!(!written.is_empty());
-        stop.store(true, Ordering::SeqCst);
-        let outcome = super::drive_checkpointed(
-            &mut engine,
-            super::RunMode::UntilDrained(100_000),
-            &mut store,
-            2,
-            &stop,
-            |_, snap| snap.attach_blob("marker", b"x".to_vec()),
-            |slot, path, bytes| written.push((slot, path.to_path_buf(), bytes)),
-        )
-        .unwrap();
-        let super::DriveOutcome::Interrupted { slot, .. } = outcome else {
-            panic!("expected interruption, got {outcome:?}");
-        };
-        assert_eq!(slot, 5);
-        drop(engine);
-
-        // Resume from the store and finish.
-        let loaded = store.load_latest().unwrap();
-        assert_eq!(loaded.snapshot.blob("marker"), Some(&b"x"[..]));
-        assert_eq!(loaded.snapshot.slot(), 5);
-        let mut resumed = Engine::restore(&loaded.snapshot, &sched, &router).unwrap();
-        stop.store(false, Ordering::SeqCst);
-        let outcome = super::drive_checkpointed(
-            &mut resumed,
-            super::RunMode::UntilDrained(100_000),
-            &mut store,
-            1_000,
-            &stop,
-            |_, _| {},
-            |_, _, _| {},
-        )
-        .unwrap();
-        assert_eq!(outcome, super::DriveOutcome::Completed { drained: true });
-        assert_eq!(resumed.metrics(), &want);
     }
 }

@@ -55,7 +55,7 @@ pub struct SimConfig {
     /// Checkpoint cadence for long runs, in slots; `0` — the default —
     /// disables periodic checkpointing. The engine itself only exposes
     /// [`Engine::checkpoint`](crate::Engine::checkpoint) at slot
-    /// boundaries; run drivers (the `resilience`/`sorn-cli` binaries)
+    /// boundaries; run drivers (`sorn-cli resilience`, `sorn-cli simulate`)
     /// consult this cadence to decide *when* to call it and where the
     /// snapshot files go. Restoring a snapshot carries the
     /// cadence along, so a resumed run keeps checkpointing on schedule.

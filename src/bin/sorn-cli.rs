@@ -1,539 +1,21 @@
-//! `sorn-cli` — command-line front end for the SORN library.
+//! `sorn-cli` — the one binary that drives every experiment and tool.
 //!
 //! ```text
-//! sorn-cli analyze  --n 4096 --cliques 64 --locality 0.56 [--uplinks 16]
-//! sorn-cli schedule --n 8 --cliques 2 --q 3
-//! sorn-cli gen-trace --n 32 --cliques 4 --locality 0.56 --load 0.3 \
-//!                    --duration-us 500 --seed 1 --out trace.json
-//! sorn-cli simulate --trace trace.json --cliques 4 [--locality 0.56]
+//! sorn-cli list                                   # every command
+//! sorn-cli table1                                 # one paper artifact
+//! sorn-cli resilience --jobs 2 --weather          # flags: --k v, --k=v, switches
+//! sorn-cli analyze --n 4096 --cliques 64 --locality 0.56 --uplinks 16
 //! ```
 //!
-//! Argument parsing is hand-rolled (`--key value` pairs) to keep the
-//! dependency set minimal.
+//! The commands live in `sorn_bench::COMMANDS`. An unknown command or
+//! flag, a bad value, or a failed run prints a message and exits 2; a
+//! checkpointed run stopped by SIGINT/SIGTERM exits 3.
 
-use sorn::analysis::fct::{bucketed_slowdown, DEFAULT_BUCKETS};
-use sorn::analysis::render::{fmt_latency, fmt_pct, TextTable};
-use sorn::core::{SornConfig, SornNetwork};
-use sorn::sim::SimConfig;
-use sorn::sim::{CheckpointStore, Engine};
-use sorn::topology::Ratio;
-use sorn::traffic::spatial::CliqueLocal;
-use sorn::traffic::{FlowSizeDist, PoissonWorkload, Trace};
-use sorn_bench::{
-    drive_checkpointed, install_stop_handler, load_resume, DriveOutcome, RunMode, EXIT_INTERRUPTED,
-};
-use sorn_telemetry::{WeatherProbe, DEFAULT_TOPK};
-use std::collections::HashMap;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Flags that take no value (`--resume` vs `--key value`).
-const BOOL_FLAGS: &[&str] = &["resume", "weather"];
-
-/// Parsed `--key value` arguments.
-struct Args {
-    flags: HashMap<String, String>,
-}
-
-impl Args {
-    fn parse(argv: &[String]) -> Result<Args, String> {
-        let mut flags = HashMap::new();
-        let mut i = 0;
-        while i < argv.len() {
-            let key = &argv[i];
-            if !key.starts_with("--") {
-                return Err(format!("expected --flag, got `{key}`"));
-            }
-            if BOOL_FLAGS.contains(&&key[2..]) {
-                flags.insert(key[2..].to_string(), "true".to_string());
-                i += 1;
-                continue;
-            }
-            let Some(value) = argv.get(i + 1) else {
-                return Err(format!("flag `{key}` is missing a value"));
-            };
-            flags.insert(key[2..].to_string(), value.clone());
-            i += 2;
-        }
-        Ok(Args { flags })
-    }
-
-    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.flags.get(key) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("flag --{key}: cannot parse `{v}`")),
-        }
-    }
-
-    fn required(&self, key: &str) -> Result<&str, String> {
-        self.flags
-            .get(key)
-            .map(String::as_str)
-            .ok_or_else(|| format!("missing required flag --{key}"))
-    }
-}
-
-const USAGE: &str = "usage:
-  sorn-cli table1
-  sorn-cli fig2f     [--n <nodes>] [--cliques <count>]
-  sorn-cli hierarchy --radices 4,4,4 --profile 0.6,0.25,0.15
-  sorn-cli analyze   --n <nodes> --cliques <count> --locality <x> [--uplinks u] [--slot-ns s] [--prop-ns p] [--q a/b]
-  sorn-cli schedule  --n <nodes> --cliques <count> [--q a/b | --locality <x>]
-  sorn-cli gen-trace --n <nodes> --cliques <count> --locality <x> --load <rho> --duration-us <t> [--seed k] [--dist web-search|data-mining|fixed:<bytes>] --out <file>
-  sorn-cli simulate  --trace <file> --cliques <count> [--locality <x>] [--seed k] [--max-slots m]
-                     [--weather] [--weather-topk <k>]
-                     [--checkpoint-dir <dir>] [--checkpoint-every <slots>] [--resume]";
-
-fn parse_q(s: &str) -> Result<Ratio, String> {
-    if let Some((a, b)) = s.split_once('/') {
-        let num: u64 = a.parse().map_err(|_| format!("bad ratio `{s}`"))?;
-        let den: u64 = b.parse().map_err(|_| format!("bad ratio `{s}`"))?;
-        if num == 0 || den == 0 {
-            return Err(format!("ratio `{s}` must be positive"));
-        }
-        Ok(Ratio::new(num, den))
-    } else {
-        let v: u64 = s.parse().map_err(|_| format!("bad ratio `{s}`"))?;
-        if v == 0 {
-            return Err("ratio must be positive".into());
-        }
-        Ok(Ratio::integer(v))
-    }
-}
-
-fn parse_dist(s: &str) -> Result<FlowSizeDist, String> {
-    match s {
-        "web-search" => Ok(FlowSizeDist::web_search()),
-        "data-mining" => Ok(FlowSizeDist::data_mining()),
-        other => {
-            if let Some(bytes) = other.strip_prefix("fixed:") {
-                let b: u64 = bytes.parse().map_err(|_| format!("bad size `{bytes}`"))?;
-                Ok(FlowSizeDist::fixed(b))
-            } else {
-                Err(format!("unknown distribution `{other}`"))
-            }
-        }
-    }
-}
-
-fn build_config(args: &Args) -> Result<SornConfig, String> {
-    let n: usize = args.get("n", 0usize)?;
-    let cliques: usize = args.get("cliques", 0usize)?;
-    if n == 0 || cliques == 0 {
-        return Err("need --n and --cliques".into());
-    }
-    let mut cfg = SornConfig::small(n, cliques, args.get("locality", 0.56f64)?);
-    cfg.uplinks = args.get("uplinks", 1usize)?;
-    cfg.slot_ns = args.get("slot-ns", 100u64)?;
-    cfg.propagation_ns = args.get("prop-ns", 500u64)?;
-    if let Some(q) = args.flags.get("q") {
-        cfg.q = Some(parse_q(q)?);
-    }
-    cfg.validate().map_err(|e| e.to_string())?;
-    Ok(cfg)
-}
-
-fn parse_list<T: std::str::FromStr>(s: &str, what: &str) -> Result<Vec<T>, String> {
-    s.split(',')
-        .map(|p| {
-            p.trim()
-                .parse()
-                .map_err(|_| format!("bad {what} entry `{p}`"))
-        })
-        .collect()
-}
-
-fn cmd_hierarchy(args: &Args) -> Result<(), String> {
-    let radices: Vec<usize> = parse_list(args.required("radices")?, "radix")?;
-    let profile: Vec<f64> = parse_list(args.required("profile")?, "profile")?;
-    let model =
-        sorn::core::HierarchyModel::new(radices.clone(), profile).map_err(|e| e.to_string())?;
-    println!(
-        "hierarchical SORN over {} nodes ({} levels, radices {:?})",
-        radices.iter().product::<usize>(),
-        radices.len(),
-        radices
-    );
-    let mut t = TextTable::new(&["metric", "value"]);
-    let w = model.optimal_weights();
-    t.row(vec![
-        "optimal bandwidth split".into(),
-        w.iter()
-            .map(|v| format!("{v:.3}"))
-            .collect::<Vec<_>>()
-            .join(" / "),
-    ]);
-    t.row(vec![
-        "mean hops / BW cost".into(),
-        format!("{:.3}", model.mean_hops()),
-    ]);
-    t.row(vec![
-        "worst-case throughput".into(),
-        fmt_pct(model.optimal_throughput()),
-    ]);
-    for l in 0..model.levels() {
-        t.row(vec![
-            format!("level-{l} delta_m (slots)"),
-            format!("{:.0}", model.class_delta_m(l).ceil()),
-        ]);
-    }
-    print!("{}", t.render());
-    Ok(())
-}
-
-fn cmd_analyze(args: &Args) -> Result<(), String> {
-    let cfg = build_config(args)?;
-    let net = SornNetwork::build(cfg).map_err(|e| e.to_string())?;
-    let a = net.analysis();
-    println!(
-        "SORN analysis — {} nodes, {} cliques of {}, x = {}",
-        net.config().n,
-        net.config().cliques,
-        net.config().clique_size(),
-        net.config().locality
-    );
-    let mut t = TextTable::new(&["metric", "value"]);
-    t.row(vec!["oversubscription q".into(), format!("{:.4}", a.q)]);
-    t.row(vec![
-        "intra delta_m (slots)".into(),
-        format!("{:.0}", a.intra_delta_m.ceil()),
-    ]);
-    t.row(vec![
-        "inter delta_m (slots)".into(),
-        format!("{:.0}", a.inter_delta_m.ceil()),
-    ]);
-    t.row(vec![
-        "intra worst latency".into(),
-        fmt_latency(a.intra_latency_ns),
-    ]);
-    t.row(vec![
-        "inter worst latency".into(),
-        fmt_latency(a.inter_latency_ns),
-    ]);
-    t.row(vec!["worst-case throughput".into(), fmt_pct(a.throughput)]);
-    t.row(vec![
-        "mean hops / BW cost".into(),
-        format!("{:.2}", a.mean_hops),
-    ]);
-    t.row(vec![
-        "schedule period (slots)".into(),
-        net.schedule().period().to_string(),
-    ]);
-    print!("{}", t.render());
-    Ok(())
-}
-
-fn cmd_schedule(args: &Args) -> Result<(), String> {
-    let cfg = build_config(args)?;
-    let net = SornNetwork::build(cfg).map_err(|e| e.to_string())?;
-    print!("{}", net.schedule().render_table());
-    Ok(())
-}
-
-fn cmd_gen_trace(args: &Args) -> Result<(), String> {
-    let cfg = build_config(args)?;
-    let load: f64 = args.get("load", 0.3f64)?;
-    let duration_us: u64 = args.get("duration-us", 500u64)?;
-    let seed: u64 = args.get("seed", 0u64)?;
-    let out = args.required("out")?;
-    let dist = parse_dist(&args.get("dist", "web-search".to_string())?)?;
-
-    let net = SornNetwork::build(cfg.clone()).map_err(|e| e.to_string())?;
-    let wl = PoissonWorkload {
-        n: cfg.n,
-        load,
-        node_bandwidth_bytes_per_ns: 12.5 * cfg.uplinks as f64,
-        duration_ns: duration_us * 1000,
-        seed,
-    };
-    let flows = wl.generate(
-        &dist,
-        &CliqueLocal::new(net.cliques().clone(), cfg.locality),
-    );
-    let trace = Trace::record(
-        cfg.n,
-        &format!(
-            "poisson load={load} x={} dist={} duration={duration_us}us seed={seed}",
-            cfg.locality,
-            dist.name()
-        ),
-        &flows,
-    );
-    std::fs::write(out, trace.to_json()).map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote {} flows to {out}", flows.len());
-    Ok(())
-}
-
-fn cmd_simulate(args: &Args) -> Result<(), String> {
-    let path = args.required("trace")?;
-    let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let trace = Trace::from_json(&json).map_err(|e| format!("parsing {path}: {e}"))?;
-    let cliques: usize = args.get("cliques", 0usize)?;
-    if cliques == 0 {
-        return Err("need --cliques".into());
-    }
-    let mut cfg = SornConfig::small(trace.nodes, cliques, args.get("locality", 0.56f64)?);
-    cfg.uplinks = args.get("uplinks", 1usize)?;
-    cfg.validate().map_err(|e| e.to_string())?;
-    let seed: u64 = args.get("seed", 0u64)?;
-    let max_slots: u64 = args.get("max-slots", 10_000_000u64)?;
-
-    let net = SornNetwork::build(cfg.clone()).map_err(|e| e.to_string())?;
-    let flows = trace.replay();
-    println!(
-        "simulating {} flows ({}) on {} nodes / {} cliques...",
-        flows.len(),
-        trace.description,
-        trace.nodes,
-        cliques
-    );
-    // `--weather-topk` implies `--weather`, mirroring the harness flags.
-    let weather_topk: usize = args.get("weather-topk", DEFAULT_TOPK)?;
-    if weather_topk == 0 {
-        return Err("flag --weather-topk: must be >= 1".into());
-    }
-    let weather_on = args.flags.contains_key("weather") || args.flags.contains_key("weather-topk");
-    let (metrics, drained, weather) = if let Some(dir) = args.flags.get("checkpoint-dir") {
-        simulate_checkpointed(
-            &net,
-            &cfg,
-            flows,
-            seed,
-            max_slots,
-            args,
-            PathBuf::from(dir),
-            weather_on,
-            weather_topk,
-        )?
-    } else {
-        if args.flags.contains_key("checkpoint-every") || args.flags.contains_key("resume") {
-            return Err("--checkpoint-every/--resume require --checkpoint-dir".into());
-        }
-        let probe = weather_on.then(|| WeatherProbe::new(net.cliques().clone(), weather_topk));
-        let (metrics, drained, probe) = net
-            .simulate_with_probe(flows, seed, max_slots, probe)
-            .map_err(|e| e.to_string())?;
-        (metrics, drained, probe)
-    };
-
-    let mut t = TextTable::new(&["metric", "value"]);
-    t.row(vec!["drained".into(), drained.to_string()]);
-    t.row(vec![
-        "flows completed".into(),
-        metrics.flows.len().to_string(),
-    ]);
-    t.row(vec![
-        "cells delivered".into(),
-        metrics.delivered_cells.to_string(),
-    ]);
-    t.row(vec![
-        "mean hops".into(),
-        format!("{:.3}", metrics.mean_hops()),
-    ]);
-    t.row(vec![
-        "delivery fraction".into(),
-        format!("{:.3}", metrics.delivery_fraction()),
-    ]);
-    t.row(vec![
-        "circuit utilization".into(),
-        format!("{:.3}", metrics.circuit_utilization()),
-    ]);
-    t.row(vec!["mean FCT".into(), fmt_latency(metrics.mean_fct_ns())]);
-    if let Some(p99) = metrics.fct_percentile_ns(99.0) {
-        t.row(vec!["p99 FCT".into(), fmt_latency(p99 as f64)]);
-    }
-    print!("{}", t.render());
-
-    // Size-bucketed slowdown (pFabric-style).
-    let sim_cfg = SimConfig {
-        slot_ns: cfg.slot_ns,
-        propagation_ns: cfg.propagation_ns,
-        uplinks: cfg.uplinks,
-        ..SimConfig::default()
-    };
-    let buckets = bucketed_slowdown(&metrics.flows, &sim_cfg, &DEFAULT_BUCKETS);
-    println!("\nFCT slowdown by flow size:");
-    let mut bt = TextTable::new(&["size", "flows", "mean slowdown", "p99 slowdown"]);
-    for b in buckets {
-        if b.flows == 0 {
-            continue;
-        }
-        let label = if b.hi == u64::MAX {
-            format!(">= {} KB", b.lo / 1000)
-        } else {
-            format!("{}-{} KB", b.lo / 1000, b.hi / 1000)
-        };
-        bt.row(vec![
-            label,
-            b.flows.to_string(),
-            format!("{:.2}", b.mean_slowdown),
-            format!("{:.2}", b.p99_slowdown),
-        ]);
-    }
-    print!("{}", bt.render());
-
-    if let Some(w) = weather {
-        println!();
-        print!("{}", w.render_txt("simulate"));
-        let txt_path = "WEATHER_simulate.txt";
-        let json_path = "WEATHER_simulate.json";
-        std::fs::write(txt_path, w.render_txt("simulate"))
-            .and_then(|()| std::fs::write(json_path, w.render_json("simulate")))
-            .map_err(|e| format!("writing weather report: {e}"))?;
-        println!("wrote {txt_path} and {json_path}");
-    }
-    Ok(())
-}
-
-/// Snapshot blob name carrying the weather probe's serialized state, so
-/// a resumed run's report is byte-identical to an uninterrupted one.
-const BLOB_WEATHER: &str = "weather";
-
-/// The crash-safe variant of `simulate`: drives the engine directly,
-/// snapshotting full state (plus the weather probe, when on) to
-/// `dir/simulate/` every `--checkpoint-every` slots (default 10000, two
-/// rolling generations). SIGINT/SIGTERM finishes the current slot,
-/// writes a final checkpoint, and exits with code 3; `--resume`
-/// continues from the newest valid generation and prints the identical
-/// tables an uninterrupted run would have.
-#[allow(clippy::too_many_arguments)]
-fn simulate_checkpointed(
-    net: &SornNetwork,
-    cfg: &SornConfig,
-    flows: Vec<sorn::sim::Flow>,
-    seed: u64,
-    max_slots: u64,
-    args: &Args,
-    dir: PathBuf,
-    weather_on: bool,
-    weather_topk: usize,
-) -> Result<(sorn::sim::Metrics, bool, Option<WeatherProbe>), String> {
-    let every: u64 = args.get("checkpoint-every", 10_000u64)?;
-    if every == 0 {
-        return Err("flag --checkpoint-every: must be >= 1".into());
-    }
-    let resume = args.flags.contains_key("resume");
-    let sim_cfg = SimConfig {
-        slot_ns: cfg.slot_ns,
-        propagation_ns: cfg.propagation_ns,
-        uplinks: cfg.uplinks,
-        seed,
-        engine_threads: cfg.engine_threads,
-        trace_one_in: cfg.trace_one_in,
-        ..SimConfig::default()
-    };
-    let mut store = CheckpointStore::open(dir.join("simulate")).map_err(|e| e.to_string())?;
-    let stop = install_stop_handler();
-    let mut eng = match load_resume(&store, resume)? {
-        Some(out) => {
-            for (path, reason) in &out.skipped {
-                eprintln!(
-                    "sorn-cli: skipped corrupt checkpoint {}: {reason}",
-                    path.display()
-                );
-            }
-            let probe = match out.snapshot.blob(BLOB_WEATHER) {
-                Some(b) => Some(
-                    WeatherProbe::from_bytes(b, net.cliques().clone())
-                        .map_err(|e| format!("bad weather blob in checkpoint: {e}"))?,
-                ),
-                None => weather_on.then(|| WeatherProbe::new(net.cliques().clone(), weather_topk)),
-            };
-            let eng =
-                Engine::restore_with_probe(&out.snapshot, net.schedule(), net.router(), probe)
-                    .map_err(|e| {
-                        format!(
-                            "checkpoint {} does not fit this scenario: {e}",
-                            out.path.display()
-                        )
-                    })?;
-            eprintln!(
-                "sorn-cli: resumed from {} at slot {}",
-                out.path.display(),
-                out.snapshot.slot()
-            );
-            eng
-        }
-        None => {
-            let probe = weather_on.then(|| WeatherProbe::new(net.cliques().clone(), weather_topk));
-            let mut eng = Engine::with_probe(sim_cfg, net.schedule(), net.router(), probe);
-            eng.add_flows(flows).map_err(|e| e.to_string())?;
-            eng
-        }
-    };
-    let outcome = drive_checkpointed(
-        &mut eng,
-        RunMode::UntilDrained(max_slots),
-        &mut store,
-        every,
-        stop,
-        |eng, snap| {
-            if let Some(w) = eng.probe() {
-                snap.attach_blob(BLOB_WEATHER, w.to_bytes());
-            }
-        },
-        |_, _, _| {},
-    )
-    .map_err(|e| e.to_string())?;
-    match outcome {
-        DriveOutcome::Interrupted { slot, path } => {
-            eprintln!(
-                "sorn-cli: interrupted at slot {slot}; wrote {}; rerun with --resume",
-                path.display()
-            );
-            std::process::exit(EXIT_INTERRUPTED);
-        }
-        DriveOutcome::Completed { drained } => {
-            let metrics = eng.metrics().clone();
-            Ok((metrics, drained, eng.finish()))
-        }
-    }
-}
-
-fn run() -> Result<(), String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first() else {
-        return Err(USAGE.into());
-    };
-    let args = Args::parse(&argv[1..])?;
-    match cmd.as_str() {
-        "table1" => {
-            let params = sorn::analysis::table1::Table1Params::default();
-            print!(
-                "{}",
-                sorn::analysis::table1::render(&sorn::analysis::table1::generate(&params))
-            );
-            Ok(())
-        }
-        "fig2f" => {
-            let mut params = sorn::analysis::fig2f::Fig2fParams::default();
-            params.n = args.get("n", params.n)?;
-            params.cliques = args.get("cliques", params.cliques)?;
-            let pts = sorn::analysis::fig2f::generate(&params).map_err(|e| e.to_string())?;
-            let mut t = TextTable::new(&["x", "theory 1/(3-x)", "simulated"]);
-            for p in pts {
-                t.row(vec![
-                    format!("{:.1}", p.x),
-                    format!("{:.4}", p.theory),
-                    format!("{:.4}", p.simulated),
-                ]);
-            }
-            print!("{}", t.render());
-            Ok(())
-        }
-        "hierarchy" => cmd_hierarchy(&args),
-        "analyze" => cmd_analyze(&args),
-        "schedule" => cmd_schedule(&args),
-        "gen-trace" => cmd_gen_trace(&args),
-        "simulate" => cmd_simulate(&args),
-        other => Err(format!("unknown command `{other}`\n{USAGE}")),
-    }
-}
-
 fn main() -> ExitCode {
-    match run() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match sorn_bench::dispatch(&argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
@@ -542,40 +24,55 @@ fn main() -> ExitCode {
     }
 }
 
+/// The command-line contract: flag parsing and the value parsers the
+/// tools share.
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use sorn::topology::Ratio;
+    use sorn_bench::experiments::tools::{build_config, parse_dist, parse_q};
+    use sorn_bench::Args;
 
-    fn args(pairs: &[(&str, &str)]) -> Args {
-        let argv: Vec<String> = pairs
-            .iter()
-            .flat_map(|(k, v)| [format!("--{k}"), v.to_string()])
-            .collect();
-        Args::parse(&argv).unwrap()
+    fn parse(line: &str) -> Result<Args, String> {
+        Args::parse(
+            &line
+                .split_whitespace()
+                .map(String::from)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    fn args(line: &str) -> Args {
+        parse(line).unwrap()
     }
 
     #[test]
     fn parse_key_value_pairs() {
-        let a = args(&[("n", "16"), ("cliques", "4")]);
+        let mut a = args("--n 16 --cliques 4");
         assert_eq!(a.get("n", 0usize).unwrap(), 16);
         assert_eq!(a.get("missing", 7u64).unwrap(), 7);
         assert!(a.required("cliques").is_ok());
         assert!(a.required("nope").is_err());
+        let mut inline = args("--n=16");
+        assert_eq!(inline.get("n", 0usize).unwrap(), 16);
     }
 
     #[test]
     fn parse_bool_flags_take_no_value() {
-        let a = Args::parse(&["--resume".into(), "--n".into(), "4".into()]).unwrap();
-        assert_eq!(a.flags.get("resume").map(String::as_str), Some("true"));
+        let mut a = args("--resume --n 4");
+        assert!(a.flag("resume").unwrap());
         assert_eq!(a.get("n", 0usize).unwrap(), 4);
+        assert!(a.reject_unknown().is_ok());
     }
 
     #[test]
     fn parse_rejects_malformed() {
-        assert!(Args::parse(&["positional".into()]).is_err());
-        assert!(Args::parse(&["--dangling".into()]).is_err());
-        let a = args(&[("n", "abc")]);
+        assert!(parse("positional").is_err());
+        assert!(parse("--dangling").is_err());
+        let mut a = args("--n abc");
         assert!(a.get("n", 0usize).is_err());
+        let mut unread = args("--n 16 --lcality 0.9");
+        unread.get("n", 0usize).unwrap();
+        assert!(unread.reject_unknown().is_err());
     }
 
     #[test]
@@ -600,20 +97,23 @@ mod tests {
 
     #[test]
     fn parse_list_forms() {
-        let v: Vec<usize> = parse_list("4,4,8", "radix").unwrap();
-        assert_eq!(v, vec![4, 4, 8]);
-        let f: Vec<f64> = parse_list("0.6, 0.25, 0.15", "profile").unwrap();
-        assert_eq!(f.len(), 3);
-        assert!(parse_list::<usize>("4,x", "radix").is_err());
+        let mut a = args("--radices 4,4,8");
+        assert_eq!(a.list::<usize>("radices", vec![]).unwrap(), vec![4, 4, 8]);
+        let mut spaced = Args::parse(&["--profile".into(), "0.6, 0.25, 0.15".into()]).unwrap();
+        assert_eq!(spaced.list::<f64>("profile", vec![]).unwrap().len(), 3);
+        assert_eq!(a.list("absent", vec![16usize]).unwrap(), vec![16]);
+        assert!(args("--radices 4,x")
+            .list::<usize>("radices", vec![])
+            .is_err());
     }
 
     #[test]
     fn build_config_validates() {
-        let a = args(&[("n", "16"), ("cliques", "4"), ("locality", "0.5")]);
-        let cfg = build_config(&a).unwrap();
+        let mut a = args("--n 16 --cliques 4 --locality 0.5");
+        let cfg = build_config(&mut a).unwrap();
         assert_eq!(cfg.n, 16);
         assert_eq!(cfg.effective_q(), Ratio::integer(4));
-        let bad = args(&[("n", "10"), ("cliques", "3")]);
-        assert!(build_config(&bad).is_err());
+        let mut bad = args("--n 10 --cliques 3");
+        assert!(build_config(&mut bad).is_err());
     }
 }
