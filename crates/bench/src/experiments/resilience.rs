@@ -13,13 +13,10 @@
 //! `--engine-threads N` shards the slot phases inside each simulation
 //! (also bit-identical at any thread count).
 //!
-//! `--serve-metrics ADDR` serves live `/metrics`, `/health`,
-//! `/progress`, and `/weather` over HTTP while the storms run
-//! (`--serve-linger-ms` keeps the endpoint up afterwards). A flight
-//! recorder always rides along (`--flight-ring N` sizes its ring, a
-//! power of two, default 4096); a scheme that trips an anomaly watchdog
-//! (the storm's drop spikes usually do) dumps its recent-event ring to
-//! `FLIGHT_<scheme>.jsonl` in the working directory.
+//! A flight recorder always rides along (`--flight-ring N` sizes its
+//! ring, a power of two, default 4096); a scheme that trips an anomaly
+//! watchdog (the storm's drop spikes usually do) dumps its recent-event
+//! ring to `FLIGHT_<scheme>.jsonl` in the working directory.
 //!
 //! `--trace-flows N` turns on causal flow tracing (roughly one flow in
 //! N; 1 traces everything): each scheme prints a tail-autopsy table
@@ -54,8 +51,7 @@ use sorn_sim::{
     Snapshot,
 };
 use sorn_telemetry::{
-    FlightRecorder, FlowTraceCollector, IntervalSampler, JsonlTraceSink, LiveMetricsProbe,
-    MetricsPublisher, MetricsServer, WeatherProbe,
+    FlightRecorder, FlowTraceCollector, IntervalSampler, JsonlTraceSink, WeatherProbe,
 };
 use sorn_topology::builders::{round_robin, sorn_schedule, SornScheduleParams};
 use sorn_topology::{CircuitSchedule, CliqueMap, NodeId, Ratio};
@@ -88,25 +84,18 @@ struct Opts {
 }
 
 /// The observers checkpoints carry: an optional causal-trace collector,
-/// an optional live-metrics feeder, an optional weather roll-up, and
-/// the always-on flight recorder.
+/// an optional weather roll-up, and the always-on flight recorder.
 type Observers = (
     Option<FlowTraceCollector>,
-    (
-        (Option<LiveMetricsProbe>, Option<WeatherProbe>),
-        FlightRecorder,
-    ),
+    (Option<WeatherProbe>, FlightRecorder),
 );
 
 /// Builds one scheme's [`Observers`]: fresh, or for a resumed run from
-/// the snapshot's sidecar blobs where it has them. The live-metrics
-/// feeder is wall-clock state and always starts fresh.
+/// the snapshot's sidecar blobs where it has them.
 fn observers(
     scheme: &str,
     opts: &Opts,
     map: &CliqueMap,
-    slots: u64,
-    publisher: &Option<MetricsPublisher>,
     snap: Option<&Snapshot>,
 ) -> Result<Observers, String> {
     let blob = |name| snap.and_then(|s| s.blob(name));
@@ -127,20 +116,13 @@ fn observers(
             .weather
             .enabled
             .then(|| WeatherProbe::new(map.clone(), opts.weather.topk)),
-    }
-    .map(|w| match publisher {
-        Some(p) => w.with_publisher(p.clone()),
-        None => w,
-    });
+    };
     let recorder = match blob(BLOB_FLIGHT) {
         Some(b) => FlightRecorder::from_bytes(b).map_err(|e| bad("flight", e.to_string()))?,
         None => FlightRecorder::new(opts.flight_ring),
     }
     .with_dump_path(format!("FLIGHT_{scheme}.jsonl"));
-    let live = publisher
-        .clone()
-        .map(|p| LiveMetricsProbe::new(p).with_max_slots(slots));
-    Ok((collector, ((live, weather), recorder)))
+    Ok((collector, (weather, recorder)))
 }
 
 /// Turns one scheme's finished observers into summary messages: the
@@ -148,7 +130,7 @@ fn observers(
 /// pointer to the flight-recorder dump when a watchdog fired.
 /// Everything is deterministic at any `--engine-threads`.
 fn summarize(scheme: &str, observers: Observers, messages: &mut Vec<String>) {
-    let (collector, ((_live, weather), mut recorder)) = observers;
+    let (collector, (weather, mut recorder)) = observers;
     if let Some(c) = collector {
         let autopsy = TailAutopsy::from_breakdowns(&c.cell_breakdowns(), 5);
         messages.push(format!("[{scheme}] traced {} hop events", c.len()));
@@ -198,8 +180,6 @@ pub fn run(args: &mut Args) -> Result<(), String> {
         telemetry: TelemetryOpts::read(args)?,
         ckpt: CheckpointOpts::read(args)?,
     };
-    let serve_metrics: Option<String> = args.opt("serve-metrics")?;
-    let serve_linger_ms: u64 = args.get("serve-linger-ms", 0)?;
     args.reject_unknown()?;
     if opts.ckpt.enabled() && opts.telemetry.trace_out.is_some() {
         return Err("--checkpoint-dir cannot be combined with --trace-out \
@@ -221,20 +201,6 @@ pub fn run(args: &mut Args) -> Result<(), String> {
             })?;
         }
     }
-
-    let server = match &serve_metrics {
-        Some(addr) => {
-            let (server, publisher) = MetricsServer::bind(addr)
-                .map_err(|e| format!("cannot bind --serve-metrics {addr}: {e}"))?;
-            eprintln!(
-                "resilience: serving /metrics on http://{}",
-                server.local_addr()
-            );
-            Some((server, publisher))
-        }
-        None => None,
-    };
-    let publisher = server.as_ref().map(|(_, p)| p.clone());
 
     let map = CliqueMap::contiguous(N, CLIQUES);
     let q = Ratio::integer(3);
@@ -291,9 +257,8 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     let tasks: Vec<Task<_>> = [("flat-vlb", flat_sched), ("sorn", sorn_sched.clone())]
         .into_iter()
         .map(|(scheme, sched)| -> Task<_> {
-            let (map, flows, plan) = (map.clone(), flows.clone(), plan.clone());
-            let (opts, publisher) = (opts.clone(), publisher.clone());
-            Box::new(move || run_scheme(scheme, &sched, &map, flows, plan, &opts, publisher))
+            let (map, flows, plan, opts) = (map.clone(), flows.clone(), plan.clone(), opts.clone());
+            Box::new(move || run_scheme(scheme, &sched, &map, flows, plan, &opts))
         })
         .collect();
     let outcomes = run_jobs(jobs, tasks)
@@ -301,7 +266,6 @@ pub fn run(args: &mut Args) -> Result<(), String> {
         .collect::<Result<Vec<_>, _>>()?;
     let Some(done) = outcomes.into_iter().collect::<Option<Vec<_>>>() else {
         // Interrupted: the final checkpoint is on disk.
-        stop_server(server, 0);
         std::process::exit(EXIT_INTERRUPTED);
     };
     let [(flat, flat_msg), (sorn, sorn_msg)]: [_; 2] =
@@ -324,18 +288,7 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     println!("once repairs land.\n");
 
     control_recovery_demo(&map, q, &sorn_sched, &flows);
-    stop_server(server, serve_linger_ms);
     Ok(())
-}
-
-/// Marks the live endpoint done and, after `linger_ms` for a final
-/// scrape, shuts it down.
-fn stop_server(server: Option<(MetricsServer, MetricsPublisher)>, linger_ms: u64) {
-    if let Some((server, publisher)) = server {
-        publisher.mark_done();
-        std::thread::sleep(std::time::Duration::from_millis(linger_ms));
-        server.shutdown();
-    }
 }
 
 /// The shared storm, two parts, both identical for the two fabrics:
@@ -398,7 +351,6 @@ fn run_scheme(
     flows: Vec<Flow>,
     plan: FaultPlan,
     opts: &Opts,
-    publisher: Option<MetricsPublisher>,
 ) -> Result<Option<(Metrics, Option<String>)>, String> {
     let stop = stop_flag(opts.ckpt.enabled());
     if stop.load(std::sync::atomic::Ordering::SeqCst) {
@@ -430,7 +382,7 @@ fn run_scheme(
         .as_ref()
         .map(|b| suffixed(b, scheme));
     let snap = resumed.as_ref().map(|out| &out.snapshot);
-    let observers = observers(scheme, opts, map, slots, &publisher, snap)?;
+    let observers = observers(scheme, opts, map, snap)?;
 
     let mut eng = if let Some(out) = &mut resumed {
         // The snapshot carries the flows, the fault plan and the
@@ -479,7 +431,7 @@ fn run_scheme(
         opts.ckpt.every_slots,
         stop,
         |eng, snap| {
-            let (_sampler, (collector, ((_live, weather), recorder))) = eng.probe();
+            let (_sampler, (collector, (weather, recorder))) = eng.probe();
             if let Some(c) = collector {
                 snap.attach_blob(BLOB_TRACE, c.to_bytes());
             }
@@ -517,33 +469,24 @@ fn run_scheme(
     Ok(Some((metrics, msg)))
 }
 
-/// Mirrors checkpoint lifecycle events into the flight recorder and the
-/// live `/metrics` endpoint. Fired by this driver, never by the engine,
-/// so the table stays bit-identical with checkpointing on or off.
+/// Mirrors checkpoint lifecycle events into the flight recorder. Fired
+/// by this driver, never by the engine, so the table stays bit-identical
+/// with checkpointing on or off.
 fn note_checkpoint_events(
     observers: &mut Observers,
     restored: Option<(u64, &Path)>,
     skipped: &[(PathBuf, String)],
     written: &[(u64, PathBuf, usize)],
 ) {
-    let (_collector, ((live, _weather), recorder)) = observers;
+    let (_collector, (_weather, recorder)) = observers;
     for (path, reason) in skipped {
         recorder.note_checkpoint_corrupt_skipped(&path.display().to_string(), reason);
-        if let Some(l) = live.as_mut() {
-            l.note_checkpoint_corrupt_skipped();
-        }
     }
     if let Some((slot, path)) = restored {
         recorder.note_checkpoint_restored(slot, &path.display().to_string());
-        if let Some(l) = live.as_mut() {
-            l.note_checkpoint_restored();
-        }
     }
     for (slot, path, bytes) in written {
         recorder.note_checkpoint_written(*slot, *bytes as u64, &path.display().to_string());
-        if let Some(l) = live.as_mut() {
-            l.note_checkpoint_written();
-        }
     }
 }
 

@@ -131,52 +131,6 @@ impl DecisionLog {
         let records = json::parse_lines(s, DecisionRecord::from_json)?;
         Ok(DecisionLog { records })
     }
-
-    /// Exports the log's aggregate view into a metric registry under
-    /// `sorn_control_*`: epochs by outcome, installation retry totals,
-    /// and the latest epoch's modeled throughput and demand masking.
-    pub fn export_metrics(&self, registry: &mut sorn_telemetry::MetricRegistry) {
-        registry.set_counter("sorn_control_epochs_total", self.records.len() as u64);
-        for outcome in ["no_plan", "held", "updated", "install_failed"] {
-            let count = self.records.iter().filter(|r| r.outcome == outcome).count();
-            registry.set_counter(
-                &format!("sorn_control_epochs_{outcome}_total"),
-                count as u64,
-            );
-        }
-        let attempts: u64 = self
-            .records
-            .iter()
-            .filter_map(|r| r.failure_response.as_ref())
-            .map(|f| f.install_attempts as u64)
-            .sum();
-        let retries = attempts.saturating_sub(
-            self.records
-                .iter()
-                .filter_map(|r| r.failure_response.as_ref())
-                .filter(|f| f.install_attempts > 0)
-                .count() as u64,
-        );
-        registry.set_counter("sorn_control_install_attempts_total", attempts);
-        registry.set_counter("sorn_control_install_retries_total", retries);
-        registry.set_counter(
-            "sorn_control_install_abandoned_total",
-            self.records
-                .iter()
-                .filter_map(|r| r.failure_response.as_ref())
-                .filter(|f| f.gave_up)
-                .count() as u64,
-        );
-        if let Some(last) = self.records.last() {
-            registry.set_gauge("sorn_control_current_throughput", last.current_throughput);
-            if let Some(f) = &last.failure_response {
-                registry.set_gauge(
-                    "sorn_control_masked_demand_fraction",
-                    f.masked_demand_fraction,
-                );
-            }
-        }
-    }
 }
 
 sorn_base::json_struct!(
@@ -242,26 +196,6 @@ mod tests {
         log.push(record(2, "updated"));
         let text = log.to_jsonl();
         assert_eq!(text.lines().count(), 2);
-    }
-
-    #[test]
-    fn export_metrics_counts_outcomes_and_retries() {
-        let mut log = DecisionLog::new();
-        log.push(record(1, "held"));
-        log.push(record(2, "updated"));
-        log.push(record(3, "updated"));
-        let mut reg = sorn_telemetry::MetricRegistry::new();
-        log.export_metrics(&mut reg);
-        assert_eq!(reg.counter("sorn_control_epochs_total"), Some(3));
-        assert_eq!(reg.counter("sorn_control_epochs_updated_total"), Some(2));
-        assert_eq!(reg.counter("sorn_control_epochs_held_total"), Some(1));
-        assert_eq!(reg.counter("sorn_control_epochs_no_plan_total"), Some(0));
-        // Each record's failure response made 2 attempts = 1 retry.
-        assert_eq!(reg.counter("sorn_control_install_attempts_total"), Some(6));
-        assert_eq!(reg.counter("sorn_control_install_retries_total"), Some(3));
-        assert_eq!(reg.counter("sorn_control_install_abandoned_total"), Some(0));
-        assert_eq!(reg.gauge("sorn_control_current_throughput"), Some(0.5));
-        assert_eq!(reg.gauge("sorn_control_masked_demand_fraction"), Some(0.25));
     }
 
     #[test]

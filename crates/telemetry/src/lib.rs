@@ -17,8 +17,6 @@
 //!   time interval, and forwards discrete events as they happen;
 //! - [`CountingProbe`] — counts hook invocations, for tests and smoke
 //!   checks;
-//! - [`MetricRegistry`] — named counters/gauges/histograms with
-//!   Prometheus text export and a JSON snapshot;
 //! - [`FlowTraceCollector`] — collects the engine's causal hop spans
 //!   for sampled flows and exports Chrome `trace_event` JSON plus
 //!   per-cell latency breakdowns (queueing vs transmission vs
@@ -26,13 +24,14 @@
 //! - [`FlightRecorder`] — an always-on bounded ring of recent anomalous
 //!   events (drops, faults, stranded onsets, drop spikes) that dumps to
 //!   JSON Lines when a watchdog fires;
-//! - [`MetricsServer`] / [`LiveMetricsProbe`] — a std-only background
-//!   HTTP listener serving `/metrics`, `/health`, `/progress`, and
-//!   `/weather` from snapshots published at slot boundaries;
 //! - [`WeatherProbe`] — bounded-memory "network weather": per-clique
 //!   demand/goodput matrices, [`SpaceSaving`] heavy-hitter sketches for
 //!   flows/links/ports, and an [`EpochSeries`] decimated timeline, with
 //!   deterministic text/JSON run reports.
+//!
+//! Every probe's output is a pure function of the engine's event
+//! stream: nothing here reads a clock, opens a socket or spawns a
+//! thread, so a finished run's files are its whole telemetry.
 //!
 //! ## Example
 //!
@@ -62,9 +61,7 @@
 mod counting;
 mod event;
 mod recorder;
-mod registry;
 mod sampler;
-mod serve;
 mod sink;
 mod trace;
 mod weather;
@@ -72,9 +69,7 @@ mod weather;
 pub use counting::CountingProbe;
 pub use event::{Snapshot, TraceEvent};
 pub use recorder::{FlightRecorder, RecordedEvent, DEFAULT_CAPACITY, DEFAULT_DROP_SPIKE};
-pub use registry::{HistogramMetric, MetricRegistry};
 pub use sampler::IntervalSampler;
-pub use serve::{LiveMetricsProbe, MetricsPublisher, MetricsServer};
 pub use sink::{parse_jsonl, read_jsonl, EventSink, JsonlTraceSink, MemorySink};
 pub use trace::{CellBreakdown, FlowTraceCollector};
 pub use weather::{

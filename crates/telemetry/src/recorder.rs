@@ -9,16 +9,12 @@
 //!
 //! Every recorded event is derived from *simulated* state (slots,
 //! simulated time, deterministic counters), so the ring contents are
-//! byte-identical at any `engine_threads`. The one wall-clock watchdog
-//! — slow-slot detection — is opt-in
-//! ([`FlightRecorder::with_slow_slot_watchdog`]) precisely because its
-//! entries depend on host timing; leave it off when comparing dumps
-//! across runs.
+//! byte-identical at any `engine_threads`.
 //!
-//! When an anomaly watchdog fires (a drop spike, a stranded onset, or a
-//! slow slot), the recorder arms itself; drivers check
-//! [`FlightRecorder::anomaly`] at the end of a run and dump the ring
-//! with [`FlightRecorder::dump_jsonl`]. If the process panics mid-run
+//! When an anomaly watchdog fires (a drop spike or a stranded onset),
+//! the recorder arms itself; drivers check [`FlightRecorder::anomaly`]
+//! at the end of a run and dump the ring with
+//! [`FlightRecorder::dump_jsonl`]. If the process panics mid-run
 //! while a dump path is configured, the recorder writes the dump from
 //! its `Drop` impl — the black-box survives the crash.
 
@@ -27,7 +23,6 @@ use sorn_sim::{Cell, FaultAction, FaultTarget, FaultView, Nanos, Probe, SkipView
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::time::Instant;
 
 /// Default ring capacity: enough recent history to diagnose a spike
 /// without meaningful memory cost (entries are small and fixed-size).
@@ -91,14 +86,6 @@ pub enum RecordedEvent {
         /// Drops within that slot.
         drops: u64,
     },
-    /// A slot took anomalously long in wall-clock terms (opt-in
-    /// watchdog; host-dependent, never recorded by default).
-    SlowSlot {
-        /// The slot.
-        slot: u64,
-        /// Wall-clock microseconds the slot took.
-        wall_us: u64,
-    },
     /// The run driver wrote a checkpoint generation.
     CheckpointWritten {
         /// Slot the checkpoint captured.
@@ -161,9 +148,6 @@ impl RecordedEvent {
             RecordedEvent::DropSpike { at_ns, slot, drops } => format!(
                 "{{\"type\":\"drop_spike\",\"at_ns\":{at_ns},\"slot\":{slot},\"drops\":{drops}}}"
             ),
-            RecordedEvent::SlowSlot { slot, wall_us } => {
-                format!("{{\"type\":\"slow_slot\",\"slot\":{slot},\"wall_us\":{wall_us}}}")
-            }
             RecordedEvent::CheckpointWritten { slot, bytes, path } => format!(
                 "{{\"type\":\"checkpoint_written\",\"slot\":{slot},\"bytes\":{bytes},\"path\":{}}}",
                 quote(path)
@@ -194,9 +178,6 @@ pub struct FlightRecorder {
     last_dropped: u64,
     last_stranded: u64,
     anomaly: Option<String>,
-    /// Wall-clock watchdog: fire when a slot exceeds this many µs.
-    slow_slot_us: Option<u64>,
-    last_slot_end: Option<Instant>,
     /// Dump target for the panic-path `Drop` impl and
     /// [`FlightRecorder::dump_if_anomalous`].
     dump_path: Option<PathBuf>,
@@ -225,8 +206,6 @@ impl FlightRecorder {
             last_dropped: 0,
             last_stranded: 0,
             anomaly: None,
-            slow_slot_us: None,
-            last_slot_end: None,
             dump_path: None,
             dumped: false,
         }
@@ -235,14 +214,6 @@ impl FlightRecorder {
     /// Sets the per-slot drop count that arms the anomaly flag.
     pub fn with_drop_spike_threshold(mut self, drops: u64) -> Self {
         self.drop_spike_threshold = drops;
-        self
-    }
-
-    /// Enables the wall-clock slow-slot watchdog (host-dependent:
-    /// entries and anomalies from it are NOT deterministic across
-    /// machines or runs — leave off when byte-comparing dumps).
-    pub fn with_slow_slot_watchdog(mut self, threshold_us: u64) -> Self {
-        self.slow_slot_us = Some(threshold_us);
         self
     }
 
@@ -298,7 +269,7 @@ impl FlightRecorder {
         Ok(())
     }
 
-    /// The dump as a string (tests, endpoints).
+    /// The dump as a string (tests).
     pub fn dump_string(&self) -> String {
         let mut buf = Vec::new();
         self.dump_jsonl(&mut buf).expect("vec write cannot fail");
@@ -350,8 +321,8 @@ impl FlightRecorder {
 
     /// Serializes the recorder's deterministic state (ring, counters,
     /// anomaly flag) so a resumed process reproduces the dump
-    /// byte-for-byte. Wall-clock watchdog state and the dump path are
-    /// not captured — the restoring driver reconfigures those.
+    /// byte-for-byte. The dump path is not captured — the restoring
+    /// driver reconfigures it.
     pub fn to_bytes(&self) -> Vec<u8> {
         fn put_str(out: &mut Vec<u8>, s: &str) {
             out.extend_from_slice(&(s.len() as u64).to_le_bytes());
@@ -431,8 +402,6 @@ impl FlightRecorder {
             last_dropped,
             last_stranded,
             anomaly: has_anomaly.then_some(anomaly_text),
-            slow_slot_us: None,
-            last_slot_end: None,
             dump_path: None,
             dumped: false,
         })
@@ -533,11 +502,6 @@ fn encode_event(out: &mut Vec<u8>, ev: &RecordedEvent) {
             put_u64(out, *slot);
             put_u64(out, *drops);
         }
-        RecordedEvent::SlowSlot { slot, wall_us } => {
-            out.push(5);
-            put_u64(out, *slot);
-            put_u64(out, *wall_us);
-        }
         RecordedEvent::CheckpointWritten { slot, bytes, path } => {
             out.push(6);
             put_u64(out, *slot);
@@ -618,10 +582,6 @@ fn decode_event(bytes: &[u8], pos: &mut usize) -> Result<RecordedEvent, String> 
             at_ns: u64_at(bytes, pos)?,
             slot: u64_at(bytes, pos)?,
             drops: u64_at(bytes, pos)?,
-        },
-        5 => RecordedEvent::SlowSlot {
-            slot: u64_at(bytes, pos)?,
-            wall_us: u64_at(bytes, pos)?,
         },
         6 => RecordedEvent::CheckpointWritten {
             slot: u64_at(bytes, pos)?,
@@ -705,20 +665,6 @@ impl Probe for FlightRecorder {
             ));
         }
         self.last_stranded = stranded;
-        if let Some(threshold_us) = self.slow_slot_us {
-            let now = Instant::now();
-            if let Some(prev) = self.last_slot_end {
-                let wall_us = now.duration_since(prev).as_micros() as u64;
-                if wall_us >= threshold_us {
-                    self.record(RecordedEvent::SlowSlot {
-                        slot: view.slot,
-                        wall_us,
-                    });
-                    self.flag(format!("slow slot: {wall_us} us at slot {}", view.slot));
-                }
-            }
-            self.last_slot_end = Some(now);
-        }
     }
 
     fn on_slots_skipped(&mut self, view: &SkipView<'_>) {
@@ -769,22 +715,6 @@ impl Probe for FlightRecorder {
             ));
         }
         self.last_stranded = stranded;
-        if let Some(threshold_us) = self.slow_slot_us {
-            // Wall-clock watchdog (opt-in, host-dependent): a batched
-            // span took one jump of wall time, so it is timed as one.
-            let now = Instant::now();
-            if let Some(prev) = self.last_slot_end {
-                let wall_us = now.duration_since(prev).as_micros() as u64;
-                if wall_us >= threshold_us {
-                    self.record(RecordedEvent::SlowSlot {
-                        slot: end.slot,
-                        wall_us,
-                    });
-                    self.flag(format!("slow slot: {wall_us} us at slot {}", end.slot));
-                }
-            }
-            self.last_slot_end = Some(now);
-        }
     }
 }
 
@@ -936,6 +866,16 @@ mod tests {
         for len in 0..bytes.len() {
             assert!(FlightRecorder::from_bytes(&bytes[..len]).is_err());
         }
+        // Tag 5 is unassigned: a hostile blob holding one retained
+        // event with that tag (and a well-formed 16-byte body) is an
+        // error, not a panic.
+        let mut hostile = FlightRecorder::new(4).to_bytes();
+        let count_at = hostile.len() - 8;
+        hostile[count_at..].copy_from_slice(&1u64.to_le_bytes());
+        hostile.push(5);
+        hostile.extend_from_slice(&[0; 16]);
+        let err = FlightRecorder::from_bytes(&hostile).unwrap_err();
+        assert!(err.contains("unknown event tag 5"), "{err}");
     }
 
     #[test]

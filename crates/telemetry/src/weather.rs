@@ -18,17 +18,15 @@
 //!   decimation: when the fixed bucket budget fills, adjacent buckets
 //!   merge and the epoch doubles, so a `10^9`-slot run still fits.
 //!
-//! The probe renders a self-contained text + JSON run report, exposes
-//! headline gauges for `/metrics`, and serializes to a checkpoint
-//! sidecar blob ([`WeatherProbe::to_bytes`]) so an interrupted-and-
-//! resumed run produces the same report as an uninterrupted one.
+//! The probe renders a self-contained text + JSON run report and
+//! serializes to a checkpoint sidecar blob ([`WeatherProbe::to_bytes`])
+//! so an interrupted-and-resumed run produces the same report as an
+//! uninterrupted one.
 
-use crate::serve::MetricsPublisher;
 use sorn_base::json::Value;
 use sorn_sim::{Cell, Flow, FlowRecord, Nanos, Probe, SkipView, SlotView};
 use sorn_topology::{CliqueMap, NodeId};
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
 
 /// Default number of heavy-hitter slots per sketch (`--weather-topk`).
 pub const DEFAULT_TOPK: usize = 32;
@@ -379,10 +377,8 @@ struct LastCounters {
 /// sketches + a decimated timeline, all updated on the engine's merge
 /// thread in canonical event order.
 ///
-/// Attach it with the tuple combinator like any other probe. All
-/// report-facing state is a pure function of the deterministic event
-/// stream; the optional [`MetricsPublisher`] only controls *when* live
-/// snapshots are pushed to `/weather`, never what a report contains.
+/// Attach it with the tuple combinator like any other probe. Its whole
+/// state is a pure function of the deterministic event stream.
 #[derive(Debug)]
 pub struct WeatherProbe {
     cliques: CliqueMap,
@@ -415,9 +411,6 @@ pub struct WeatherProbe {
     /// `node index -> clique index`, flattened from `cliques` so the
     /// per-slot roll-up is a plain zip (not serialized).
     clique_table: Vec<usize>,
-    publisher: Option<MetricsPublisher>,
-    min_publish_interval: Duration,
-    last_publish: Option<Instant>,
 }
 
 /// Packs a directed link into a sketch key.
@@ -456,18 +449,8 @@ impl WeatherProbe {
             clique_table: (0..cliques.n())
                 .map(|i| cliques.clique_of(NodeId(i as u32)).index())
                 .collect(),
-            publisher: None,
-            min_publish_interval: Duration::from_millis(100),
-            last_publish: None,
             cliques,
         }
-    }
-
-    /// Attaches a live publisher: the probe then pushes `/weather` JSON
-    /// and headline gauges at most once per 100 ms of wall time.
-    pub fn with_publisher(mut self, publisher: MetricsPublisher) -> Self {
-        self.publisher = Some(publisher);
-        self
     }
 
     /// The sketch capacity this probe was built with.
@@ -490,8 +473,8 @@ impl WeatherProbe {
     /// in node order. Batched weighted observes leave every
     /// Space-Saving guarantee intact (counts are conserved, error stays
     /// bounded by `N / K`); only the flush cadence is coarser than the
-    /// event stream, so a *live* snapshot can lag port counts by up to
-    /// [`PORT_FLUSH_SLOTS`] slots. Final reports never do.
+    /// event stream, so a report rendered mid-run can lag port counts by
+    /// up to [`PORT_FLUSH_SLOTS`] slots. Final reports never do.
     fn flush_ports(&mut self) {
         for (node, count) in self.port_pending.iter_mut().enumerate() {
             if *count > 0 {
@@ -499,21 +482,6 @@ impl WeatherProbe {
                 *count = 0;
             }
         }
-    }
-
-    fn publish_live(&mut self, force: bool) {
-        let Some(publisher) = &self.publisher else {
-            return;
-        };
-        let due = force
-            || self
-                .last_publish
-                .is_none_or(|t| t.elapsed() >= self.min_publish_interval);
-        if !due {
-            return;
-        }
-        self.last_publish = Some(Instant::now());
-        publisher.publish_weather(self.render_json("live"), self.headline_gauges());
     }
 
     /// Renders the plain-text run report. Deterministic: depends only
@@ -723,34 +691,8 @@ impl WeatherProbe {
         doc.compact()
     }
 
-    /// Headline gauges in the Prometheus text exposition format, for
-    /// merging into `/metrics` alongside the registry rendering.
-    pub fn headline_gauges(&self) -> String {
-        let delivered: u64 = self.goodput_cells.iter().sum();
-        let dropped: u64 = self.clique_drops.iter().sum();
-        let hot_pair = self.goodput_cells.iter().copied().max().unwrap_or(0);
-        let hwm = self.queue_hwm.iter().copied().max().unwrap_or(0);
-        let top_flow = self.flow_sketch.top().first().map_or(0, |e| e.count);
-        let top_link = self.link_sketch.top().first().map_or(0, |e| e.count);
-        let mut out = String::new();
-        for (name, value) in [
-            ("sorn_weather_delivered_cells", delivered),
-            ("sorn_weather_dropped_cells", dropped),
-            ("sorn_weather_hot_clique_pair_cells", hot_pair),
-            ("sorn_weather_queue_hwm_cells", hwm),
-            ("sorn_weather_reconfigurations_total", self.reconfig_total),
-            ("sorn_weather_top_flow_cells", top_flow),
-            ("sorn_weather_top_link_cells", top_link),
-        ] {
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
-        }
-        out
-    }
-
-    /// Serializes the full deterministic state for a checkpoint sidecar
-    /// blob. The publisher and wall-clock gate are not part of the
-    /// state; reattach with [`WeatherProbe::with_publisher`] after
-    /// [`WeatherProbe::from_bytes`].
+    /// Serializes the full state for a checkpoint sidecar blob;
+    /// [`WeatherProbe::from_bytes`] reads it back.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         put_u32(&mut out, 1); // format version
@@ -1031,7 +973,6 @@ impl Probe for WeatherProbe {
         if view.slot.is_multiple_of(PORT_FLUSH_SLOTS) {
             self.flush_ports();
         }
-        self.publish_live(false);
     }
 
     fn on_slots_skipped(&mut self, view: &SkipView<'_>) {
@@ -1071,14 +1012,12 @@ impl Probe for WeatherProbe {
         if end.slot / PORT_FLUSH_SLOTS > (first_slot - 1) / PORT_FLUSH_SLOTS {
             self.flush_ports();
         }
-        self.publish_live(false);
     }
 
     fn on_run_end(&mut self, view: &SlotView<'_>) {
         self.final_slot = view.slot;
         self.final_now_ns = view.now_ns;
         self.flush_ports();
-        self.publish_live(true);
     }
 }
 
@@ -1243,7 +1182,6 @@ mod tests {
         let q = WeatherProbe::from_bytes(&p.to_bytes(), map).unwrap();
         assert_eq!(p.render_txt("x"), q.render_txt("x"));
         assert_eq!(p.render_json("x"), q.render_json("x"));
-        assert_eq!(p.headline_gauges(), q.headline_gauges());
         // Re-encode is byte-stable.
         assert_eq!(p.to_bytes(), q.to_bytes());
     }

@@ -42,7 +42,7 @@ fn probe() -> WeatherProbe {
 }
 
 /// Runs the workload to drain and returns every deterministic rendering.
-fn run(threads: usize) -> (String, String, String) {
+fn run(threads: usize) -> (String, String) {
     let schedule = round_robin(N).unwrap();
     let router = DirectRouter;
     let cfg = SimConfig {
@@ -53,11 +53,7 @@ fn run(threads: usize) -> (String, String, String) {
     eng.add_flows(flows()).unwrap();
     assert!(eng.run_until_drained(MAX_SLOTS).unwrap());
     let w = eng.finish();
-    (
-        w.render_txt("equiv"),
-        w.render_json("equiv"),
-        w.headline_gauges(),
-    )
+    (w.render_txt("equiv"), w.render_json("equiv"))
 }
 
 #[test]
@@ -97,11 +93,7 @@ fn reports_survive_checkpoint_restore_byte_identically() {
         assert!(eng.run_until_drained(MAX_SLOTS).unwrap());
         let w = eng.finish();
         assert_eq!(
-            (
-                w.render_txt("equiv"),
-                w.render_json("equiv"),
-                w.headline_gauges()
-            ),
+            (w.render_txt("equiv"), w.render_json("equiv")),
             uninterrupted,
             "resumed at engine_threads={threads}"
         );

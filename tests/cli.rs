@@ -8,11 +8,10 @@
 //! process-level determinism contract: stdout and report files do not
 //! depend on `--jobs` or `--engine-threads`, observers do not change
 //! the results, a SIGTERM mid-run exits 3 with a checkpoint that
-//! `--resume` finishes into the uninterrupted run's output, and
-//! `--serve-metrics` answers a scrape.
+//! `--resume` finishes into the uninterrupted run's output. No command
+//! serves its results: they are stdout and the files a run leaves.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -173,9 +172,12 @@ fn flag_values_may_follow_an_equals_sign() {
     assert_eq!(inline, cli("analyze --n 16 --cliques 4").1);
 }
 
+/// The `--serve-<name> <value>` flags of a live metrics endpoint: no
+/// command serves anything, so each is an unread flag everywhere.
 #[test]
-fn only_resilience_takes_the_serve_flags() {
+fn no_command_takes_the_serve_flags() {
     for cmd in [
+        "resilience",
         "fig2f",
         "blast_radius",
         "adaptation",
@@ -183,11 +185,10 @@ fn only_resilience_takes_the_serve_flags() {
         "sync_domains",
         "adversarial",
     ] {
-        rejects(
-            &format!("{cmd} --serve-metrics 127.0.0.1:0"),
-            "--serve-metrics",
-        );
-        rejects(&format!("{cmd} --serve-linger-ms 10"), "--serve-linger-ms");
+        for (name, value) in [("metrics", "127.0.0.1:0"), ("linger-ms", "10")] {
+            let flag = format!("--serve-{name}");
+            rejects(&format!("{cmd} {flag} {value}"), &flag);
+        }
     }
 }
 
@@ -453,59 +454,4 @@ fn checkpoints(dir: &Path) -> usize {
             })
             .count()
     })
-}
-
-#[test]
-fn resilience_serves_prometheus_metrics() {
-    let dir = scratch_dir("resilience-serve");
-    // The linger outlasts the test; the child is killed after the scrape.
-    let serve = "resilience --serve-metrics 127.0.0.1:0 --serve-linger-ms 60000";
-    let mut child = sorn_cli(&dir, serve)
-        .stdout(Stdio::null())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("launch resilience");
-    // Lives to the end of the test, so a later write to stderr cannot
-    // fail the child with a closed pipe.
-    let mut stderr = BufReader::new(child.stderr.take().unwrap()).lines();
-    let addr = stderr
-        .by_ref()
-        .find_map(|l| {
-            l.unwrap()
-                .split_once("serving /metrics on http://")
-                .map(|(_, addr)| addr.trim().to_string())
-        })
-        .expect("resilience never announced its /metrics address");
-
-    let scrape = || -> std::io::Result<String> {
-        let mut stream = std::net::TcpStream::connect(&addr)?;
-        write!(stream, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")?;
-        let mut body = String::new();
-        stream.read_to_string(&mut body)?;
-        Ok(body)
-    };
-    // The first snapshot is published at a slot boundary shortly after
-    // the bind; poll until it is there.
-    let mut body = String::new();
-    for _ in 0..500 {
-        body = scrape().expect("scrape /metrics");
-        if body.contains("# TYPE sorn_engine_") {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    child.kill().unwrap();
-    child.wait().unwrap();
-    assert!(body.starts_with("HTTP/1.1 200 OK"), "{body}");
-    assert!(
-        body.lines().any(|l| l.starts_with("# TYPE sorn_engine_")),
-        "no TYPE line:\n{body}"
-    );
-    let is_sample = |l: &str| {
-        l.strip_prefix("sorn_engine_")
-            .and_then(|rest| rest.split_once(' '))
-            .is_some_and(|(_, value)| value.starts_with(|c: char| c.is_ascii_digit()))
-    };
-    assert!(body.lines().any(is_sample), "no sample:\n{body}");
-    let _ = std::fs::remove_dir_all(dir);
 }
