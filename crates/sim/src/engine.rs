@@ -36,8 +36,14 @@
 //! slot-bucketed arrival calendar orders in-flight cells — no hashing
 //! or heap rebalancing per transmitted cell. Slots with provably no
 //! work (nothing queued, injecting, in flight, arriving, or faulting)
-//! fast-forward through [`Engine::step_quiet`], touching only the
-//! idle-port counters.
+//! are jumped by one gap path ([`Engine::jump_quiet`]; a quiet
+//! [`Engine::step`] is its one-slot case), touching only the idle-port
+//! counters.
+//!
+//! There is one routing body ([`route_at`]) for every cell that
+//! needs a decision: due arrivals, fresh injections, and queued cells
+//! re-routed after a schedule swap all go through [`Engine::route_pass`],
+//! and every slot, busy or quiet, ends in [`Engine::end_slots`].
 //!
 //! There is one transmit walk, for healthy and degraded fabrics alike
 //! ([`run_transmit_shard`]). On a degraded fabric it pays a
@@ -70,9 +76,9 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Mutex;
 
-/// Below this many due arrivals the pass runs inline even when a pool
-/// is attached — fan-out overhead would exceed the routing work. The
-/// inline path processes the identical canonical (node-ascending)
+/// Below this many due arrivals the routing pass runs inline even when a
+/// pool is attached — fan-out overhead would exceed the routing work.
+/// The inline path processes the identical canonical (node-ascending)
 /// order, so the cutover is invisible in the results.
 const PAR_MIN_ARRIVALS: usize = 64;
 
@@ -124,7 +130,9 @@ pub(crate) struct ActiveFlow {
     pub(crate) max_hops: u8,
 }
 
-/// An in-flight cell arriving at a node.
+/// A cell at a node awaiting a routing decision: in flight until `at_ns`
+/// (the arrival calendar holds these), or injected or re-routed there
+/// at `at_ns`.
 ///
 /// Ordering lives in the calendar ring: cells transmitted in slot `s`
 /// all mature a fixed number of slots later and drain FIFO in the
@@ -141,10 +149,10 @@ pub(crate) struct Arrival {
 /// back into global state in shard (= node) order.
 #[derive(Debug, Default)]
 struct ShardScratch {
-    /// Arrival pass: cells delivered at their destination, with the
+    /// Routing passes: cells delivered at their destination, with the
     /// arrival timestamp, in canonical node order.
     deliveries: Vec<(Cell, Nanos)>,
-    /// Arrival pass: cells shed by the router or a full queue.
+    /// Routing passes: cells shed by the router or a full queue.
     drops: Vec<(NodeId, Cell, Nanos)>,
     /// Transmit pass: cells put on circuits, `(sender, arrival node,
     /// cell)`, in `(node, uplink)` order.
@@ -189,27 +197,72 @@ struct StrandedMemo {
     count: u64,
 }
 
-/// One shard of the arrival-routing pass: a contiguous node range with
-/// exclusive access to those nodes' queues, RNG streams, arrival index
-/// lists, and occupancy words (shard bases are 64-aligned, so the
-/// occupancy bitset splits on word boundaries).
-struct ArrivalShard<'w> {
+/// A pass's exclusive view of a contiguous node range. Ranges start on
+/// a multiple of 64, so the per-node bitsets split on word boundaries.
+trait Shard: Send + Sized {
+    /// Nodes in the range.
+    fn nodes(&self) -> usize;
+    /// Cuts the range at node `at` (a multiple of 64): keeps the nodes
+    /// below it and returns the rest as a shard of its own.
+    fn split_off(&mut self, at: usize) -> Self;
+}
+
+/// Cuts `items` at `at`: keeps the head in place and returns the tail.
+fn cut<'w, T>(items: &mut &'w mut [T], at: usize) -> &'w mut [T] {
+    let (head, tail) = std::mem::take(items).split_at_mut(at);
+    *items = head;
+    tail
+}
+
+/// One shard of a routing pass: a node range with exclusive access to
+/// those nodes' queues, RNG streams, per-node cell index lists, and
+/// occupancy words.
+struct RouteShard<'w> {
     base: usize,
     queues: &'w mut [NodeQueues],
     rngs: &'w mut [NodeRng],
     lists: &'w mut [Vec<u32>],
     occ: &'w mut [u64],
-    out: &'w mut ShardScratch,
 }
 
-/// One shard of the transmit walk: a contiguous node range plus the
-/// matching band of link-matrix rows and occupancy words.
+impl Shard for RouteShard<'_> {
+    fn nodes(&self) -> usize {
+        self.queues.len()
+    }
+
+    fn split_off(&mut self, at: usize) -> Self {
+        RouteShard {
+            base: self.base + at,
+            queues: cut(&mut self.queues, at),
+            rngs: cut(&mut self.rngs, at),
+            lists: cut(&mut self.lists, at),
+            occ: cut(&mut self.occ, at / 64),
+        }
+    }
+}
+
+/// One shard of the transmit walk: a node range plus its link-matrix
+/// rows and occupancy words.
 struct TransmitShard<'w> {
     base: usize,
     queues: &'w mut [NodeQueues],
     links: &'w mut [LinkRow],
     occ: &'w mut [u64],
-    out: &'w mut ShardScratch,
+}
+
+impl Shard for TransmitShard<'_> {
+    fn nodes(&self) -> usize {
+        self.queues.len()
+    }
+
+    fn split_off(&mut self, at: usize) -> Self {
+        TransmitShard {
+            base: self.base + at,
+            queues: cut(&mut self.queues, at),
+            links: cut(&mut self.links, at),
+            occ: cut(&mut self.occ, at / 64),
+        }
+    }
 }
 
 /// Precomputed per-matching port tables for the bitset transmit walk.
@@ -218,9 +271,8 @@ struct TransmitShard<'w> {
 /// `m` among nodes `64w .. 64w+63`: when an occupancy word is zero, the
 /// walk charges that many idle ports and skips 64 nodes without touching
 /// a queue. `phase_totals`/`period_total` pre-sum those circuit totals
-/// per schedule phase, which is all a provably-quiet slot — or a whole
-/// fast-forwarded gap — needs ([`Engine::step_quiet`],
-/// [`Engine::fast_forward_to`]).
+/// per schedule phase, which is all a provably-quiet gap — one slot or
+/// many — needs ([`Engine::jump_quiet`]).
 struct IdleTables {
     words: Vec<Vec<u32>>,
     /// Per pool matching `m`, the failure epoch its counts were taken at
@@ -317,6 +369,47 @@ fn staggered_matchings<'a>(
         .collect()
 }
 
+/// Runs `work` over a pass's shards, each with its own scratch, and
+/// returns how many there were. Without a pool `whole` is the one shard,
+/// run inline on the caller's thread; with one, `whole` is cut into
+/// shards of `ceil(n / threads)` nodes rounded up to whole 64-node words
+/// (so at most one per thread), which the pool's threads claim by index.
+/// Only the pooled case allocates.
+fn for_each_shard<S: Shard>(
+    pool: Option<&WorkerPool>,
+    mut whole: S,
+    scratch: &mut [ShardScratch],
+    work: impl Fn(&mut S, &mut ShardScratch) + Sync,
+) -> usize {
+    let Some(pool) = pool else {
+        scratch[0].reset();
+        work(&mut whole, &mut scratch[0]);
+        return 1;
+    };
+    let chunk = whole.nodes().div_ceil(pool.threads()).next_multiple_of(64);
+    let mut outs = scratch.iter_mut();
+    let mut slots = Vec::new();
+    loop {
+        let rest = (whole.nodes() > chunk).then(|| whole.split_off(chunk));
+        let out = outs.next().expect("one scratch per shard");
+        out.reset();
+        slots.push(Mutex::new(Some((whole, out))));
+        match rest {
+            Some(rest) => whole = rest,
+            None => break,
+        }
+    }
+    pool.run(slots.len(), &|i| {
+        let (mut shard, out) = slots[i]
+            .lock()
+            .expect("shard slot poisoned")
+            .take()
+            .expect("each shard is claimed once");
+        work(&mut shard, out);
+    });
+    slots.len()
+}
+
 /// The simulation engine.
 ///
 /// Generic over a [`Probe`] for instrumentation and a [`Profiler`]
@@ -378,13 +471,15 @@ pub struct Engine<'a, P: Probe = NoopProbe, F: Profiler = NoopProfiler> {
     /// Present when `cfg.engine_threads > 1`; `None` keeps every pass
     /// on the caller's thread.
     pool: Option<WorkerPool>,
-    /// Reusable per-shard scratch (one entry per shard in use).
+    /// Reusable per-shard scratch, one per engine thread (a pass runs at
+    /// most one shard per thread).
     shards: Vec<ShardScratch>,
-    /// Due arrivals drained from the calendar each slot (reused).
-    arrival_buf: Vec<Arrival>,
-    /// Per-node indices into `arrival_buf`, giving the canonical
+    /// The cells of the routing pass in progress: due arrivals,
+    /// injections or re-routed queued cells (reused).
+    route_buf: Vec<Arrival>,
+    /// Per-node indices into `route_buf`, giving the canonical
     /// node-grouped processing order (reused; cleared by the shards).
-    node_arrivals: Vec<Vec<u32>>,
+    node_cells: Vec<Vec<u32>>,
     /// Flow records completed during a merge, applied after the deliver
     /// span closes (reused).
     finished_flows: Vec<FlowRecord>,
@@ -502,9 +597,11 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             },
             slot: 0,
             pool: (cfg.engine_threads > 1).then(|| WorkerPool::new(cfg.engine_threads)),
-            shards: Vec::new(),
-            arrival_buf: Vec::new(),
-            node_arrivals: vec![Vec::new(); n],
+            shards: (0..cfg.engine_threads.max(1))
+                .map(|_| ShardScratch::default())
+                .collect(),
+            route_buf: Vec::new(),
+            node_cells: vec![Vec::new(); n],
             finished_flows: Vec::new(),
             tracer: (cfg.trace_one_in > 0).then(|| FlowSampler::new(cfg.seed, cfg.trace_one_in)),
             ff_enabled: false,
@@ -670,8 +767,8 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
     /// Enables batched quiet-gap skipping: [`Engine::fast_forward_to`]
     /// (and through it [`Engine::run_slots`] /
     /// [`Engine::run_until_drained`]) may jump whole quiescent spans in
-    /// one arithmetic step instead of per-slot [`Engine::step_quiet`]
-    /// calls. Off by default. Results are bit-identical either way —
+    /// one arithmetic step instead of one slot per [`Engine::step`].
+    /// Off by default. Results are bit-identical either way —
     /// the only observable difference is that probes receive one
     /// [`Probe::on_slots_skipped`] call per span instead of per-slot
     /// [`Probe::on_slot_end`] calls, and every probe in this workspace
@@ -681,16 +778,11 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         self.ff_enabled = enabled;
     }
 
-    /// True when batched quiet-gap skipping is enabled.
-    pub fn fast_forward_enabled(&self) -> bool {
-        self.ff_enabled
-    }
-
     /// True when this slot provably has no work: nothing queued or
     /// injecting, no arrival or flow activation due, no scripted fault
     /// firing, and a healthy fabric. Such a slot's only observable
-    /// effects are idle-port counts and the per-slot hooks, so
-    /// [`Engine::step_quiet`] reproduces it in O(uplinks).
+    /// effects are idle-port counts and the per-slot hooks, so the gap
+    /// path ([`Engine::jump_quiet`]) reproduces it in O(uplinks).
     fn slot_is_quiet(&self, now: Nanos) -> bool {
         self.queued_cells == 0
             && self.injecting_flows == 0
@@ -708,45 +800,6 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
                 .events()
                 .get(self.fault_cursor)
                 .is_none_or(|e| e.at_ns > now)
-    }
-
-    /// Fast-forwards one provably-quiet slot (see
-    /// [`Engine::slot_is_quiet`]) without walking any node: every
-    /// scheduled port idles, so the idle counter advances by each active
-    /// matching's precomputed circuit total, the calendar head keeps
-    /// pace, and the per-slot probe hook fires exactly as on the full
-    /// path — a fast-forwarded run stays bit-identical, checkpoints
-    /// included.
-    fn step_quiet(&mut self, now: Nanos) {
-        // Keep the calendar's head-slot evolution (a checkpointed field)
-        // identical to the full path's drain loop.
-        let stray = self.inflight.pop_due(self.slot);
-        debug_assert!(stray.is_none(), "quiet slot released an arrival");
-        let period = self.schedule.period() as u64;
-        self.metrics.idle_circuit_slots +=
-            self.idle_tables.phase_totals[(self.slot % period) as usize];
-        if self.metrics.stranded_cells != 0 {
-            self.metrics.stranded_cells = 0;
-        }
-        if let Some(restored_at) = self.episode.awaiting_recovery_since {
-            // An empty queue is trivially back at its onset depth.
-            self.metrics
-                .recovery_times_ns
-                .push(now.saturating_sub(restored_at));
-            self.episode.awaiting_recovery_since = None;
-        }
-        self.slot += 1;
-        self.metrics.slots = self.slot;
-        self.metrics.slots_skipped += 1;
-        self.probe.on_slot_end(&SlotView {
-            slot: self.slot,
-            now_ns: now,
-            metrics: &self.metrics,
-            total_queued: 0,
-            inflight_cells: self.inflight.len(),
-            active_flows: self.table.live_count(),
-            queues: &self.queues,
-        });
     }
 
     /// Jumps an entire quiescent gap — from the current slot up to (but
@@ -805,6 +858,19 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         if bound <= self.slot + 1 {
             return 0;
         }
+        self.jump_quiet(bound)
+    }
+
+    /// Jumps the provably-quiet slots `self.slot .. bound` (see
+    /// [`Engine::slot_is_quiet`]) without walking any node: every
+    /// scheduled port idles, so the idle counter advances by each active
+    /// matching's precomputed circuit total and the calendar head keeps
+    /// pace. A quiet [`Engine::step`] is the one-slot case and
+    /// [`Engine::fast_forward_to`] the batched one; either way the run
+    /// stays bit-identical to walking every slot, checkpoints included.
+    /// Returns the number of slots jumped.
+    fn jump_quiet(&mut self, bound: u64) -> u64 {
+        let now = self.cfg.slot_start(self.slot);
         let skipped = bound - self.slot;
         // Collapse the calendar's head-slot evolution: N quiet
         // `pop_due(s)` calls leave `head_slot = max(head, bound)`, the
@@ -813,40 +879,70 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         debug_assert!(stray.is_none(), "quiet gap released an arrival");
         // Closed-form idle-port accounting: whole schedule periods in
         // one multiply, the remainder phase-by-phase. Identical u64 sums
-        // to the per-slot loop.
+        // to the per-slot loop; one slot charges exactly
+        // `phase_totals[slot % period]`.
         let period = self.schedule.period() as u64;
         let whole = skipped / period;
         self.metrics.idle_circuit_slots += whole * self.idle_tables.period_total;
         for s in (self.slot + whole * period)..bound {
             self.metrics.idle_circuit_slots += self.idle_tables.phase_totals[(s % period) as usize];
         }
-        if self.metrics.stranded_cells != 0 {
+        self.end_slots(now, skipped, true);
+        skipped
+    }
+
+    /// Closes `slots` slots, the first of which started at `now`: one
+    /// busy slot, or a gap of quiet ones. All end-of-slot bookkeeping
+    /// lives here — queue peak, failure slots, the stranded gauge, the
+    /// recovery time of a repaired failure episode, the slot counters —
+    /// followed by the probe hook: [`Probe::on_slot_end`] for one slot,
+    /// [`Probe::on_slots_skipped`] for a longer gap.
+    fn end_slots(&mut self, now: Nanos, slots: u64, quiet: bool) {
+        let queued = self.total_queued();
+        self.metrics.peak_queue_depth = self.metrics.peak_queue_depth.max(queued);
+        if !self.failures.is_empty() {
+            self.metrics.failure_slots += slots;
+            // Keep the stranded gauge live while degraded: the first
+            // query after a failure-set change walks the queues, then
+            // the incremental count makes this O(1) per slot.
+            self.metrics.stranded_cells = self.count_stranded();
+        } else if self.metrics.stranded_cells != 0 {
             self.metrics.stranded_cells = 0;
         }
+        // Recovery: the episode closes at the first slot end after the
+        // restoration whose queues are back to their depth at failure
+        // onset. A quiet gap's queues are empty, so its first slot does.
         if let Some(restored_at) = self.episode.awaiting_recovery_since {
-            // The first slot of the gap would have closed the episode.
-            self.metrics
-                .recovery_times_ns
-                .push(now.saturating_sub(restored_at));
-            self.episode.awaiting_recovery_since = None;
+            if queued <= self.episode.onset_queued {
+                self.metrics
+                    .recovery_times_ns
+                    .push(now.saturating_sub(restored_at));
+                self.episode.awaiting_recovery_since = None;
+            }
         }
-        self.slot = bound;
-        self.metrics.slots = bound;
-        self.metrics.slots_skipped += skipped;
-        self.probe.on_slots_skipped(&SkipView {
-            end: SlotView {
-                slot: bound,
-                now_ns: self.cfg.slot_start(bound - 1),
-                metrics: &self.metrics,
-                total_queued: 0,
-                inflight_cells: self.inflight.len(),
-                active_flows: self.table.live_count(),
-                queues: &self.queues,
-            },
-            skipped,
-            slot_ns,
-        });
-        skipped
+        self.slot += slots;
+        self.metrics.slots = self.slot;
+        if quiet {
+            self.metrics.slots_skipped += slots;
+        }
+        let end = SlotView {
+            slot: self.slot,
+            now_ns: self.cfg.slot_start(self.slot - 1),
+            metrics: &self.metrics,
+            total_queued: queued,
+            inflight_cells: self.inflight.len(),
+            active_flows: self.table.live_count(),
+            queues: &self.queues,
+        };
+        if slots == 1 {
+            self.probe.on_slot_end(&end);
+        } else {
+            self.probe.on_slots_skipped(&SkipView {
+                end,
+                skipped: slots,
+                slot_ns: self.cfg.slot_ns,
+            });
+        }
     }
 
     /// Advances one slot: deliveries, arrivals, injection, transmission.
@@ -855,7 +951,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         self.sync_health_mirror();
 
         if self.slot_is_quiet(now) {
-            self.step_quiet(now);
+            self.jump_quiet(self.slot + 1);
             return Ok(());
         }
 
@@ -868,7 +964,12 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
 
         // 1. Cells that have landed by the start of this slot, routed in
         // canonical node order (sharded across the pool when present).
-        self.arrival_pass(now);
+        let mut due = std::mem::take(&mut self.route_buf);
+        while let Some(arrival) = self.inflight.pop_due(self.slot) {
+            debug_assert!(arrival.at_ns <= now, "calendar released a cell early");
+            due.push(arrival);
+        }
+        self.route_pass(due, false);
 
         // 2. Newly arrived flows begin injecting.
         let enqueue_span = self.profiler.span(Phase::Enqueue);
@@ -890,10 +991,10 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         drop(enqueue_span);
 
         // 3. Source NICs inject at line rate (uplinks cells per slot).
-        // Stays serial: injection is node-local and cheap next to the
-        // sharded passes, and each injected cell is timed inside
-        // `route_cell`. Only nodes with a flow to inject are visited, in
-        // ascending node order.
+        // Only nodes with a flow to inject are visited, in ascending node
+        // order; the cells then take one serial routing pass, so each
+        // node's decisions (and RNG draws) keep their order.
+        let mut injected = std::mem::take(&mut self.route_buf);
         for w in 0..self.injecting_occ.len() {
             let mut bits = self.injecting_occ[w];
             while bits != 0 {
@@ -905,8 +1006,11 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
                         break;
                     };
                     let (cell, done_injecting) = self.table.next_cell(slot, now);
-                    self.metrics.injected_cells += 1;
-                    self.route_cell(cell.src, cell, now);
+                    injected.push(Arrival {
+                        at_ns: now,
+                        node: cell.src,
+                        cell,
+                    });
                     if done_injecting {
                         self.injecting[src].pop_front();
                         self.injecting_flows -= 1;
@@ -917,140 +1021,68 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
                 }
             }
         }
+        self.metrics.injected_cells += injected.len() as u64;
+        self.route_pass(injected, true);
 
         // 4. Transmit one cell per uplink per node along the schedule,
         // sharded by node; shard outputs merge in node order, giving
         // the calendar its canonical `(node, uplink)` arrival order.
         let transmit_err = self.transmit_pass(now);
-
-        let queued = self.total_queued();
-        self.metrics.peak_queue_depth = self.metrics.peak_queue_depth.max(queued);
-        if !self.failures.is_empty() {
-            self.metrics.failure_slots += 1;
-            // Keep the stranded gauge live while degraded: the first
-            // query after a failure-set change walks the queues, then
-            // the incremental count makes this O(1) per slot.
-            self.metrics.stranded_cells = self.count_stranded();
-        } else if self.metrics.stranded_cells != 0 {
-            self.metrics.stranded_cells = 0;
-        }
-        if let Some(restored_at) = self.episode.awaiting_recovery_since {
-            if queued <= self.episode.onset_queued {
-                self.metrics
-                    .recovery_times_ns
-                    .push(now.saturating_sub(restored_at));
-                self.episode.awaiting_recovery_since = None;
-            }
-        }
-        self.slot += 1;
-        self.metrics.slots = self.slot;
-        self.probe.on_slot_end(&SlotView {
-            slot: self.slot,
-            now_ns: now,
-            metrics: &self.metrics,
-            total_queued: queued,
-            inflight_cells: self.inflight.len(),
-            active_flows: self.table.live_count(),
-            queues: &self.queues,
-        });
+        self.end_slots(now, 1, false);
         transmit_err
     }
 
-    /// Drains due arrivals, groups them by arrival node, routes them
-    /// (inline or across the pool), and applies deliveries and drops in
-    /// canonical node order.
-    fn arrival_pass(&mut self, now: Nanos) {
-        let mut buf = std::mem::take(&mut self.arrival_buf);
-        debug_assert!(buf.is_empty());
-        while let Some(arrival) = self.inflight.pop_due(self.slot) {
-            debug_assert!(arrival.at_ns <= now, "calendar released a cell early");
-            buf.push(arrival);
-        }
-        if buf.is_empty() {
-            self.arrival_buf = buf;
+    /// Routes `cells` — due arrivals, fresh injections, or queued cells
+    /// re-routed after a schedule swap — each at its `node`, then
+    /// applies what the routing produced in canonical node order.
+    ///
+    /// Each node decides its cells node-ascending, in `cells` order
+    /// within a node ([`route_at`]): queue pushes are node-local,
+    /// while deliveries, drops and hop events are buffered per shard.
+    /// `in_order` cells (injection, re-route) are already node-ascending
+    /// and run as one inline shard; arrivals are grouped by node first,
+    /// and a large batch shards across the worker pool. The merge then
+    /// fires, shard by shard, every hop event, delivery and drop, and
+    /// after the last shard the finished flows.
+    fn route_pass(&mut self, mut cells: Vec<Arrival>, in_order: bool) {
+        if cells.is_empty() {
+            self.route_buf = cells;
             return;
         }
         let track = self.stranded_tracking();
-        let n = self.queues.len();
-        let mut lists = std::mem::take(&mut self.node_arrivals);
-        for (i, a) in buf.iter().enumerate() {
-            lists[a.node.index()].push(i as u32);
+        let mut lists = std::mem::take(&mut self.node_cells);
+        if !in_order {
+            for (i, a) in cells.iter().enumerate() {
+                lists[a.node.index()].push(i as u32);
+            }
         }
+        let pool = (!in_order && cells.len() >= PAR_MIN_ARRIVALS)
+            .then_some(self.pool.as_ref())
+            .flatten();
         let mut scratch = std::mem::take(&mut self.shards);
         let shards_used;
         {
-            let route_span = self.profiler.span(Phase::Route);
-            let router = self.router;
-            let cfg = &self.cfg;
-            let failures = &self.failures;
-            let tracer = self.tracer;
-            let schedule = self.schedule;
-            let slot = self.slot;
-            match &self.pool {
-                Some(pool) if buf.len() >= PAR_MIN_ARRIVALS && n > 1 => {
-                    let k = pool.threads().min(n);
-                    // 64-aligned so each shard owns whole occupancy
-                    // words; ceil(ceil(n/64) / (chunk/64)) == ceil(n/chunk),
-                    // so the word bands pair 1:1 with the node bands.
-                    let chunk = n.div_ceil(k).next_multiple_of(64);
-                    shards_used = n.div_ceil(chunk);
-                    if scratch.len() < shards_used {
-                        scratch.resize_with(shards_used, ShardScratch::default);
-                    }
-                    let mut work: Vec<Mutex<Option<ArrivalShard<'_>>>> =
-                        Vec::with_capacity(shards_used);
-                    for (i, ((((q, r), l), o), s)) in self
-                        .queues
-                        .chunks_mut(chunk)
-                        .zip(self.rngs.chunks_mut(chunk))
-                        .zip(lists.chunks_mut(chunk))
-                        .zip(self.occupancy.chunks_mut(chunk / 64))
-                        .zip(scratch.iter_mut())
-                        .enumerate()
-                    {
-                        s.reset();
-                        work.push(Mutex::new(Some(ArrivalShard {
-                            base: i * chunk,
-                            queues: q,
-                            rngs: r,
-                            lists: l,
-                            occ: o,
-                            out: s,
-                        })));
-                    }
-                    let buf_ref: &[Arrival] = &buf;
-                    pool.run(work.len(), &|i| {
-                        let mut shard = work[i]
-                            .lock()
-                            .expect("shard slot poisoned")
-                            .take()
-                            .expect("each shard is claimed once");
-                        run_arrival_shard(
-                            &mut shard, buf_ref, router, cfg, failures, track, tracer, schedule,
-                            slot,
-                        );
-                    });
-                }
-                _ => {
-                    shards_used = 1;
-                    if scratch.is_empty() {
-                        scratch.push(ShardScratch::default());
-                    }
-                    scratch[0].reset();
-                    let mut shard = ArrivalShard {
-                        base: 0,
-                        queues: &mut self.queues,
-                        rngs: &mut self.rngs,
-                        lists: &mut lists,
-                        occ: &mut self.occupancy,
-                        out: &mut scratch[0],
-                    };
-                    run_arrival_shard(
-                        &mut shard, &buf, router, cfg, failures, track, tracer, schedule, slot,
-                    );
-                }
-            }
-            drop(route_span);
+            let _route_span = self.profiler.span(Phase::Route);
+            let ctx = RouteCtx {
+                router: self.router,
+                cfg: &self.cfg,
+                failures: &self.failures,
+                track_stranded: track,
+                tracer: self.tracer,
+                schedule: self.schedule,
+                slot: self.slot,
+            };
+            let cells: &[Arrival] = &cells;
+            let whole = RouteShard {
+                base: 0,
+                queues: &mut self.queues,
+                rngs: &mut self.rngs,
+                lists: &mut lists,
+                occ: &mut self.occupancy,
+            };
+            shards_used = for_each_shard(pool, whole, &mut scratch, |shard, out| {
+                run_route_shard(shard, out, cells, in_order, &ctx);
+            });
         }
 
         // Merge, in shard (= node) order: deliveries under the deliver
@@ -1068,8 +1100,8 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
                 self.probe.on_hop(&ev);
             }
             for (cell, at_ns) in s.deliveries.drain(..) {
-                // One span per delivered cell, as on the inline path:
-                // `Deliver.calls` equals delivered cells either way.
+                // One span per delivered cell: `Deliver.calls` equals
+                // delivered cells.
                 let span = self.profiler.span(Phase::Deliver);
                 let record = self.apply_delivery(cell, at_ns);
                 drop(span);
@@ -1087,9 +1119,9 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             self.metrics.flows.push(record);
         }
         self.finished_flows = finished;
-        buf.clear();
-        self.arrival_buf = buf;
-        self.node_arrivals = lists;
+        cells.clear();
+        self.route_buf = cells;
+        self.node_cells = lists;
         self.shards = scratch;
     }
 
@@ -1117,69 +1149,19 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             let tracer = self.tracer;
             let tables = &self.idle_tables;
             let matchings = &matchings[..];
-            match &self.pool {
-                Some(pool) if n > 1 => {
-                    let k = pool.threads().min(n);
-                    // 64-aligned: see the arrival pass.
-                    let chunk = n.div_ceil(k).next_multiple_of(64);
-                    shards_used = n.div_ceil(chunk);
-                    if scratch.len() < shards_used {
-                        scratch.resize_with(shards_used, ShardScratch::default);
-                    }
-                    let (mat_n, bands) = self.metrics.link_transmissions.row_bands_mut(chunk);
-                    debug_assert_eq!(mat_n, n, "link matrix must match the network size");
-                    let mut work: Vec<Mutex<Option<TransmitShard<'_>>>> =
-                        Vec::with_capacity(shards_used);
-                    for (i, (((q, band), o), s)) in self
-                        .queues
-                        .chunks_mut(chunk)
-                        .zip(bands)
-                        .zip(self.occupancy.chunks_mut(chunk / 64))
-                        .zip(scratch.iter_mut())
-                        .enumerate()
-                    {
-                        s.reset();
-                        work.push(Mutex::new(Some(TransmitShard {
-                            base: i * chunk,
-                            queues: q,
-                            links: band,
-                            occ: o,
-                            out: s,
-                        })));
-                    }
-                    pool.run(work.len(), &|i| {
-                        let mut shard = work[i]
-                            .lock()
-                            .expect("shard slot poisoned")
-                            .take()
-                            .expect("each shard is claimed once");
-                        walk(
-                            &mut shard, router, cfg, matchings, tables, slot, failures, track,
-                            tracer,
-                        );
-                    });
-                }
-                _ => {
-                    shards_used = 1;
-                    if scratch.is_empty() {
-                        scratch.push(ShardScratch::default());
-                    }
-                    scratch[0].reset();
-                    let (mat_n, mut bands) = self.metrics.link_transmissions.row_bands_mut(n);
-                    debug_assert_eq!(mat_n, n, "link matrix must match the network size");
-                    let band = bands.next().expect("one full band");
-                    let mut shard = TransmitShard {
-                        base: 0,
-                        queues: &mut self.queues,
-                        links: band,
-                        occ: &mut self.occupancy,
-                        out: &mut scratch[0],
-                    };
-                    walk(
-                        &mut shard, router, cfg, matchings, tables, slot, failures, track, tracer,
-                    );
-                }
-            }
+            let links = self.metrics.link_transmissions.rows_mut();
+            debug_assert_eq!(links.len(), n, "link matrix must match the network size");
+            let whole = TransmitShard {
+                base: 0,
+                queues: &mut self.queues,
+                links,
+                occ: &mut self.occupancy,
+            };
+            shards_used = for_each_shard(self.pool.as_ref(), whole, &mut scratch, |shard, out| {
+                walk(
+                    shard, out, router, cfg, matchings, tables, slot, failures, track, tracer,
+                );
+            });
         }
         let mut err = None;
         let at_ns = now + self.cfg.slot_ns + self.cfg.propagation_ns;
@@ -1328,113 +1310,6 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         self.stranded.set(StrandedMemo::default());
     }
 
-    /// Routes a cell sitting at `node` (freshly injected, or re-routed
-    /// after a schedule swap). Arrival-pass routing uses the sharded
-    /// equivalent, [`run_arrival_shard`].
-    fn route_cell(&mut self, node: NodeId, mut cell: Cell, now: Nanos) {
-        let router = self.router;
-        let traced = self.tracer.is_some_and(|t| t.is_traced(cell.flow));
-        // The phase is only known once the decision is in: terminal
-        // decisions count as Deliver, everything else as Route.
-        let mut span = self.profiler.span(Phase::Route);
-        match router.decide(node, &mut cell, &mut self.rngs[node.index()]) {
-            RouteDecision::Deliver => {
-                span.set_phase(Phase::Deliver);
-                let record = self.apply_delivery(cell, now);
-                // Flow-completion bookkeeping (and its probe hooks,
-                // which may write trace lines) is not delivery work;
-                // close the span before it.
-                drop(span);
-                if traced {
-                    let latency_ns = now.saturating_sub(cell.injected_ns);
-                    self.probe.on_hop(&HopEvent::for_cell(
-                        &cell,
-                        node,
-                        now,
-                        HopKind::Deliver { latency_ns },
-                    ));
-                }
-                if let Some(record) = record {
-                    self.probe.on_flow_finish(&record, record.completion_ns);
-                    self.metrics.flows.push(record);
-                }
-            }
-            RouteDecision::ToNode(next) => {
-                if self.queue_full(node) {
-                    self.metrics.dropped_cells += 1;
-                    self.probe.on_drop(&cell, node, now);
-                    if traced {
-                        self.probe
-                            .on_hop(&HopEvent::for_cell(&cell, node, now, HopKind::Drop));
-                    }
-                    return;
-                }
-                if self.stranded_tracking()
-                    && (self.failures.node_failed(cell.dst)
-                        || !self.failures.circuit_up(node, next))
-                {
-                    self.stranded_adjust(1);
-                }
-                self.queues[node.index()].push_specific(next, cell);
-                self.occupancy[node.index() / 64] |= 1u64 << (node.index() % 64);
-                self.queued_cells += 1;
-                if traced {
-                    let wait =
-                        circuit_wait_slots(self.schedule, self.slot, self.cfg.uplinks, node, next);
-                    let depth = self.queues[node.index()].depth();
-                    self.probe.on_hop(&HopEvent::for_cell(
-                        &cell,
-                        node,
-                        now,
-                        HopKind::Enqueue {
-                            next: Some(next),
-                            depth,
-                            circuit_wait_slots: wait,
-                        },
-                    ));
-                }
-            }
-            RouteDecision::ToClass(class) => {
-                if self.queue_full(node) {
-                    self.metrics.dropped_cells += 1;
-                    self.probe.on_drop(&cell, node, now);
-                    if traced {
-                        self.probe
-                            .on_hop(&HopEvent::for_cell(&cell, node, now, HopKind::Drop));
-                    }
-                    return;
-                }
-                if self.stranded_tracking() && self.failures.node_failed(cell.dst) {
-                    self.stranded_adjust(1);
-                }
-                self.queues[node.index()].push_class(class, cell);
-                self.occupancy[node.index() / 64] |= 1u64 << (node.index() % 64);
-                self.queued_cells += 1;
-                if traced {
-                    let depth = self.queues[node.index()].depth();
-                    self.probe.on_hop(&HopEvent::for_cell(
-                        &cell,
-                        node,
-                        now,
-                        HopKind::Enqueue {
-                            next: None,
-                            depth,
-                            circuit_wait_slots: 0,
-                        },
-                    ));
-                }
-            }
-            RouteDecision::Drop => {
-                self.metrics.dropped_cells += 1;
-                self.probe.on_drop(&cell, node, now);
-                if traced {
-                    self.probe
-                        .on_hop(&HopEvent::for_cell(&cell, node, now, HopKind::Drop));
-                }
-            }
-        }
-    }
-
     /// Applies one delivery to the metrics and flow slab; returns the
     /// completion record when this cell finished its flow. The caller
     /// pushes the record and fires `on_flow_finish` outside the deliver
@@ -1448,11 +1323,6 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         }
         self.probe.on_delivery(&cell, latency, now);
         self.table.record_delivery(cell.flow, cell.hops, now)
-    }
-
-    /// True when `node`'s queues are at the configured cap.
-    fn queue_full(&self, node: NodeId) -> bool {
-        self.cfg.node_queue_cap > 0 && self.queues[node.index()].depth() >= self.cfg.node_queue_cap
     }
 
     /// Installs a new circuit schedule mid-run — the §5 update operation
@@ -1475,22 +1345,6 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             .on_reconfiguration(self.slot, self.cfg.slot_start(self.slot));
     }
 
-    /// Replaces the router mid-run (paired with [`Engine::install_schedule`]
-    /// when an update changes the clique structure). Queued cells should
-    /// be re-routed afterwards.
-    ///
-    /// # Panics
-    /// Panics if the new router declares different classes than the one
-    /// it replaces — per-class queues must stay meaningful.
-    pub fn install_router(&mut self, router: &'a dyn Router) {
-        assert_eq!(
-            router.classes(),
-            self.router.classes(),
-            "router swap must keep the class set"
-        );
-        self.router = router;
-    }
-
     /// Drains every queued cell and re-routes it from its current node —
     /// used after a schedule update to re-validate routing state (§5).
     ///
@@ -1500,18 +1354,21 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         self.sync_health_mirror();
         // Bulk surgery: strandedness is recomputed on the next query.
         self.stranded_invalidate();
-        let mut total = 0;
-        for v in 0..self.queues.len() {
-            let cells = self.queues[v].drain_all();
-            total += cells.len();
-            self.queued_cells -= cells.len();
-            // The re-routes below push back into this node's queues and
-            // re-set the bit whenever anything actually lands there.
-            self.occupancy[v / 64] &= !(1u64 << (v % 64));
-            for cell in cells {
-                self.route_cell(NodeId(v as u32), cell, now);
-            }
+        let mut cells = std::mem::take(&mut self.route_buf);
+        for (v, queues) in self.queues.iter_mut().enumerate() {
+            let node = NodeId(v as u32);
+            cells.extend(queues.drain_all().into_iter().map(|cell| Arrival {
+                at_ns: now,
+                node,
+                cell,
+            }));
         }
+        let total = cells.len();
+        self.queued_cells -= total;
+        // The routing pass re-sets a node's bit whenever anything lands
+        // back in its queues.
+        self.occupancy.fill(0);
+        self.route_pass(cells, true);
         Ok(total)
     }
 
@@ -1694,8 +1551,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         }
         let mut injecting: Vec<VecDeque<usize>> = Vec::with_capacity(n);
         let mut injecting_flows = 0usize;
-        let mut injecting_occ = vec![0u64; n.div_ceil(64)];
-        for (v, list) in snapshot.injecting.iter().enumerate() {
+        for list in &snapshot.injecting {
             let mut deque = VecDeque::with_capacity(list.len());
             for &idx in list {
                 let idx = idx as usize;
@@ -1705,9 +1561,6 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
                 deque.push_back(idx);
             }
             injecting_flows += deque.len();
-            if !deque.is_empty() {
-                injecting_occ[v / 64] |= 1u64 << (v % 64);
-            }
             injecting.push(deque);
         }
 
@@ -1778,7 +1631,6 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             future_flows.push(Reverse((f.arrival_ns, key)));
             future_store.push(Some(*f));
         }
-        let future_pending = future_store.len();
 
         let mut failures = FailureSet::none();
         for &v in &snapshot.failed_nodes {
@@ -1814,189 +1666,164 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             &snapshot.active,
             snapshot.active_free.iter().map(|&i| i as u32).collect(),
         );
-        let mut occupancy = vec![0u64; n.div_ceil(64)];
-        for (v, q) in queues.iter().enumerate() {
-            if !q.is_empty() {
-                occupancy[v / 64] |= 1u64 << (v % 64);
-            }
-        }
 
-        Ok(Engine {
-            rngs: snapshot
-                .rng_states
-                .iter()
-                .map(|&s| NodeRng::from_raw_state(s))
-                .collect(),
-            schedule,
-            router,
-            queues,
-            future_flows,
-            future_store,
-            future_pending,
-            injecting,
-            injecting_flows,
-            injecting_occ,
-            table,
-            occupancy,
-            idle_tables: IdleTables::build(schedule, &cfg),
-            inflight,
-            queued_cells,
-            failures,
-            failure_epoch: snapshot.failure_epoch,
-            // Left invalid: the next stranded query recomputes the same
-            // count the uninterrupted run's incremental memo holds.
-            stranded: MemoCell::new(StrandedMemo::default()),
-            fault_plan,
-            fault_cursor: snapshot.fault_cursor as usize,
-            health_mirror: None,
-            mirror_epoch: snapshot.failure_epoch,
-            episode: snapshot.episode,
-            metrics: snapshot.metrics.clone(),
-            slot: snapshot.slot,
-            pool: (cfg.engine_threads > 1).then(|| WorkerPool::new(cfg.engine_threads)),
-            shards: Vec::new(),
-            arrival_buf: Vec::new(),
-            node_arrivals: vec![Vec::new(); n],
-            finished_flows: Vec::new(),
-            tracer: (cfg.trace_one_in > 0).then(|| FlowSampler::new(cfg.seed, cfg.trace_one_in)),
-            ff_enabled: false,
-            probe,
-            profiler,
-            cfg,
-        })
+        let mut eng = Engine::with_probe_and_profiler(cfg, schedule, router, probe, profiler);
+        eng.rngs = snapshot
+            .rng_states
+            .iter()
+            .map(|&s| NodeRng::from_raw_state(s))
+            .collect();
+        eng.queues = queues;
+        eng.future_pending = future_store.len();
+        eng.future_flows = future_flows;
+        eng.future_store = future_store;
+        eng.injecting = injecting;
+        eng.injecting_flows = injecting_flows;
+        eng.table = table;
+        eng.inflight = inflight;
+        eng.queued_cells = queued_cells;
+        eng.failures = failures;
+        // The stranded memo stays invalid: the next stranded query
+        // recomputes the same count the uninterrupted run's incremental
+        // memo holds.
+        eng.failure_epoch = snapshot.failure_epoch;
+        eng.mirror_epoch = snapshot.failure_epoch;
+        eng.fault_plan = fault_plan;
+        eng.fault_cursor = snapshot.fault_cursor as usize;
+        eng.episode = snapshot.episode;
+        eng.metrics = snapshot.metrics.clone();
+        eng.slot = snapshot.slot;
+        eng.rebuild_occupancy();
+        Ok(eng)
     }
 
-    /// Returns the probe *without* firing [`Probe::on_run_end`] — for
-    /// drivers that checkpoint mid-run and carry the probe across a
-    /// restore instead of closing the run (contrast [`Engine::finish`]).
-    pub fn into_probe(self) -> P {
-        self.probe
+    /// Derives the `occupancy` and `injecting_occ` bits from the queues
+    /// and injection lists they mirror (restore: neither is
+    /// checkpointed).
+    fn rebuild_occupancy(&mut self) {
+        for v in 0..self.queues.len() {
+            let bit = 1u64 << (v % 64);
+            if !self.queues[v].is_empty() {
+                self.occupancy[v / 64] |= bit;
+            }
+            if !self.injecting[v].is_empty() {
+                self.injecting_occ[v / 64] |= bit;
+            }
+        }
     }
 }
 
-/// Routes one shard's grouped arrivals: node-ascending within the
-/// shard's range, arrival order within a node. Queue pushes are applied
-/// directly (node-local); deliveries and drops go to the scratch for
-/// the engine's ordered merge.
-#[allow(clippy::too_many_arguments)]
-fn run_arrival_shard(
-    shard: &mut ArrivalShard<'_>,
-    buf: &[Arrival],
-    router: &dyn Router,
-    cfg: &SimConfig,
-    failures: &FailureSet,
+/// What a routing decision reads besides the deciding node's own state.
+#[derive(Clone, Copy)]
+struct RouteCtx<'a> {
+    router: &'a dyn Router,
+    cfg: &'a SimConfig,
+    failures: &'a FailureSet,
     track_stranded: bool,
     tracer: Option<FlowSampler>,
-    schedule: &CircuitSchedule,
+    schedule: &'a CircuitSchedule,
     slot: u64,
+}
+
+/// Routes one shard's cells. `in_order` cells are already node-ascending
+/// and the shard covers every node (injection, re-route): they are
+/// decided as they come. Otherwise (arrivals) they are taken node by
+/// node through the shard's per-node index lists, in buffer order
+/// within a node.
+fn run_route_shard(
+    shard: &mut RouteShard<'_>,
+    out: &mut ShardScratch,
+    cells: &[Arrival],
+    in_order: bool,
+    ctx: &RouteCtx<'_>,
 ) {
+    if in_order {
+        for a in cells {
+            route_at(shard, out, ctx, a);
+        }
+        return;
+    }
     for li in 0..shard.lists.len() {
         if shard.lists[li].is_empty() {
             continue;
         }
-        let node = NodeId((shard.base + li) as u32);
-        let queue = &mut shard.queues[li];
-        let rng = &mut shard.rngs[li];
-        for &i in shard.lists[li].iter() {
-            let a = buf[i as usize];
-            debug_assert_eq!(a.node, node, "arrival grouped under the wrong node");
-            let mut cell = a.cell;
-            let traced = tracer.is_some_and(|t| t.is_traced(cell.flow));
-            match router.decide(node, &mut cell, rng) {
-                RouteDecision::Deliver => {
-                    debug_assert_eq!(node, cell.dst, "router delivered at the wrong node");
-                    if traced {
-                        let latency_ns = a.at_ns.saturating_sub(cell.injected_ns);
-                        shard.out.hops.push(HopEvent::for_cell(
-                            &cell,
-                            node,
-                            a.at_ns,
-                            HopKind::Deliver { latency_ns },
-                        ));
-                    }
-                    shard.out.deliveries.push((cell, a.at_ns));
-                }
-                RouteDecision::ToNode(next) => {
-                    if cfg.node_queue_cap > 0 && queue.depth() >= cfg.node_queue_cap {
-                        if traced {
-                            shard.out.hops.push(HopEvent::for_cell(
-                                &cell,
-                                node,
-                                a.at_ns,
-                                HopKind::Drop,
-                            ));
-                        }
-                        shard.out.drops.push((node, cell, a.at_ns));
-                        continue;
-                    }
-                    if track_stranded
-                        && (failures.node_failed(cell.dst) || !failures.circuit_up(node, next))
-                    {
-                        shard.out.stranded_delta += 1;
-                    }
-                    queue.push_specific(next, cell);
-                    shard.occ[li / 64] |= 1u64 << (li % 64);
-                    shard.out.queued_delta += 1;
-                    if traced {
-                        let wait = circuit_wait_slots(schedule, slot, cfg.uplinks, node, next);
-                        shard.out.hops.push(HopEvent::for_cell(
-                            &cell,
-                            node,
-                            a.at_ns,
-                            HopKind::Enqueue {
-                                next: Some(next),
-                                depth: queue.depth(),
-                                circuit_wait_slots: wait,
-                            },
-                        ));
-                    }
-                }
-                RouteDecision::ToClass(class) => {
-                    if cfg.node_queue_cap > 0 && queue.depth() >= cfg.node_queue_cap {
-                        if traced {
-                            shard.out.hops.push(HopEvent::for_cell(
-                                &cell,
-                                node,
-                                a.at_ns,
-                                HopKind::Drop,
-                            ));
-                        }
-                        shard.out.drops.push((node, cell, a.at_ns));
-                        continue;
-                    }
-                    if track_stranded && failures.node_failed(cell.dst) {
-                        shard.out.stranded_delta += 1;
-                    }
-                    queue.push_class(class, cell);
-                    shard.occ[li / 64] |= 1u64 << (li % 64);
-                    shard.out.queued_delta += 1;
-                    if traced {
-                        shard.out.hops.push(HopEvent::for_cell(
-                            &cell,
-                            node,
-                            a.at_ns,
-                            HopKind::Enqueue {
-                                next: None,
-                                depth: queue.depth(),
-                                circuit_wait_slots: 0,
-                            },
-                        ));
-                    }
-                }
-                RouteDecision::Drop => {
-                    if traced {
-                        shard.out.hops.push(HopEvent::for_cell(
-                            &cell,
-                            node,
-                            a.at_ns,
-                            HopKind::Drop,
-                        ));
-                    }
-                    shard.out.drops.push((node, cell, a.at_ns));
-                }
+        let mut list = std::mem::take(&mut shard.lists[li]);
+        for &i in &list {
+            route_at(shard, out, ctx, &cells[i as usize]);
+        }
+        list.clear();
+        shard.lists[li] = list;
+    }
+}
+
+/// The one routing body: decides cell `a` at its node, which the shard
+/// must own — deliver, queue on a next hop, queue on a class, or drop
+/// (by the router or at the node's queue cap). The queue push is applied
+/// directly (node-local); deliveries, drops and hop events go to `out`
+/// for [`Engine::route_pass`]'s ordered merge.
+#[inline]
+fn route_at(shard: &mut RouteShard<'_>, out: &mut ShardScratch, ctx: &RouteCtx<'_>, a: &Arrival) {
+    let node = a.node;
+    let li = node.index() - shard.base;
+    let queue = &mut shard.queues[li];
+    let mut cell = a.cell;
+    let cap = ctx.cfg.node_queue_cap;
+    // A full queue turns a queueing decision into a drop.
+    let decision = match ctx.router.decide(node, &mut cell, &mut shard.rngs[li]) {
+        RouteDecision::ToNode(_) | RouteDecision::ToClass(_) if cap > 0 && queue.depth() >= cap => {
+            RouteDecision::Drop
+        }
+        decision => decision,
+    };
+    let traced = ctx.tracer.is_some_and(|t| t.is_traced(cell.flow));
+    let failures = ctx.failures;
+    let hop = match decision {
+        RouteDecision::Deliver => {
+            debug_assert_eq!(node, cell.dst, "router delivered at the wrong node");
+            out.deliveries.push((cell, a.at_ns));
+            HopKind::Deliver {
+                latency_ns: a.at_ns.saturating_sub(cell.injected_ns),
             }
         }
-        shard.lists[li].clear();
+        RouteDecision::Drop => {
+            out.drops.push((node, cell, a.at_ns));
+            HopKind::Drop
+        }
+        RouteDecision::ToNode(next) => {
+            if ctx.track_stranded
+                && (failures.node_failed(cell.dst) || !failures.circuit_up(node, next))
+            {
+                out.stranded_delta += 1;
+            }
+            queue.push_specific(next, cell);
+            shard.occ[li / 64] |= 1u64 << (li % 64);
+            out.queued_delta += 1;
+            HopKind::Enqueue {
+                next: Some(next),
+                depth: queue.depth(),
+                circuit_wait_slots: if traced {
+                    circuit_wait_slots(ctx.schedule, ctx.slot, ctx.cfg.uplinks, node, next)
+                } else {
+                    0
+                },
+            }
+        }
+        RouteDecision::ToClass(class) => {
+            if ctx.track_stranded && failures.node_failed(cell.dst) {
+                out.stranded_delta += 1;
+            }
+            queue.push_class(class, cell);
+            shard.occ[li / 64] |= 1u64 << (li % 64);
+            out.queued_delta += 1;
+            HopKind::Enqueue {
+                next: None,
+                depth: queue.depth(),
+                circuit_wait_slots: 0,
+            }
+        }
+    };
+    if traced {
+        out.hops.push(HopEvent::for_cell(&cell, node, a.at_ns, hop));
     }
 }
 
@@ -2017,6 +1844,7 @@ fn run_arrival_shard(
 #[allow(clippy::too_many_arguments)]
 fn run_transmit_shard<const DEGRADED: bool>(
     shard: &mut TransmitShard<'_>,
+    out: &mut ShardScratch,
     router: &dyn Router,
     cfg: &SimConfig,
     matchings: &[(usize, &Matching)],
@@ -2039,7 +1867,7 @@ fn run_transmit_shard<const DEGRADED: bool>(
             if DEGRADED {
                 ports -= tables.down[pi].1[gw];
             }
-            shard.out.idle += u64::from(ports);
+            out.idle += u64::from(ports);
         }
         let mut bits = shard.occ[gw_local];
         while bits != 0 {
@@ -2059,12 +1887,12 @@ fn run_transmit_shard<const DEGRADED: bool>(
                 else {
                     continue; // stays idle, as pre-charged
                 };
-                shard.out.idle -= 1;
-                shard.out.queued_delta -= 1;
+                out.idle -= 1;
+                out.queued_delta -= 1;
                 // A popped cell rode a live circuit, so it was stranded
                 // only if its destination is dead.
                 if DEGRADED && track_stranded && failures.node_failed(cell.dst) {
-                    shard.out.stranded_delta -= 1;
+                    out.stranded_delta -= 1;
                 }
                 router.on_transmit(&mut cell, v, w);
                 cell.hops += 1;
@@ -2072,8 +1900,8 @@ fn run_transmit_shard<const DEGRADED: bool>(
                     // Record the first violation in canonical order and
                     // finish the pass: both the inline and the sharded
                     // path then abort with identical state.
-                    if shard.out.err.is_none() {
-                        shard.out.err = Some(SimError::HopBoundExceeded {
+                    if out.err.is_none() {
+                        out.err = Some(SimError::HopBoundExceeded {
                             flow: cell.flow,
                             hops: cell.hops,
                             bound: max_hops,
@@ -2081,20 +1909,20 @@ fn run_transmit_shard<const DEGRADED: bool>(
                     }
                     continue;
                 }
-                shard.out.transmissions += 1;
+                out.transmissions += 1;
                 if LinkMatrix::bump_row(&mut shard.links[li], w.0) {
-                    shard.out.links_nonzero_delta += 1;
+                    out.links_nonzero_delta += 1;
                 }
                 if tracer.is_some_and(|t| t.is_traced(cell.flow)) {
                     let depth_after = shard.queues[li].depth();
-                    shard.out.hops.push(HopEvent::for_cell(
+                    out.hops.push(HopEvent::for_cell(
                         &cell,
                         v,
                         now,
                         HopKind::Transmit { to: w, depth_after },
                     ));
                 }
-                shard.out.sent.push((v, w, cell));
+                out.sent.push((v, w, cell));
             }
             if shard.queues[li].is_empty() {
                 shard.occ[gw_local] &= !(1u64 << b);

@@ -218,21 +218,15 @@ impl LinkMatrix {
         }
     }
 
-    /// Splits the matrix into mutable bands of `rows_per_band` whole
-    /// rows, for the engine's sharded transmit walk: each shard owns the
-    /// rows of its node range and writes counts without synchronization.
-    /// Returns the matrix dimension alongside the band iterator so the
-    /// caller can verify it matches the network size.
-    pub(crate) fn row_bands_mut(
-        &mut self,
-        rows_per_band: usize,
-    ) -> (usize, std::slice::ChunksMut<'_, LinkRow>) {
-        let n = self.n as usize;
-        (n, self.rows.chunks_mut(rows_per_band.max(1)))
+    /// Every row, one per source node, for the engine's sharded transmit
+    /// walk: each shard owns the rows of its node range and writes counts
+    /// without synchronization.
+    pub(crate) fn rows_mut(&mut self) -> &mut [LinkRow] {
+        &mut self.rows
     }
 
     /// Folds a shard's count of newly nonzero links back in (the bands
-    /// handed out by [`LinkMatrix::row_bands_mut`] bypass `record`).
+    /// handed out by [`LinkMatrix::rows_mut`] bypass `record`).
     pub(crate) fn add_nonzero(&mut self, newly_nonzero: usize) {
         self.entries += newly_nonzero;
     }
@@ -347,7 +341,8 @@ pub struct Metrics {
     /// pre-failure level.
     pub recovery_times_ns: Vec<Nanos>,
     /// Slots advanced without the full per-node walk: provably-quiet
-    /// slots covered by `step_quiet` or a `fast_forward_to` jump. A
+    /// slots covered by the gap jump, one slot at a time from `step` or
+    /// a whole gap from `fast_forward_to`. A
     /// fast-forward jump only covers slots that per-slot stepping would
     /// also have proven quiet, so the count is identical either way.
     /// Always ≤ `slots`.

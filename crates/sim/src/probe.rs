@@ -80,6 +80,18 @@ pub struct SkipView<'a> {
 /// Every method has an empty default body, so a probe implements only
 /// the events it cares about. The engine is monomorphized per probe
 /// type; with [`NoopProbe`] the calls vanish at compile time.
+///
+/// **Hook order.** Each routing pass — the arrivals of a slot, its
+/// injections, and `Engine::reroute_queued` — fires its hooks after
+/// routing, shard by shard in node order: the shard's
+/// [`Probe::on_hop`] events, then its [`Probe::on_delivery`] calls,
+/// then its [`Probe::on_drop`] calls; once every shard has merged,
+/// [`Probe::on_flow_finish`] for the flows the pass completed. A slot
+/// runs: fault events ([`Probe::on_fault`]), the arrival pass, flow
+/// starts ([`Probe::on_flow_start`]), the injection pass, the transmit
+/// walk ([`Probe::on_hop`] then [`Probe::on_transmit`] per shard), and
+/// the slot end ([`Probe::on_slot_end`], or
+/// [`Probe::on_slots_skipped`] for a quiet gap of two or more slots).
 pub trait Probe {
     /// Called at the end of every slot, after transmission and metric
     /// updates for that slot have completed.
@@ -157,7 +169,7 @@ impl Probe for NoopProbe {}
 
 /// Forwarding impl so callers can hand the engine `&mut probe` and keep
 /// ownership (e.g. to inspect the probe after the run without
-/// `into_probe`).
+/// `Engine::finish`).
 impl<P: Probe> Probe for &mut P {
     fn on_slot_end(&mut self, view: &SlotView<'_>) {
         (**self).on_slot_end(view);

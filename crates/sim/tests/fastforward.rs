@@ -6,7 +6,7 @@
 //! that must *terminate* a gap: scripted fault events, fault storms,
 //! pending flow activations, mid-run `install_schedule` boundaries, and
 //! an interval sampler's marks. Each scenario runs once with
-//! fast-forward off (pure `step_quiet` stepping) and once with it on,
+//! fast-forward off (quiet slots jumped one at a time) and once with it on,
 //! at 1–4 engine threads, and the complete observable state must match:
 //! `Metrics` (including `slots_skipped`), rendered trace spans,
 //! flight-recorder dumps, WEATHER reports (text and JSON), sampler

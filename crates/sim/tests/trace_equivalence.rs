@@ -13,10 +13,14 @@
 //! fixture so the byte format itself cannot drift silently.
 
 use sorn_base::rng::cases;
-use sorn_sim::{Cell, ClassId, Engine, Flow, FlowId, NodeRng, RouteDecision, Router, SimConfig};
-use sorn_telemetry::{FlightRecorder, FlowTraceCollector, DEFAULT_CAPACITY};
+use sorn_sim::{
+    Cell, ClassId, Engine, FaultPlan, Flow, FlowId, NodeRng, RouteDecision, Router, SimConfig,
+};
+use sorn_telemetry::{
+    FlightRecorder, FlowTraceCollector, IntervalSampler, MemorySink, TraceEvent, DEFAULT_CAPACITY,
+};
 use sorn_topology::builders::round_robin;
-use sorn_topology::NodeId;
+use sorn_topology::{CircuitSchedule, NodeId};
 
 /// Same two-hop spray router as `par_equivalence.rs`: consumes the
 /// per-node RNG stream and exercises both queue kinds, so any decision
@@ -109,7 +113,7 @@ fn run_traced(sc: &Scenario, threads: usize) -> (String, String) {
     );
     let mut eng = Engine::with_probe(cfg, &sched, &router, probe);
     eng.add_flows(sc.flows.clone()).unwrap();
-    let mut plan = sorn_sim::FaultPlan::new();
+    let mut plan = FaultPlan::new();
     for &(s, d, from, until) in &sc.outages {
         plan.link_outage(NodeId(s), NodeId(d), from, until);
     }
@@ -206,6 +210,117 @@ fn golden_scenario() -> Scenario {
     }
 }
 
+/// `CoinSprayRouter` that also sheds: a cell whose `(flow + seq) % 13`
+/// equals its hop count is dropped by the router instead of routed, so
+/// router drops happen both at injection (hop 0) and on arrival.
+struct SheddingRouter;
+
+impl Router for SheddingRouter {
+    fn decide(&self, node: NodeId, cell: &mut Cell, rng: &mut NodeRng) -> RouteDecision {
+        if node != cell.dst && (cell.flow.0 + cell.seq) % 13 == u64::from(cell.hops) {
+            return RouteDecision::Drop;
+        }
+        CoinSprayRouter.decide(node, cell, rng)
+    }
+
+    fn class_admits(&self, class: ClassId, cell: &Cell, from: NodeId, to: NodeId) -> bool {
+        CoinSprayRouter.class_admits(class, cell, from, to)
+    }
+
+    fn classes(&self) -> &[ClassId] {
+        CoinSprayRouter.classes()
+    }
+
+    fn max_hops(&self) -> u8 {
+        CoinSprayRouter.max_hops()
+    }
+
+    fn name(&self) -> &str {
+        "coin-spray-shed"
+    }
+}
+
+const SHED_N: usize = 200;
+/// Slot at which the shedding scenario installs the reversed schedule
+/// and re-routes every queued cell.
+const SHED_SWAP_SLOT: u64 = 12;
+
+/// The shedding scenario at `threads` engine threads: 200 nodes (so
+/// routing and transmit run several shards), a 3-cell queue cap that
+/// drops cells at injection and on arrival, router drops,
+/// link and node outages, a mid-run schedule swap with re-route, and
+/// every flow traced. Returns the rendered spans, the flight-recorder
+/// dump and the interval sampler's event stream as JSONL.
+fn run_shedding(threads: usize) -> (String, String, String) {
+    let base = round_robin(SHED_N).unwrap();
+    let reversed =
+        CircuitSchedule::from_matchings(base.matchings().iter().rev().cloned().collect()).unwrap();
+    let cfg = SimConfig {
+        uplinks: 3,
+        seed: 17,
+        engine_threads: threads,
+        trace_one_in: 1,
+        node_queue_cap: 3,
+        ..SimConfig::default()
+    };
+    let probe = (
+        FlowTraceCollector::new(cfg.slot_ns),
+        (
+            FlightRecorder::new(DEFAULT_CAPACITY),
+            IntervalSampler::new(MemorySink::new(), 500),
+        ),
+    );
+    let mut eng = Engine::with_probe(cfg, &base, &SheddingRouter, probe);
+    // Arrivals squeezed into the first two slots: enough cells land
+    // per slot for the arrival pass to shard too.
+    let flows = seeded_flows(SHED_N, 17, 200).into_iter().map(|f| Flow {
+        arrival_ns: f.arrival_ns / 10,
+        ..f
+    });
+    eng.add_flows(flows).unwrap();
+    let mut plan = FaultPlan::new();
+    plan.link_outage(NodeId(3), NodeId(150), 200, 2_500)
+        .link_outage(NodeId(90), NodeId(7), 0, 1_800)
+        .node_outage(NodeId(64), 600, 1_400);
+    eng.set_fault_plan(plan);
+    eng.run_slots(SHED_SWAP_SLOT).unwrap();
+    eng.install_schedule(&reversed);
+    assert!(
+        eng.reroute_queued().unwrap() > 0,
+        "nothing queued at the swap"
+    );
+    assert!(eng.run_until_drained(100_000).unwrap());
+    let (collector, (recorder, sampler)) = eng.finish();
+    let events = sampler.into_sink().events;
+    let shed_at = |injection: bool| {
+        events
+            .iter()
+            .any(|e| matches!(e, TraceEvent::Drop { hops, .. } if (*hops == 0) == injection))
+    };
+    assert!(
+        shed_at(true) && shed_at(false),
+        "no drops at injection or on arrival"
+    );
+    let sampled: String = events.iter().map(|e| e.to_json() + "\n").collect();
+    (collector.render_all(), recorder.dump_string(), sampled)
+}
+
+/// The shedding scenario is byte-identical at 1–4 engine threads and
+/// matches its committed fixture: spans, flight recorder and sampler
+/// stream, so the order of hops, drops and flow finishes out of every
+/// routing pass (injection, arrivals, re-route) is pinned.
+#[test]
+fn shedding_trace_bytes_are_stable() {
+    let serial = run_shedding(1);
+    for threads in [2, 3, 4] {
+        assert_eq!(serial, run_shedding(threads), "threads={threads} diverged");
+    }
+    let (spans, flight, sampled) = serial;
+    assert_eq!(spans, include_str!("golden/trace_shed_spans.txt"));
+    assert_eq!(flight, include_str!("golden/trace_shed_flight.jsonl"));
+    assert_eq!(sampled, include_str!("golden/trace_shed_sampler.jsonl"));
+}
+
 /// Not a test: rewrites the golden fixtures from the current tree.
 #[test]
 #[ignore = "fixture regenerator, run explicitly"]
@@ -215,6 +330,10 @@ fn regenerate_golden_fixtures() {
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("trace_small_spans.txt"), spans).unwrap();
     std::fs::write(dir.join("trace_small_flight.jsonl"), flight).unwrap();
+    let (spans, flight, sampled) = run_shedding(1);
+    std::fs::write(dir.join("trace_shed_spans.txt"), spans).unwrap();
+    std::fs::write(dir.join("trace_shed_flight.jsonl"), flight).unwrap();
+    std::fs::write(dir.join("trace_shed_sampler.jsonl"), sampled).unwrap();
 }
 
 /// Any scenario the loop can draw produces byte-identical
