@@ -18,6 +18,7 @@
 //! while a dump path is configured, the recorder writes the dump from
 //! its `Drop` impl — the black-box survives the crash.
 
+use sorn_base::bytes::{Reader, Writer};
 use sorn_base::json::quote;
 use sorn_sim::{Cell, FaultAction, FaultTarget, FaultView, Nanos, Probe, SkipView, SlotView};
 use std::fmt::Write as _;
@@ -324,20 +325,16 @@ impl FlightRecorder {
     /// byte-for-byte. The dump path is not captured — the restoring
     /// driver reconfigures it.
     pub fn to_bytes(&self) -> Vec<u8> {
-        fn put_str(out: &mut Vec<u8>, s: &str) {
-            out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-            out.extend_from_slice(s.as_bytes());
-        }
         let mut out = Vec::new();
-        out.extend_from_slice(&(self.capacity as u64).to_le_bytes());
-        out.extend_from_slice(&self.total.to_le_bytes());
-        out.extend_from_slice(&self.drop_spike_threshold.to_le_bytes());
-        out.extend_from_slice(&self.last_dropped.to_le_bytes());
-        out.extend_from_slice(&self.last_stranded.to_le_bytes());
-        put_str(&mut out, self.anomaly.as_deref().unwrap_or(""));
-        out.push(self.anomaly.is_some() as u8);
+        out.put_u64(self.capacity as u64);
+        out.put_u64(self.total);
+        out.put_u64(self.drop_spike_threshold);
+        out.put_u64(self.last_dropped);
+        out.put_u64(self.last_stranded);
+        out.put_str(self.anomaly.as_deref().unwrap_or(""));
+        out.put_bool(self.anomaly.is_some());
         let entries = self.entries();
-        out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+        out.put_u64(entries.len() as u64);
         for ev in entries {
             encode_event(&mut out, ev);
         }
@@ -348,49 +345,25 @@ impl FlightRecorder {
     /// Returns a description of the problem on malformed input (never
     /// panics).
     pub fn from_bytes(bytes: &[u8]) -> Result<FlightRecorder, String> {
-        let mut pos = 0usize;
-        fn u64_at(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
-            let end = pos.checked_add(8).filter(|&e| e <= bytes.len());
-            let end = end.ok_or_else(|| "recorder blob truncated".to_string())?;
-            let v = u64::from_le_bytes(bytes[*pos..end].try_into().expect("8 bytes"));
-            *pos = end;
-            Ok(v)
-        }
-        fn str_at(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-            let len = u64_at(bytes, pos)? as usize;
-            let send = pos.checked_add(len).filter(|&e| e <= bytes.len());
-            let send = send.ok_or_else(|| "recorder blob truncated".to_string())?;
-            let s = String::from_utf8(bytes[*pos..send].to_vec())
-                .map_err(|_| "recorder blob holds non-UTF-8 text".to_string())?;
-            *pos = send;
-            Ok(s)
-        }
-        let capacity = u64_at(bytes, &mut pos)? as usize;
+        Self::decode(&mut Reader::new(bytes)).map_err(|e| format!("recorder blob {e}"))
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<FlightRecorder, String> {
+        let capacity = r.u64()? as usize;
         if capacity == 0 {
-            return Err("recorder blob has zero capacity".to_string());
+            return Err("has zero capacity".to_string());
         }
-        let total = u64_at(bytes, &mut pos)?;
-        let drop_spike_threshold = u64_at(bytes, &mut pos)?;
-        let last_dropped = u64_at(bytes, &mut pos)?;
-        let last_stranded = u64_at(bytes, &mut pos)?;
-        let anomaly_text = str_at(bytes, &mut pos)?;
-        let has_anomaly = match bytes.get(pos) {
-            Some(0) => false,
-            Some(1) => true,
-            _ => return Err("recorder blob has a bad anomaly flag".to_string()),
-        };
-        pos += 1;
-        let count = u64_at(bytes, &mut pos)? as usize;
-        if count > capacity {
-            return Err("recorder blob retains more events than its capacity".to_string());
+        let total = r.u64()?;
+        let drop_spike_threshold = r.u64()?;
+        let last_dropped = r.u64()?;
+        let last_stranded = r.u64()?;
+        let anomaly_text = r.str("anomaly text")?;
+        let has_anomaly = r.bool()?;
+        let ring = r.vec("event", MIN_EVENT_BYTES, decode_event)?;
+        if ring.len() > capacity {
+            return Err("retains more events than its capacity".to_string());
         }
-        let mut ring = Vec::with_capacity(count.min(DEFAULT_CAPACITY));
-        for _ in 0..count {
-            ring.push(decode_event(bytes, &mut pos)?);
-        }
-        if pos != bytes.len() {
-            return Err("recorder blob has trailing bytes".to_string());
-        }
+        r.finish("payload")?;
         Ok(FlightRecorder {
             ring,
             capacity,
@@ -442,16 +415,12 @@ impl Drop for FlightRecorder {
     }
 }
 
+/// Bytes in the shortest encoded event (a tag and two `u64`s).
+const MIN_EVENT_BYTES: usize = 17;
+
 /// Binary event encoding behind [`FlightRecorder::to_bytes`]: a tag
 /// byte, then the fields little-endian (strings length-prefixed).
 fn encode_event(out: &mut Vec<u8>, ev: &RecordedEvent) {
-    fn put_str(out: &mut Vec<u8>, s: &str) {
-        out.extend_from_slice(&(s.len() as u64).to_le_bytes());
-        out.extend_from_slice(s.as_bytes());
-    }
-    fn put_u64(out: &mut Vec<u8>, v: u64) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
     match ev {
         RecordedEvent::Drop {
             at_ns,
@@ -459,11 +428,11 @@ fn encode_event(out: &mut Vec<u8>, ev: &RecordedEvent) {
             flow,
             seq,
         } => {
-            out.push(0);
-            put_u64(out, *at_ns);
-            put_u64(out, *node as u64);
-            put_u64(out, *flow);
-            put_u64(out, *seq);
+            out.put_u8(0);
+            out.put_u64(*at_ns);
+            out.put_u64(*node as u64);
+            out.put_u64(*flow);
+            out.put_u64(*seq);
         }
         RecordedEvent::Fault {
             at_ns,
@@ -473,130 +442,99 @@ fn encode_event(out: &mut Vec<u8>, ev: &RecordedEvent) {
             failed_nodes,
             failed_links,
         } => {
-            out.push(1);
-            put_u64(out, *at_ns);
-            put_u64(out, *slot);
-            out.push((*action == "restore") as u8);
-            put_str(out, target);
-            put_u64(out, *failed_nodes as u64);
-            put_u64(out, *failed_links as u64);
+            out.put_u8(1);
+            out.put_u64(*at_ns);
+            out.put_u64(*slot);
+            out.put_bool(*action == "restore");
+            out.put_str(target);
+            out.put_u64(*failed_nodes as u64);
+            out.put_u64(*failed_links as u64);
         }
         RecordedEvent::Reconfiguration { at_ns, slot } => {
-            out.push(2);
-            put_u64(out, *at_ns);
-            put_u64(out, *slot);
+            out.put_u8(2);
+            out.put_u64(*at_ns);
+            out.put_u64(*slot);
         }
         RecordedEvent::StrandedOnset {
             at_ns,
             slot,
             stranded,
         } => {
-            out.push(3);
-            put_u64(out, *at_ns);
-            put_u64(out, *slot);
-            put_u64(out, *stranded);
+            out.put_u8(3);
+            out.put_u64(*at_ns);
+            out.put_u64(*slot);
+            out.put_u64(*stranded);
         }
         RecordedEvent::DropSpike { at_ns, slot, drops } => {
-            out.push(4);
-            put_u64(out, *at_ns);
-            put_u64(out, *slot);
-            put_u64(out, *drops);
+            out.put_u8(4);
+            out.put_u64(*at_ns);
+            out.put_u64(*slot);
+            out.put_u64(*drops);
         }
         RecordedEvent::CheckpointWritten { slot, bytes, path } => {
-            out.push(6);
-            put_u64(out, *slot);
-            put_u64(out, *bytes);
-            put_str(out, path);
+            out.put_u8(6);
+            out.put_u64(*slot);
+            out.put_u64(*bytes);
+            out.put_str(path);
         }
         RecordedEvent::CheckpointRestored { slot, path } => {
-            out.push(7);
-            put_u64(out, *slot);
-            put_str(out, path);
+            out.put_u8(7);
+            out.put_u64(*slot);
+            out.put_str(path);
         }
         RecordedEvent::CheckpointCorruptSkipped { path, reason } => {
-            out.push(8);
-            put_str(out, path);
-            put_str(out, reason);
+            out.put_u8(8);
+            out.put_str(path);
+            out.put_str(reason);
         }
     }
 }
 
 /// Inverse of [`encode_event`]; bounds-checked, never panics.
-fn decode_event(bytes: &[u8], pos: &mut usize) -> Result<RecordedEvent, String> {
-    fn u64_at(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
-        let end = pos
-            .checked_add(8)
-            .filter(|&e| e <= bytes.len())
-            .ok_or_else(|| "recorder blob truncated".to_string())?;
-        let v = u64::from_le_bytes(bytes[*pos..end].try_into().expect("8 bytes"));
-        *pos = end;
-        Ok(v)
-    }
-    fn u8_at(bytes: &[u8], pos: &mut usize) -> Result<u8, String> {
-        let b = *bytes
-            .get(*pos)
-            .ok_or_else(|| "recorder blob truncated".to_string())?;
-        *pos += 1;
-        Ok(b)
-    }
-    fn str_at(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        let len = u64_at(bytes, pos)? as usize;
-        let end = pos
-            .checked_add(len)
-            .filter(|&e| e <= bytes.len())
-            .ok_or_else(|| "recorder blob truncated".to_string())?;
-        let s = String::from_utf8(bytes[*pos..end].to_vec())
-            .map_err(|_| "recorder blob holds non-UTF-8 text".to_string())?;
-        *pos = end;
-        Ok(s)
-    }
-    Ok(match u8_at(bytes, pos)? {
+fn decode_event(r: &mut Reader<'_>) -> Result<RecordedEvent, String> {
+    Ok(match r.u8()? {
         0 => RecordedEvent::Drop {
-            at_ns: u64_at(bytes, pos)?,
-            node: u64_at(bytes, pos)? as u32,
-            flow: u64_at(bytes, pos)?,
-            seq: u64_at(bytes, pos)?,
+            at_ns: r.u64()?,
+            node: r.u64()? as u32,
+            flow: r.u64()?,
+            seq: r.u64()?,
         },
         1 => RecordedEvent::Fault {
-            at_ns: u64_at(bytes, pos)?,
-            slot: u64_at(bytes, pos)?,
-            action: if u8_at(bytes, pos)? == 1 {
-                "restore"
-            } else {
-                "fail"
-            },
-            target: str_at(bytes, pos)?,
-            failed_nodes: u64_at(bytes, pos)? as usize,
-            failed_links: u64_at(bytes, pos)? as usize,
+            at_ns: r.u64()?,
+            slot: r.u64()?,
+            action: if r.u8()? == 1 { "restore" } else { "fail" },
+            target: r.str("fault target")?,
+            failed_nodes: r.u64()? as usize,
+            failed_links: r.u64()? as usize,
         },
         2 => RecordedEvent::Reconfiguration {
-            at_ns: u64_at(bytes, pos)?,
-            slot: u64_at(bytes, pos)?,
+            at_ns: r.u64()?,
+            slot: r.u64()?,
         },
         3 => RecordedEvent::StrandedOnset {
-            at_ns: u64_at(bytes, pos)?,
-            slot: u64_at(bytes, pos)?,
-            stranded: u64_at(bytes, pos)?,
+            at_ns: r.u64()?,
+            slot: r.u64()?,
+            stranded: r.u64()?,
         },
         4 => RecordedEvent::DropSpike {
-            at_ns: u64_at(bytes, pos)?,
-            slot: u64_at(bytes, pos)?,
-            drops: u64_at(bytes, pos)?,
+            at_ns: r.u64()?,
+            slot: r.u64()?,
+            drops: r.u64()?,
         },
         6 => RecordedEvent::CheckpointWritten {
-            slot: u64_at(bytes, pos)?,
-            bytes: u64_at(bytes, pos)?,
-            path: str_at(bytes, pos)?,
+            slot: r.u64()?,
+            bytes: r.u64()?,
+            path: r.str("checkpoint path")?,
         },
         7 => RecordedEvent::CheckpointRestored {
-            slot: u64_at(bytes, pos)?,
-            path: str_at(bytes, pos)?,
+            slot: r.u64()?,
+            path: r.str("checkpoint path")?,
         },
         8 => RecordedEvent::CheckpointCorruptSkipped {
-            path: str_at(bytes, pos)?,
-            reason: str_at(bytes, pos)?,
+            path: r.str("checkpoint path")?,
+            reason: r.str("skip reason")?,
         },
-        tag => return Err(format!("recorder blob has unknown event tag {tag}")),
+        tag => return Err(format!("has unknown event tag {tag}")),
     })
 }
 
@@ -861,10 +799,22 @@ mod tests {
     #[test]
     fn recorder_blob_truncations_never_panic() {
         let mut r = FlightRecorder::new(4);
+        r.on_drop(&cell(3, 1), NodeId(2), 40);
+        r.on_reconfiguration(5, 500);
         r.note_checkpoint_written(1, 99, "/tmp/x.sorn");
+        r.note_checkpoint_corrupt_skipped("/tmp/y.sorn", "crc");
         let bytes = r.to_bytes();
         for len in 0..bytes.len() {
             assert!(FlightRecorder::from_bytes(&bytes[..len]).is_err());
+        }
+        // Any byte forced to 0x00 or 0xFF decodes to Ok or Err, never a
+        // panic.
+        for i in 0..bytes.len() {
+            for v in [0x00, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[i] = v;
+                let _ = FlightRecorder::from_bytes(&bad);
+            }
         }
         // Tag 5 is unassigned: a hostile blob holding one retained
         // event with that tag (and a well-formed 16-byte body) is an

@@ -20,7 +20,9 @@
 //! All serialization is hand-rolled integer formatting, so the exported
 //! bytes are identical across platforms and runs.
 
-use sorn_sim::{HopEvent, HopKind, Nanos, Probe, CIRCUIT_NEVER};
+use sorn_base::bytes::{Reader, Writer};
+use sorn_sim::{FlowId, HopEvent, HopKind, Nanos, Probe, CIRCUIT_NEVER};
+use sorn_topology::NodeId;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -102,45 +104,37 @@ impl FlowTraceCollector {
     /// `render_all`, breakdowns, Chrome JSON — byte-for-byte.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.events.len() * 40);
-        out.extend_from_slice(&self.slot_ns.to_le_bytes());
-        out.extend_from_slice(&(self.events.len() as u64).to_le_bytes());
+        out.put_u64(self.slot_ns);
+        out.put_u64(self.events.len() as u64);
         for ev in &self.events {
-            out.extend_from_slice(&ev.flow.0.to_le_bytes());
-            out.extend_from_slice(&ev.seq.to_le_bytes());
-            out.extend_from_slice(&ev.node.0.to_le_bytes());
-            out.extend_from_slice(&ev.at_ns.to_le_bytes());
-            out.extend_from_slice(&ev.injected_ns.to_le_bytes());
-            out.push(ev.hops);
+            out.put_u64(ev.flow.0);
+            out.put_u64(ev.seq);
+            out.put_u32(ev.node.0);
+            out.put_u64(ev.at_ns);
+            out.put_u64(ev.injected_ns);
+            out.put_u8(ev.hops);
             match ev.kind {
                 HopKind::Enqueue {
                     next,
                     depth,
                     circuit_wait_slots,
                 } => {
-                    out.push(0);
-                    match next {
-                        Some(n) => {
-                            out.push(1);
-                            out.extend_from_slice(&n.0.to_le_bytes());
-                        }
-                        None => {
-                            out.push(0);
-                            out.extend_from_slice(&0u32.to_le_bytes());
-                        }
-                    }
-                    out.extend_from_slice(&(depth as u64).to_le_bytes());
-                    out.extend_from_slice(&circuit_wait_slots.to_le_bytes());
+                    out.put_u8(0);
+                    out.put_bool(next.is_some());
+                    out.put_u32(next.map_or(0, |n| n.0));
+                    out.put_u64(depth as u64);
+                    out.put_u32(circuit_wait_slots);
                 }
                 HopKind::Transmit { to, depth_after } => {
-                    out.push(1);
-                    out.extend_from_slice(&to.0.to_le_bytes());
-                    out.extend_from_slice(&(depth_after as u64).to_le_bytes());
+                    out.put_u8(1);
+                    out.put_u32(to.0);
+                    out.put_u64(depth_after as u64);
                 }
                 HopKind::Deliver { latency_ns } => {
-                    out.push(2);
-                    out.extend_from_slice(&latency_ns.to_le_bytes());
+                    out.put_u8(2);
+                    out.put_u64(latency_ns);
                 }
-                HopKind::Drop => out.push(3),
+                HopKind::Drop => out.put_u8(3),
             }
         }
         out
@@ -150,80 +144,42 @@ impl FlowTraceCollector {
     /// output. Returns a description of the problem on malformed input
     /// (never panics).
     pub fn from_bytes(bytes: &[u8]) -> Result<FlowTraceCollector, String> {
-        fn u64_at(bytes: &[u8], pos: &mut usize) -> Result<u64, String> {
-            let end = pos.checked_add(8).filter(|&e| e <= bytes.len());
-            let end = end.ok_or_else(|| "trace blob truncated".to_string())?;
-            let v = u64::from_le_bytes(bytes[*pos..end].try_into().expect("8 bytes"));
-            *pos = end;
-            Ok(v)
-        }
-        fn u32_at(bytes: &[u8], pos: &mut usize) -> Result<u32, String> {
-            let end = pos.checked_add(4).filter(|&e| e <= bytes.len());
-            let end = end.ok_or_else(|| "trace blob truncated".to_string())?;
-            let v = u32::from_le_bytes(bytes[*pos..end].try_into().expect("4 bytes"));
-            *pos = end;
-            Ok(v)
-        }
-        fn u8_at(bytes: &[u8], pos: &mut usize) -> Result<u8, String> {
-            let b = *bytes
-                .get(*pos)
-                .ok_or_else(|| "trace blob truncated".to_string())?;
-            *pos += 1;
-            Ok(b)
-        }
-        let mut pos = 0usize;
-        let slot_ns = u64_at(bytes, &mut pos)?;
-        let count = u64_at(bytes, &mut pos)? as usize;
-        if count > bytes.len().saturating_sub(pos) / 30 {
-            return Err("trace blob event count exceeds the bytes present".to_string());
-        }
-        let mut events = Vec::with_capacity(count);
-        for _ in 0..count {
-            let flow = sorn_sim::FlowId(u64_at(bytes, &mut pos)?);
-            let seq = u64_at(bytes, &mut pos)?;
-            let node = sorn_topology::NodeId(u32_at(bytes, &mut pos)?);
-            let at_ns = u64_at(bytes, &mut pos)?;
-            let injected_ns = u64_at(bytes, &mut pos)?;
-            let hops = u8_at(bytes, &mut pos)?;
-            let kind = match u8_at(bytes, &mut pos)? {
-                0 => {
-                    let has_next = match u8_at(bytes, &mut pos)? {
-                        0 => false,
-                        1 => true,
-                        v => return Err(format!("trace blob has bad option byte {v}")),
-                    };
-                    let next_raw = u32_at(bytes, &mut pos)?;
-                    let depth = u64_at(bytes, &mut pos)? as usize;
-                    let circuit_wait_slots = u32_at(bytes, &mut pos)?;
-                    HopKind::Enqueue {
-                        next: has_next.then_some(sorn_topology::NodeId(next_raw)),
-                        depth,
-                        circuit_wait_slots,
+        Self::decode(&mut Reader::new(bytes)).map_err(|e| format!("trace blob {e}"))
+    }
+
+    fn decode(r: &mut Reader<'_>) -> Result<FlowTraceCollector, String> {
+        let slot_ns = r.u64()?;
+        let events = r.vec("event", 30, |r| {
+            Ok(HopEvent {
+                flow: FlowId(r.u64()?),
+                seq: r.u64()?,
+                node: NodeId(r.u32()?),
+                at_ns: r.u64()?,
+                injected_ns: r.u64()?,
+                hops: r.u8()?,
+                kind: match r.u8()? {
+                    0 => {
+                        let has_next = r.bool()?;
+                        let next = NodeId(r.u32()?);
+                        HopKind::Enqueue {
+                            next: has_next.then_some(next),
+                            depth: r.u64()? as usize,
+                            circuit_wait_slots: r.u32()?,
+                        }
                     }
-                }
-                1 => HopKind::Transmit {
-                    to: sorn_topology::NodeId(u32_at(bytes, &mut pos)?),
-                    depth_after: u64_at(bytes, &mut pos)? as usize,
+                    1 => HopKind::Transmit {
+                        to: NodeId(r.u32()?),
+                        depth_after: r.u64()? as usize,
+                    },
+                    2 => HopKind::Deliver {
+                        latency_ns: r.u64()?,
+                    },
+                    3 => HopKind::Drop,
+                    tag => return Err(format!("has unknown hop tag {tag}")),
                 },
-                2 => HopKind::Deliver {
-                    latency_ns: u64_at(bytes, &mut pos)?,
-                },
-                3 => HopKind::Drop,
-                tag => return Err(format!("trace blob has unknown hop tag {tag}")),
-            };
-            events.push(HopEvent {
-                flow,
-                seq,
-                node,
-                at_ns,
-                injected_ns,
-                hops,
-                kind,
-            });
-        }
-        if pos != bytes.len() {
-            return Err("trace blob has trailing bytes".to_string());
-        }
+            })
+        })?;
+        r.finish("payload")?;
         Ok(FlowTraceCollector { slot_ns, events })
     }
 
@@ -550,10 +506,39 @@ mod tests {
     #[test]
     fn trace_blob_truncations_never_panic() {
         let mut c = FlowTraceCollector::new(100);
-        c.on_hop(&ev(0, 2, 300, HopKind::Drop));
+        c.on_hop(&ev(
+            0,
+            0,
+            0,
+            HopKind::Enqueue {
+                next: Some(NodeId(1)),
+                depth: 2,
+                circuit_wait_slots: 3,
+            },
+        ));
+        c.on_hop(&ev(
+            0,
+            0,
+            100,
+            HopKind::Transmit {
+                to: NodeId(1),
+                depth_after: 1,
+            },
+        ));
+        c.on_hop(&ev(0, 1, 700, HopKind::Deliver { latency_ns: 700 }));
+        c.on_hop(&ev(1, 2, 300, HopKind::Drop));
         let bytes = c.to_bytes();
         for len in 0..bytes.len() {
             assert!(FlowTraceCollector::from_bytes(&bytes[..len]).is_err());
+        }
+        // Any byte forced to 0x00 or 0xFF decodes to Ok or Err, never a
+        // panic.
+        for i in 0..bytes.len() {
+            for v in [0x00, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[i] = v;
+                let _ = FlowTraceCollector::from_bytes(&bad);
+            }
         }
     }
 

@@ -23,6 +23,7 @@
 //! so an interrupted-and-resumed run produces the same report as an
 //! uninterrupted one.
 
+use sorn_base::bytes::{Reader, Writer};
 use sorn_base::json::Value;
 use sorn_sim::{Cell, Flow, FlowRecord, Nanos, Probe, SkipView, SlotView};
 use sorn_topology::{CliqueMap, NodeId};
@@ -695,64 +696,64 @@ impl WeatherProbe {
     /// [`WeatherProbe::from_bytes`] reads it back.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        put_u32(&mut out, 1); // format version
-        put_u64(&mut out, self.cliques.n() as u64);
-        put_u64(&mut out, self.cliques.cliques() as u64);
-        put_u64(&mut out, self.topk as u64);
-        put_u64(&mut out, self.flows_started);
-        put_u64(&mut out, self.flows_finished);
-        put_u64(&mut out, self.reconfig_total);
-        put_u64(&mut out, self.max_stranded);
-        put_u64(&mut out, self.last.delivered);
-        put_u64(&mut out, self.last.dropped);
-        put_u64(&mut out, self.last.transmitted);
-        put_u64(&mut out, self.last.reconfigs);
-        put_u64(&mut out, self.final_slot);
-        put_u64(&mut out, self.final_now_ns);
-        for m in [&self.demand_bytes, &self.goodput_cells] {
-            for &v in m.iter() {
-                put_u64(&mut out, v);
-            }
-        }
-        for m in [&self.queue_hwm, &self.clique_drops] {
-            for &v in m.iter() {
-                put_u64(&mut out, v);
+        out.put_u32(1); // format version
+        out.put_u64(self.cliques.n() as u64);
+        out.put_u64(self.cliques.cliques() as u64);
+        out.put_u64(self.topk as u64);
+        out.put_u64(self.flows_started);
+        out.put_u64(self.flows_finished);
+        out.put_u64(self.reconfig_total);
+        out.put_u64(self.max_stranded);
+        out.put_u64(self.last.delivered);
+        out.put_u64(self.last.dropped);
+        out.put_u64(self.last.transmitted);
+        out.put_u64(self.last.reconfigs);
+        out.put_u64(self.final_slot);
+        out.put_u64(self.final_now_ns);
+        for m in [
+            &self.demand_bytes,
+            &self.goodput_cells,
+            &self.queue_hwm,
+            &self.clique_drops,
+        ] {
+            for &v in m {
+                out.put_u64(v);
             }
         }
         for sketch in [&self.flow_sketch, &self.link_sketch, &self.port_sketch] {
             let entries = sketch.raw_entries();
-            put_u64(&mut out, entries.len() as u64);
+            out.put_u64(entries.len() as u64);
             for e in entries {
-                put_u64(&mut out, e.key);
-                put_u64(&mut out, e.count);
-                put_u64(&mut out, e.error);
+                out.put_u64(e.key);
+                out.put_u64(e.count);
+                out.put_u64(e.error);
             }
         }
-        put_u64(&mut out, self.series.budget as u64);
-        put_u64(&mut out, self.series.epoch_slots);
-        put_u64(&mut out, self.series.buckets.len() as u64);
+        out.put_u64(self.series.budget as u64);
+        out.put_u64(self.series.epoch_slots);
+        out.put_u64(self.series.buckets.len() as u64);
         for b in self
             .series
             .buckets
             .iter()
             .chain(std::iter::once(&self.series.cur))
         {
-            put_u64(&mut out, b.start_slot);
-            put_u64(&mut out, b.slots);
-            put_u64(&mut out, b.delivered);
-            put_u64(&mut out, b.dropped);
-            put_u64(&mut out, b.transmitted);
-            put_u64(&mut out, b.reconfigs);
-            put_u64(&mut out, b.max_queued);
+            out.put_u64(b.start_slot);
+            out.put_u64(b.slots);
+            out.put_u64(b.delivered);
+            out.put_u64(b.dropped);
+            out.put_u64(b.transmitted);
+            out.put_u64(b.reconfigs);
+            out.put_u64(b.max_queued);
         }
-        put_u64(&mut out, self.reconfig_log.len() as u64);
+        out.put_u64(self.reconfig_log.len() as u64);
         for (slot, now_ns) in &self.reconfig_log {
-            put_u64(&mut out, *slot);
-            put_u64(&mut out, *now_ns);
+            out.put_u64(*slot);
+            out.put_u64(*now_ns);
         }
-        put_u64(&mut out, self.port_pending.len() as u64);
+        out.put_u64(self.port_pending.len() as u64);
         for &v in &self.port_pending {
-            put_u64(&mut out, v);
+            out.put_u64(v);
         }
         out
     }
@@ -761,144 +762,113 @@ impl WeatherProbe {
     /// the same topology the blob was captured over (validated by node
     /// and clique count). Never panics on corrupt input.
     pub fn from_bytes(bytes: &[u8], cliques: CliqueMap) -> Result<Self, String> {
-        let mut pos = 0usize;
-        let u32_at = |pos: &mut usize| -> Result<u32, String> {
-            let end = pos
-                .checked_add(4)
-                .ok_or_else(|| "weather blob offset overflow".to_string())?;
-            let s = bytes
-                .get(*pos..end)
-                .ok_or_else(|| format!("weather blob truncated at byte {pos}"))?;
-            *pos = end;
-            Ok(u32::from_le_bytes(s.try_into().expect("4-byte slice")))
-        };
-        let u64_at = |pos: &mut usize| -> Result<u64, String> {
-            let end = pos
-                .checked_add(8)
-                .ok_or_else(|| "weather blob offset overflow".to_string())?;
-            let s = bytes
-                .get(*pos..end)
-                .ok_or_else(|| format!("weather blob truncated at byte {pos}"))?;
-            *pos = end;
-            Ok(u64::from_le_bytes(s.try_into().expect("8-byte slice")))
-        };
+        Self::decode(&mut Reader::new(bytes), cliques).map_err(|e| format!("weather blob {e}"))
+    }
 
-        let version = u32_at(&mut pos)?;
+    fn decode(r: &mut Reader<'_>, cliques: CliqueMap) -> Result<Self, String> {
+        let version = r.u32()?;
         if version != 1 {
-            return Err(format!("unsupported weather blob version {version}"));
+            return Err(format!("has unsupported version {version}"));
         }
-        let n = u64_at(&mut pos)? as usize;
-        let c = u64_at(&mut pos)? as usize;
+        let n = r.u64()? as usize;
+        let c = r.u64()? as usize;
         if n != cliques.n() || c != cliques.cliques() {
             return Err(format!(
-                "weather blob is over {n} nodes / {c} cliques but the run has {} / {}",
+                "is over {n} nodes / {c} cliques but the run has {} / {}",
                 cliques.n(),
                 cliques.cliques()
             ));
         }
-        let topk = u64_at(&mut pos)? as usize;
+        let topk = r.u64()? as usize;
         if topk == 0 || topk > 1 << 20 {
-            return Err(format!("implausible weather top-k {topk}"));
+            return Err(format!("has implausible top-k {topk}"));
         }
         let mut probe = WeatherProbe::new(cliques, topk);
-        probe.flows_started = u64_at(&mut pos)?;
-        probe.flows_finished = u64_at(&mut pos)?;
-        probe.reconfig_total = u64_at(&mut pos)?;
-        probe.max_stranded = u64_at(&mut pos)?;
-        probe.last.delivered = u64_at(&mut pos)?;
-        probe.last.dropped = u64_at(&mut pos)?;
-        probe.last.transmitted = u64_at(&mut pos)?;
-        probe.last.reconfigs = u64_at(&mut pos)?;
-        probe.final_slot = u64_at(&mut pos)?;
-        probe.final_now_ns = u64_at(&mut pos)?;
-        for i in 0..c * c {
-            probe.demand_bytes[i] = u64_at(&mut pos)?;
-        }
-        for i in 0..c * c {
-            probe.goodput_cells[i] = u64_at(&mut pos)?;
-        }
-        for i in 0..c {
-            probe.queue_hwm[i] = u64_at(&mut pos)?;
-        }
-        for i in 0..c {
-            probe.clique_drops[i] = u64_at(&mut pos)?;
+        probe.flows_started = r.u64()?;
+        probe.flows_finished = r.u64()?;
+        probe.reconfig_total = r.u64()?;
+        probe.max_stranded = r.u64()?;
+        probe.last.delivered = r.u64()?;
+        probe.last.dropped = r.u64()?;
+        probe.last.transmitted = r.u64()?;
+        probe.last.reconfigs = r.u64()?;
+        probe.final_slot = r.u64()?;
+        probe.final_now_ns = r.u64()?;
+        for m in [
+            &mut probe.demand_bytes,
+            &mut probe.goodput_cells,
+            &mut probe.queue_hwm,
+            &mut probe.clique_drops,
+        ] {
+            for v in m.iter_mut() {
+                *v = r.u64()?;
+            }
         }
         for sketch in [
             &mut probe.flow_sketch,
             &mut probe.link_sketch,
             &mut probe.port_sketch,
         ] {
-            let n_entries = u64_at(&mut pos)? as usize;
-            if n_entries > bytes.len().saturating_sub(pos) / 24 {
-                return Err(format!("sketch claims {n_entries} entries beyond blob end"));
-            }
-            let mut entries = Vec::with_capacity(n_entries);
-            for _ in 0..n_entries {
-                let key = u64_at(&mut pos)?;
-                let count = u64_at(&mut pos)?;
-                let error = u64_at(&mut pos)?;
-                entries.push(SketchEntry { key, count, error });
-            }
+            let entries = r.vec("sketch entry", 24, |r| {
+                Ok(SketchEntry {
+                    key: r.u64()?,
+                    count: r.u64()?,
+                    error: r.u64()?,
+                })
+            })?;
             *sketch = SpaceSaving::from_entries(topk, entries)?;
         }
-        let budget = u64_at(&mut pos)? as usize;
+        let budget = r.u64()? as usize;
         if !(2..=1 << 20).contains(&budget) || !budget.is_power_of_two() {
-            return Err(format!("implausible series budget {budget}"));
+            return Err(format!("has implausible series budget {budget}"));
         }
-        let epoch_slots = u64_at(&mut pos)?;
+        let epoch_slots = r.u64()?;
         if epoch_slots == 0 || !epoch_slots.is_power_of_two() {
-            return Err(format!("implausible epoch length {epoch_slots}"));
+            return Err(format!("has implausible epoch length {epoch_slots}"));
         }
-        let bucket_count = u64_at(&mut pos)? as usize;
-        if bucket_count >= budget || bucket_count > bytes.len().saturating_sub(pos) / 56 {
+        let bucket_count = r.count("series bucket", 56)?;
+        if bucket_count >= budget {
             return Err(format!(
-                "series claims {bucket_count} buckets beyond budget or blob end"
+                "series claims {bucket_count} buckets, beyond its budget {budget}"
             ));
         }
-        let read_bucket = |pos: &mut usize| -> Result<WeatherBucket, String> {
+        let read_bucket = |r: &mut Reader<'_>| -> Result<WeatherBucket, String> {
             Ok(WeatherBucket {
-                start_slot: u64_at(pos)?,
-                slots: u64_at(pos)?,
-                delivered: u64_at(pos)?,
-                dropped: u64_at(pos)?,
-                transmitted: u64_at(pos)?,
-                reconfigs: u64_at(pos)?,
-                max_queued: u64_at(pos)?,
+                start_slot: r.u64()?,
+                slots: r.u64()?,
+                delivered: r.u64()?,
+                dropped: r.u64()?,
+                transmitted: r.u64()?,
+                reconfigs: r.u64()?,
+                max_queued: r.u64()?,
             })
         };
         let mut series = EpochSeries::new(budget);
         series.epoch_slots = epoch_slots;
         for _ in 0..bucket_count {
-            series.buckets.push(read_bucket(&mut pos)?);
+            series.buckets.push(read_bucket(r)?);
         }
-        series.cur = read_bucket(&mut pos)?;
+        series.cur = read_bucket(r)?;
         probe.series = series;
-        let log_count = u64_at(&mut pos)? as usize;
+        let log_count = r.count("reconfig log", 16)?;
         if log_count > RECONFIG_LOG_CAP {
             return Err(format!(
                 "reconfig log claims {log_count} entries (cap {RECONFIG_LOG_CAP})"
             ));
         }
         for _ in 0..log_count {
-            let slot = u64_at(&mut pos)?;
-            let now_ns = u64_at(&mut pos)?;
-            probe.reconfig_log.push((slot, now_ns));
+            probe.reconfig_log.push((r.u64()?, r.u64()?));
         }
-        let pending = u64_at(&mut pos)? as usize;
-        if pending != n {
+        let pending = r.u64()?;
+        if pending != n as u64 {
             return Err(format!(
                 "port scratch is over {pending} nodes, expected {n}"
             ));
         }
         for v in probe.port_pending.iter_mut() {
-            *v = u64_at(&mut pos)?;
+            *v = r.u64()?;
         }
-        if pos != bytes.len() {
-            return Err(format!(
-                "{} trailing bytes after weather blob",
-                bytes.len() - pos
-            ));
-        }
+        r.finish("payload")?;
         Ok(probe)
     }
 }
@@ -1019,14 +989,6 @@ impl Probe for WeatherProbe {
         self.final_now_ns = view.now_ns;
         self.flush_ports();
     }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
 }
 
 fn render_matrix(out: &mut String, title: &str, c: usize, at: impl Fn(usize) -> u64) {
@@ -1225,6 +1187,15 @@ mod tests {
                 WeatherProbe::from_bytes(&bytes[..len], map).is_err(),
                 "prefix of {len} bytes decoded successfully"
             );
+        }
+        // Any byte forced to 0x00 or 0xFF decodes to Ok or Err, never a
+        // panic.
+        for i in 0..bytes.len() {
+            for v in [0x00, 0xFF] {
+                let mut bad = bytes.clone();
+                bad[i] = v;
+                let _ = WeatherProbe::from_bytes(&bad, CliqueMap::contiguous(8, 2));
+            }
         }
     }
 
