@@ -29,14 +29,6 @@ pub struct SimConfig {
     /// Safety bound on hops per cell; exceeding it is a routing bug and
     /// aborts the run with an error.
     pub max_hops: u8,
-    /// How many cells deep to scan a class (spray) queue for one whose
-    /// routing constraints admit the current circuit. `0` means scan the
-    /// whole queue. Bounds only the per-cell scan, i.e. classes for which
-    /// [`Router::circuit_admits`](crate::Router::circuit_admits) answers
-    /// `None`; a class answered for the circuit alone pops its head or is
-    /// skipped whatever this is. Nothing in the repository sets it
-    /// non-zero; it stays because checkpoints carry it.
-    pub class_scan_limit: usize,
     /// Total queued cells a node may hold before arrivals are dropped;
     /// `0` means unbounded (the open-loop default for throughput
     /// studies). Finite caps enable loss experiments.
@@ -52,14 +44,6 @@ pub struct SimConfig {
     /// subset is a pure hash of `(seed, flow id)`, so it is identical
     /// at any `engine_threads` and enabling it never perturbs routing.
     pub trace_one_in: u64,
-    /// Checkpoint cadence for long runs, in slots; `0` — the default —
-    /// disables periodic checkpointing. The engine itself only exposes
-    /// [`Engine::checkpoint`](crate::Engine::checkpoint) at slot
-    /// boundaries; run drivers (`sorn-cli resilience`, `sorn-cli simulate`)
-    /// consult this cadence to decide *when* to call it and where the
-    /// snapshot files go. Restoring a snapshot carries the
-    /// cadence along, so a resumed run keeps checkpointing on schedule.
-    pub checkpoint_every_slots: u64,
 }
 
 impl Default for SimConfig {
@@ -71,11 +55,9 @@ impl Default for SimConfig {
             cell_bytes: 1250,
             seed: 0,
             max_hops: 16,
-            class_scan_limit: 0,
             node_queue_cap: 0,
             engine_threads: 1,
             trace_one_in: 0,
-            checkpoint_every_slots: 0,
         }
     }
 }

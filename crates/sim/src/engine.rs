@@ -60,7 +60,6 @@ use crate::config::{Nanos, SimConfig};
 use crate::failure::FailureSet;
 use crate::fault::{FaultPlan, FaultView, LinkHealth};
 use crate::flow_table::FlowTable;
-use crate::hash::FastHashBuilder;
 use crate::metrics::{FlowRecord, LinkMatrix, LinkRow, Metrics};
 use crate::par::WorkerPool;
 use crate::probe::{NoopProbe, Probe, SkipView, SlotView};
@@ -72,7 +71,7 @@ use crate::trace::{circuit_wait_slots, FlowSampler, HopEvent, HopKind};
 use sorn_topology::{CircuitSchedule, Matching, NodeId};
 use std::cell::Cell as MemoCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::sync::Mutex;
 
@@ -101,6 +100,12 @@ pub enum SimError {
         /// Network size.
         n: usize,
     },
+    /// A flow arrived while another flow with its id was still live.
+    /// An id may be reused once its flow has completed.
+    DuplicateFlowId {
+        /// The id both flows carry.
+        flow: FlowId,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -113,22 +118,14 @@ impl fmt::Display for SimError {
             SimError::NodeOutOfRange { node, n } => {
                 write!(f, "flow endpoint {node} outside network of {n} nodes")
             }
+            SimError::DuplicateFlowId { flow } => {
+                write!(f, "flow {flow:?} arrived while a flow with its id is live")
+            }
         }
     }
 }
 
 impl std::error::Error for SimError {}
-
-/// Tracks a flow that is still injecting or still has cells in flight.
-/// `pub(crate)` so checkpoints can carry the slab verbatim.
-#[derive(Debug, Clone)]
-pub(crate) struct ActiveFlow {
-    pub(crate) flow: Flow,
-    pub(crate) total_cells: u64,
-    pub(crate) injected: u64,
-    pub(crate) delivered: u64,
-    pub(crate) max_hops: u8,
-}
 
 /// A cell at a node awaiting a routing decision: in flight until `at_ns`
 /// (the arrival calendar holds these), or injected or re-routed there
@@ -981,9 +978,9 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             let flow = self.future_store[key as usize].take().expect("stored flow");
             self.future_pending -= 1;
             let total_cells = flow.cell_count(self.cfg.cell_bytes);
+            let slot = self.table.insert(&flow, total_cells)?;
             self.probe.on_flow_start(&flow, now);
             let src = flow.src.index();
-            let slot = self.table.insert(&flow, total_cells);
             self.injecting[src].push_back(slot);
             self.injecting_flows += 1;
             self.injecting_occ[src / 64] |= 1u64 << (src % 64);
@@ -1421,8 +1418,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
                 .iter()
                 .map(|d| d.iter().map(|&i| i as u64).collect())
                 .collect(),
-            active: self.table.to_slab(),
-            active_free: self.table.free_slots(),
+            flows: self.table.clone(),
             failed_nodes: self
                 .failures
                 .failed_node_ids()
@@ -1450,7 +1446,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
     /// uninstrumented convenience form.
     ///
     /// Every structural invariant is checked — node count, class ids,
-    /// slab/free-list/injection-list consistency, queue-count
+    /// flow endpoints and injection lists, queue-count
     /// bookkeeping, calendar shape — so a decoded-but-inconsistent
     /// snapshot yields [`RestoreError`] rather than an engine that
     /// panics later.
@@ -1512,42 +1508,15 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             )));
         }
 
-        // Active-flow slab: the free list must name exactly the vacant
-        // slots (no duplicates), injection lists must point at live
-        // slots, and no flow id may occupy two slots.
-        let slab_len = snapshot.active.len();
-        let mut seen_free = vec![false; slab_len];
-        for &idx in &snapshot.active_free {
-            let idx = idx as usize;
-            let vacant = snapshot.active.get(idx).is_some_and(|s| s.is_none());
-            if !vacant || seen_free[idx] {
-                return Err(bad(format!("free-list entry {idx} is not a vacant slot")));
-            }
-            seen_free[idx] = true;
-        }
-        let vacant_total = snapshot.active.iter().filter(|s| s.is_none()).count();
-        if snapshot.active_free.len() != vacant_total {
-            return Err(bad(format!(
-                "free list has {} entries for {vacant_total} vacant slots",
-                snapshot.active_free.len()
-            )));
-        }
-        let mut active_index: HashMap<FlowId, usize, FastHashBuilder> = HashMap::default();
-        for (i, slot) in snapshot.active.iter().enumerate() {
-            if let Some(af) = slot {
-                if af.flow.src.index() >= n || af.flow.dst.index() >= n {
-                    return Err(bad(format!(
-                        "active flow {:?} endpoint out of range",
-                        af.flow.id
-                    )));
-                }
-                if active_index.insert(af.flow.id, i).is_some() {
-                    return Err(bad(format!(
-                        "flow {:?} occupies two slab slots",
-                        af.flow.id
-                    )));
-                }
-            }
+        // Active flows: decoding already checked the free list against
+        // the vacant slots and that no id occupies two slots; endpoints
+        // must lie in the network and injection lists name live slots.
+        if let Some((id, ..)) = snapshot
+            .flows
+            .endpoints()
+            .find(|(_, src, dst)| src.index() >= n || dst.index() >= n)
+        {
+            return Err(bad(format!("active flow {id:?} endpoint out of range")));
         }
         let mut injecting: Vec<VecDeque<usize>> = Vec::with_capacity(n);
         let mut injecting_flows = 0usize;
@@ -1555,7 +1524,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             let mut deque = VecDeque::with_capacity(list.len());
             for &idx in list {
                 let idx = idx as usize;
-                if snapshot.active.get(idx).is_none_or(|s| s.is_none()) {
+                if !snapshot.flows.is_live(idx) {
                     return Err(bad(format!("injection list references vacant slot {idx}")));
                 }
                 deque.push_back(idx);
@@ -1659,14 +1628,6 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             )));
         }
 
-        // The structural checks above guaranteed exactly what
-        // `from_slab` assumes: free list == vacant slots, unique ids.
-        drop(active_index);
-        let table = FlowTable::from_slab(
-            &snapshot.active,
-            snapshot.active_free.iter().map(|&i| i as u32).collect(),
-        );
-
         let mut eng = Engine::with_probe_and_profiler(cfg, schedule, router, probe, profiler);
         eng.rngs = snapshot
             .rng_states
@@ -1679,7 +1640,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         eng.future_store = future_store;
         eng.injecting = injecting;
         eng.injecting_flows = injecting_flows;
-        eng.table = table;
+        eng.table = snapshot.flows.clone();
         eng.inflight = inflight;
         eng.queued_cells = queued_cells;
         eng.failures = failures;
@@ -1882,9 +1843,7 @@ fn run_transmit_shard<const DEGRADED: bool>(
                 if DEGRADED && !failures.circuit_up(v, w) {
                     continue; // down: charged neither idle nor sent
                 }
-                let Some(mut cell) =
-                    shard.queues[li].pop_for_circuit(router, v, w, cfg.class_scan_limit)
-                else {
+                let Some(mut cell) = shard.queues[li].pop_for_circuit(router, v, w) else {
                     continue; // stays idle, as pre-charged
                 };
                 out.idle -= 1;
@@ -2128,6 +2087,27 @@ mod tests {
             matches!(err, Some(RestoreError::Inconsistent { .. })),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn a_flow_id_may_not_be_live_twice_but_may_be_reused() {
+        let sched = round_robin(8).unwrap();
+        let router = DirectRouter;
+        let mut eng = Engine::new(SimConfig::default(), &sched, &router);
+        eng.add_flows([flow(5, 0, 1, 50 * 1250, 0), flow(5, 2, 3, 50 * 1250, 0)])
+            .unwrap();
+        assert_eq!(
+            eng.run_slots(10),
+            Err(SimError::DuplicateFlowId { flow: FlowId(5) })
+        );
+        // Once the first flow has completed, its id is free again.
+        let mut eng = Engine::new(SimConfig::default(), &sched, &router);
+        eng.add_flows([flow(5, 0, 1, 1250, 0), flow(5, 2, 3, 1250, 100_000)])
+            .unwrap();
+        assert!(eng.run_until_drained(10_000).unwrap());
+        let ids: Vec<FlowId> = eng.metrics().flows.iter().map(|f| f.id).collect();
+        assert_eq!(ids, [FlowId(5), FlowId(5)]);
+        assert!(Engine::restore(&eng.checkpoint(), &sched, &router).is_ok());
     }
 
     #[test]

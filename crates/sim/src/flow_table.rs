@@ -1,25 +1,24 @@
 //! Struct-of-arrays storage for active flows.
 //!
-//! The engine previously tracked flows in a slab of `Option<ActiveFlow>`
-//! behind a `FlowId → slot` hash map. At warehouse scale the hash probe
-//! per delivered cell and the pointer-chasing slab layout dominate the
-//! delivery path, so this module flattens the slab into parallel `Vec`s
-//! (one per field — the transmit/delivery walks touch only the columns
-//! they need) with a `u64`-word liveness bitset, and replaces the hash
-//! map with a dense direct-mapped `id → slot` table for the
-//! simulation-assigned id range (hash spill only for outliers).
+//! Each flow field is its own `Vec` indexed by slot — the transmit and
+//! delivery walks touch only the columns they need — with a `u64`-word
+//! liveness bitset. The `FlowId → slot` index, hit once per delivered
+//! cell, is a dense direct-mapped table for the simulation-assigned id
+//! range (hash spill only for outliers).
 //!
-//! Slot allocation is LIFO through an explicit free list, byte-for-byte
-//! the discipline of the slab it replaces, so checkpoints taken from a
-//! [`FlowTable`]-backed engine are identical to the legacy layout's
-//! (`to_slab`/`from_slab` convert at the snapshot boundary).
+//! Slots are allocated LIFO through an explicit free list. The
+//! checkpoint's `FLW` section carries the slot layout and the free list
+//! verbatim ([`FlowTable::encode`] / [`FlowTable::decode`]), so a
+//! restored run allocates exactly the slots the uninterrupted run does.
 
 use crate::cell::{Cell, Flow, FlowId};
 use crate::config::Nanos;
-use crate::engine::ActiveFlow;
+use crate::engine::SimError;
 use crate::hash::FastHashBuilder;
 use crate::metrics::FlowRecord;
+use sorn_base::bytes::{Reader, Writer};
 use sorn_topology::NodeId;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Flow ids below this go through the dense direct-mapped index (grown
@@ -30,8 +29,11 @@ const DENSE_ID_LIMIT: u64 = 1 << 22;
 /// Dense-index sentinel: this id is not an active flow.
 const NO_SLOT: u32 = u32::MAX;
 
+/// Encoded bytes of one live slot in the checkpoint's `FLW` section.
+const LIVE_SLOT_BYTES: usize = 57;
+
 /// Active flows as parallel columns indexed by slot.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct FlowTable {
     ids: Vec<FlowId>,
     srcs: Vec<NodeId>,
@@ -44,8 +46,7 @@ pub struct FlowTable {
     max_hops: Vec<u8>,
     /// One bit per slot: set while the slot holds a live flow.
     live: Vec<u64>,
-    /// Vacant slots, reused LIFO — the same order the legacy slab's
-    /// free list produced, so restored runs allocate identically.
+    /// Vacant slots, reused LIFO.
     free: Vec<u32>,
     /// `id → slot` for ids below [`DENSE_ID_LIMIT`].
     dense: Vec<u32>,
@@ -65,7 +66,7 @@ impl FlowTable {
         self.live_count
     }
 
-    fn is_live(&self, slot: usize) -> bool {
+    pub(crate) fn is_live(&self, slot: usize) -> bool {
         self.live
             .get(slot / 64)
             .is_some_and(|w| w & (1u64 << (slot % 64)) != 0)
@@ -82,20 +83,27 @@ impl FlowTable {
         }
     }
 
-    /// Points `id` at `slot`; returns `true` when the id was not
-    /// indexed before (duplicate ids overwrite, like the map they
-    /// replace, leaving the old slot an unindexed orphan).
+    /// Points `id` at `slot`; returns `false`, changing nothing, when
+    /// the id already names a live flow.
     fn index_set(&mut self, id: FlowId, slot: u32) -> bool {
         if id.0 < DENSE_ID_LIMIT {
             let i = id.0 as usize;
             if i >= self.dense.len() {
                 self.dense.resize(i + 1, NO_SLOT);
             }
-            let was = self.dense[i];
+            if self.dense[i] != NO_SLOT {
+                return false;
+            }
             self.dense[i] = slot;
-            was == NO_SLOT
+            true
         } else {
-            self.spill.insert(id.0, slot).is_none()
+            match self.spill.entry(id.0) {
+                Entry::Occupied(_) => false,
+                Entry::Vacant(e) => {
+                    e.insert(slot);
+                    true
+                }
+            }
         }
     }
 
@@ -109,28 +117,34 @@ impl FlowTable {
         }
     }
 
+    /// Appends one vacant slot to every column.
+    fn push_vacant(&mut self) {
+        let s = self.ids.len();
+        self.ids.push(FlowId(0));
+        self.srcs.push(NodeId(0));
+        self.dsts.push(NodeId(0));
+        self.sizes.push(0);
+        self.arrivals.push(0);
+        self.totals.push(0);
+        self.injected.push(0);
+        self.delivered.push(0);
+        self.max_hops.push(0);
+        if s / 64 == self.live.len() {
+            self.live.push(0);
+        }
+    }
+
     /// Admits a newly arrived flow; returns its slot (reused LIFO from
-    /// the free list, else appended).
-    pub fn insert(&mut self, flow: &Flow, total_cells: u64) -> usize {
-        let slot = match self.free.pop() {
-            Some(s) => s as usize,
-            None => {
-                let s = self.ids.len();
-                self.ids.push(FlowId(0));
-                self.srcs.push(NodeId(0));
-                self.dsts.push(NodeId(0));
-                self.sizes.push(0);
-                self.arrivals.push(0);
-                self.totals.push(0);
-                self.injected.push(0);
-                self.delivered.push(0);
-                self.max_hops.push(0);
-                if s / 64 == self.live.len() {
-                    self.live.push(0);
-                }
-                s
-            }
-        };
+    /// the free list, else appended). An id may be reused once its
+    /// flow has completed, but not while it is live.
+    pub fn insert(&mut self, flow: &Flow, total_cells: u64) -> Result<usize, SimError> {
+        let slot = self.free.last().map_or(self.ids.len(), |&s| s as usize);
+        if !self.index_set(flow.id, slot as u32) {
+            return Err(SimError::DuplicateFlowId { flow: flow.id });
+        }
+        if self.free.pop().is_none() {
+            self.push_vacant();
+        }
         self.ids[slot] = flow.id;
         self.srcs[slot] = flow.src;
         self.dsts[slot] = flow.dst;
@@ -141,10 +155,8 @@ impl FlowTable {
         self.delivered[slot] = 0;
         self.max_hops[slot] = 0;
         self.live[slot / 64] |= 1u64 << (slot % 64);
-        if self.index_set(flow.id, slot as u32) {
-            self.live_count += 1;
-        }
-        slot
+        self.live_count += 1;
+        Ok(slot)
     }
 
     /// Builds the next cell of the flow in `slot` (injection path);
@@ -191,73 +203,79 @@ impl FlowTable {
         })
     }
 
-    /// Exports the table in the checkpoint wire layout: the legacy
-    /// `Option<ActiveFlow>` slab, vacant slots `None`.
-    pub(crate) fn to_slab(&self) -> Vec<Option<ActiveFlow>> {
+    /// Live flows' `(id, src, dst)`, in slot order.
+    pub(crate) fn endpoints(&self) -> impl Iterator<Item = (FlowId, NodeId, NodeId)> + '_ {
         (0..self.ids.len())
-            .map(|s| {
-                self.is_live(s).then(|| ActiveFlow {
-                    flow: Flow {
-                        id: self.ids[s],
-                        src: self.srcs[s],
-                        dst: self.dsts[s],
-                        size_bytes: self.sizes[s],
-                        arrival_ns: self.arrivals[s],
-                    },
-                    total_cells: self.totals[s],
-                    injected: self.injected[s],
-                    delivered: self.delivered[s],
-                    max_hops: self.max_hops[s],
-                })
-            })
-            .collect()
+            .filter(|&s| self.is_live(s))
+            .map(|s| (self.ids[s], self.srcs[s], self.dsts[s]))
     }
 
-    /// The free list in checkpoint order (stack bottom first).
-    pub(crate) fn free_slots(&self) -> Vec<u64> {
-        self.free.iter().map(|&s| s as u64).collect()
-    }
-
-    /// Rebuilds a table from a checkpointed slab and free list. The
-    /// caller (engine restore) has already validated that the free list
-    /// names exactly the vacant slots and that no id occupies two slots.
-    pub(crate) fn from_slab(slab: &[Option<ActiveFlow>], free: Vec<u32>) -> Self {
-        let mut table = FlowTable {
-            live: vec![0u64; slab.len().div_ceil(64)],
-            free,
-            ..FlowTable::default()
-        };
-        for (s, entry) in slab.iter().enumerate() {
-            match entry {
-                Some(af) => {
-                    table.ids.push(af.flow.id);
-                    table.srcs.push(af.flow.src);
-                    table.dsts.push(af.flow.dst);
-                    table.sizes.push(af.flow.size_bytes);
-                    table.arrivals.push(af.flow.arrival_ns);
-                    table.totals.push(af.total_cells);
-                    table.injected.push(af.injected);
-                    table.delivered.push(af.delivered);
-                    table.max_hops.push(af.max_hops);
-                    table.live[s / 64] |= 1u64 << (s % 64);
-                    if table.index_set(af.flow.id, s as u32) {
-                        table.live_count += 1;
-                    }
-                }
-                None => {
-                    table.ids.push(FlowId(0));
-                    table.srcs.push(NodeId(0));
-                    table.dsts.push(NodeId(0));
-                    table.sizes.push(0);
-                    table.arrivals.push(0);
-                    table.totals.push(0);
-                    table.injected.push(0);
-                    table.delivered.push(0);
-                    table.max_hops.push(0);
-                }
-            }
+    /// Writes the table as the checkpoint's `FLW` table: the slot count,
+    /// the free list (stack bottom first), then every live slot's
+    /// columns in slot order. Vacant slots are exactly the free list.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        out.put_u64(self.ids.len() as u64);
+        out.put_u64(self.free.len() as u64);
+        for &s in &self.free {
+            out.put_u32(s);
         }
-        table
+        for s in (0..self.ids.len()).filter(|&s| self.is_live(s)) {
+            out.put_u64(self.ids[s].0);
+            out.put_u32(self.srcs[s].0);
+            out.put_u32(self.dsts[s].0);
+            out.put_u64(self.sizes[s]);
+            out.put_u64(self.arrivals[s]);
+            out.put_u64(self.totals[s]);
+            out.put_u64(self.injected[s]);
+            out.put_u64(self.delivered[s]);
+            out.put_u8(self.max_hops[s]);
+        }
+    }
+
+    /// The inverse of [`FlowTable::encode`]. Rejects a free list that
+    /// names a slot twice or out of range, and two live slots with one
+    /// id; the rebuilt table allocates exactly as the encoded one did.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<FlowTable, String> {
+        let slots = r.u64()?;
+        let free = r.vec("FLW free list", 4, Reader::u32)?;
+        let live = slots
+            .checked_sub(free.len() as u64)
+            .ok_or_else(|| format!("FLW: {} free slots of {slots}", free.len()))?;
+        if live > (r.remaining() / LIVE_SLOT_BYTES) as u64 {
+            return Err(format!("FLW: {live} live slots exceed the bytes remaining"));
+        }
+        let mut table = FlowTable::default();
+        for s in 0..slots as usize {
+            table.push_vacant();
+            table.live[s / 64] |= 1u64 << (s % 64);
+        }
+        for &s in &free {
+            if !table.is_live(s as usize) {
+                return Err(format!("FLW: free-list entry {s} is not a vacant slot"));
+            }
+            table.live[s as usize / 64] &= !(1u64 << (s % 64));
+        }
+        table.free = free;
+        for s in 0..slots as usize {
+            if !table.is_live(s) {
+                continue;
+            }
+            let id = FlowId(r.u64()?);
+            if !table.index_set(id, s as u32) {
+                return Err(format!("FLW: flow {id:?} occupies two slots"));
+            }
+            table.ids[s] = id;
+            table.srcs[s] = NodeId(r.u32()?);
+            table.dsts[s] = NodeId(r.u32()?);
+            table.sizes[s] = r.u64()?;
+            table.arrivals[s] = r.u64()?;
+            table.totals[s] = r.u64()?;
+            table.injected[s] = r.u64()?;
+            table.delivered[s] = r.u64()?;
+            table.max_hops[s] = r.u8()?;
+        }
+        table.live_count = live as usize;
+        Ok(table)
     }
 }
 
@@ -278,7 +296,7 @@ mod tests {
     #[test]
     fn slots_recycle_lifo_and_records_are_per_flow() {
         let mut t = FlowTable::new();
-        let s0 = t.insert(&flow(10), 2);
+        let s0 = t.insert(&flow(10), 2).unwrap();
         assert_eq!(s0, 0);
         assert_eq!(t.live_count(), 1);
         let (c, done) = t.next_cell(s0, 100);
@@ -293,40 +311,102 @@ mod tests {
         );
         assert_eq!(t.live_count(), 0);
         // The freed slot is reused for the next flow, LIFO.
-        assert_eq!(t.insert(&flow(20), 1), 0);
+        assert_eq!(t.insert(&flow(20), 1), Ok(0));
         // Unknown / completed ids are ignored, not misattributed.
         assert!(t.record_delivery(FlowId(10), 1, 500).is_none());
+    }
+
+    #[test]
+    fn a_live_id_is_refused_and_a_completed_one_reused() {
+        for id in [5, DENSE_ID_LIMIT + 5] {
+            let mut t = FlowTable::new();
+            let s = t.insert(&flow(id), 1).unwrap();
+            let dup = SimError::DuplicateFlowId { flow: FlowId(id) };
+            assert_eq!(t.insert(&flow(id), 1), Err(dup));
+            assert_eq!(t.live_count(), 1, "the refused flow took no slot");
+            t.next_cell(s, 0);
+            t.record_delivery(FlowId(id), 1, 9).expect("complete");
+            assert_eq!(t.insert(&flow(id), 1), Ok(s));
+        }
     }
 
     #[test]
     fn spill_ids_resolve_like_dense_ones() {
         let mut t = FlowTable::new();
         let big = DENSE_ID_LIMIT + 17;
-        let s = t.insert(&flow(big), 1);
+        let s = t.insert(&flow(big), 1).unwrap();
         t.next_cell(s, 0);
         let rec = t.record_delivery(FlowId(big), 2, 9).expect("complete");
         assert_eq!(rec.id, FlowId(big));
         assert_eq!(t.live_count(), 0);
     }
 
+    fn encoded(t: &FlowTable) -> Vec<u8> {
+        let mut out = Vec::new();
+        t.encode(&mut out);
+        out
+    }
+
+    fn decoded(bytes: &[u8]) -> Result<FlowTable, String> {
+        let mut r = Reader::new(bytes);
+        let t = FlowTable::decode(&mut r)?;
+        r.finish("FLW")?;
+        Ok(t)
+    }
+
     #[test]
-    fn slab_round_trip_preserves_layout() {
+    fn flw_round_trip_preserves_layout() {
         let mut t = FlowTable::new();
-        t.insert(&flow(1), 4);
-        let s1 = t.insert(&flow(2), 1);
-        t.insert(&flow(3), 4);
-        t.next_cell(s1, 0);
-        t.record_delivery(FlowId(2), 1, 50);
-        let slab = t.to_slab();
-        let free = t.free_slots();
-        assert_eq!(slab.len(), 3);
-        assert!(slab[1].is_none());
-        assert_eq!(free, vec![1]);
-        let rebuilt = FlowTable::from_slab(&slab, free.iter().map(|&f| f as u32).collect());
-        assert_eq!(rebuilt.live_count(), 2);
-        assert_eq!(rebuilt.to_slab().len(), 3);
-        // The rebuilt table allocates the vacant slot next, as before.
-        let mut rebuilt = rebuilt;
-        assert_eq!(rebuilt.insert(&flow(9), 1), 1);
+        for id in 1..=66 {
+            t.insert(&flow(id), 4).unwrap();
+        }
+        for id in [2, 65] {
+            let s = t.index_get(FlowId(id)).unwrap();
+            for _ in 0..4 {
+                t.next_cell(s, 0);
+                t.record_delivery(FlowId(id), 1, 50);
+            }
+        }
+        let bytes = encoded(&t);
+        let mut rebuilt = decoded(&bytes).unwrap();
+        assert_eq!(rebuilt.live_count(), 64);
+        assert_eq!(encoded(&rebuilt), bytes, "re-encoding is byte-stable");
+        assert_eq!(rebuilt.endpoints().count(), 64);
+        assert!(!rebuilt.is_live(64) && rebuilt.is_live(65) && !rebuilt.is_live(66));
+        // The rebuilt table allocates the vacant slots next, LIFO.
+        assert_eq!(rebuilt.insert(&flow(90), 1), Ok(64));
+        assert_eq!(rebuilt.insert(&flow(91), 1), Ok(1));
+        assert_eq!(rebuilt.insert(&flow(92), 1), Ok(66));
+        assert_eq!(rebuilt.index_get(FlowId(66)), Some(65));
+    }
+
+    #[test]
+    fn flw_rejects_a_bad_free_list_or_a_shared_id() {
+        let mut t = FlowTable::new();
+        for id in [1, 2, 3] {
+            t.insert(&flow(id), 4).unwrap();
+        }
+        let bytes = encoded(&t);
+        // slots 3 | free count 0 | three live slots of 57 bytes.
+        let first_id = 16;
+        let mut shared = bytes.clone();
+        shared[first_id + 57] = 1;
+        let err = decoded(&shared).unwrap_err();
+        assert!(err.contains("occupies two slots"), "{err}");
+        // One free entry naming a live slot twice over, and one out of
+        // range: the counts are rewritten so only the entry is wrong.
+        for entry in [1u32, 7] {
+            let mut out = Vec::new();
+            out.put_u64(4);
+            out.put_u64(2);
+            out.put_u32(entry);
+            out.put_u32(1);
+            out.extend_from_slice(&bytes[first_id..first_id + 2 * 57]);
+            let err = decoded(&out).unwrap_err();
+            assert!(err.contains("not a vacant slot"), "{err}");
+        }
+        for len in 0..bytes.len() {
+            assert!(decoded(&bytes[..len]).is_err(), "prefix of {len} bytes");
+        }
     }
 }

@@ -203,8 +203,7 @@ impl NodeQueues {
     /// ([`Router::circuit_admits`]): a circuit that serves none of its
     /// cells skips it in O(1), one that serves all of them pops its head.
     /// Only when the answer depends on the cell is the queue scanned, in
-    /// place, for the first cell [`Router::class_admits`] accepts;
-    /// `scan_limit` bounds how deep that scan goes (`0` = unbounded).
+    /// place, for the first cell [`Router::class_admits`] accepts.
     /// Head-of-line cells whose constraints reject `to` are skipped, not
     /// dropped, and keep their order.
     pub fn pop_for_circuit<R: Router + ?Sized>(
@@ -212,7 +211,6 @@ impl NodeQueues {
         router: &R,
         from: NodeId,
         to: NodeId,
-        scan_limit: usize,
     ) -> Option<Cell> {
         let bit = summary_bit(to.0);
         if self.summary >> bit & 1 != 0 {
@@ -230,13 +228,10 @@ impl NodeQueues {
             let cell = match router.circuit_admits(*class, from, to) {
                 Some(false) => None,
                 Some(true) => q.pop_front(),
-                None => {
-                    let limit = if scan_limit == 0 { q.len() } else { scan_limit };
-                    q.iter()
-                        .take(limit)
-                        .position(|cell| router.class_admits(*class, cell, from, to))
-                        .and_then(|i| q.remove(i))
-                }
+                None => q
+                    .iter()
+                    .position(|cell| router.class_admits(*class, cell, from, to))
+                    .and_then(|i| q.remove(i)),
             };
             if cell.is_some() {
                 self.class_cells -= 1;
@@ -391,7 +386,7 @@ mod tests {
         q.push_specific(NodeId(2), cell(7));
         assert_eq!(q.depth(), 2);
         // Circuit to node 2: specific cell (dst 7) wins over class cell.
-        let got = q.pop_for_circuit(&r, NodeId(0), NodeId(2), 0).unwrap();
+        let got = q.pop_for_circuit(&r, NodeId(0), NodeId(2)).unwrap();
         assert_eq!(got.dst, NodeId(7));
         assert_eq!(q.depth(), 1);
     }
@@ -402,47 +397,10 @@ mod tests {
         let mut q = NodeQueues::new(r.classes());
         q.push_class(ClassId(0), cell(1)); // any cell; admissibility is on `to`
                                            // Circuit to odd node: class rejects.
-        assert!(q.pop_for_circuit(&r, NodeId(0), NodeId(3), 0).is_none());
+        assert!(q.pop_for_circuit(&r, NodeId(0), NodeId(3)).is_none());
         // Circuit to even node: admitted.
-        assert!(q.pop_for_circuit(&r, NodeId(0), NodeId(4), 0).is_some());
+        assert!(q.pop_for_circuit(&r, NodeId(0), NodeId(4)).is_some());
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn scan_limit_bounds_search() {
-        /// Admits only cells whose dst equals the circuit target.
-        struct PickyRouter;
-        impl Router for PickyRouter {
-            fn decide(
-                &self,
-                _n: NodeId,
-                _c: &mut Cell,
-                _r: &mut crate::rng::NodeRng,
-            ) -> crate::router::RouteDecision {
-                crate::router::RouteDecision::ToClass(ClassId(0))
-            }
-            fn class_admits(&self, _c: ClassId, cell: &Cell, _f: NodeId, to: NodeId) -> bool {
-                cell.dst == to
-            }
-            fn classes(&self) -> &[ClassId] {
-                &[ClassId(0)]
-            }
-            fn max_hops(&self) -> u8 {
-                4
-            }
-            fn name(&self) -> &str {
-                "picky"
-            }
-        }
-        let r = PickyRouter;
-        let mut q = NodeQueues::new(r.classes());
-        q.push_class(ClassId(0), cell(5));
-        q.push_class(ClassId(0), cell(6));
-        // With scan limit 1 only the head (dst 5) is considered.
-        assert!(q.pop_for_circuit(&r, NodeId(0), NodeId(6), 1).is_none());
-        // Unbounded scan finds the second cell.
-        let got = q.pop_for_circuit(&r, NodeId(0), NodeId(6), 0).unwrap();
-        assert_eq!(got.dst, NodeId(6));
     }
 
     #[test]
@@ -454,12 +412,12 @@ mod tests {
             q.push_class(ClassId(0), cell(d));
         }
         // Admissible circuit: the head (dst 1) pops first...
-        let got = q.pop_for_circuit(&r, NodeId(0), NodeId(2), 0).unwrap();
+        let got = q.pop_for_circuit(&r, NodeId(0), NodeId(2)).unwrap();
         assert_eq!(got.dst, NodeId(1));
         // ...and an inadmissible circuit in between must not reorder.
-        assert!(q.pop_for_circuit(&r, NodeId(0), NodeId(3), 0).is_none());
+        assert!(q.pop_for_circuit(&r, NodeId(0), NodeId(3)).is_none());
         for want in [3, 5, 7] {
-            let got = q.pop_for_circuit(&r, NodeId(0), NodeId(2), 0).unwrap();
+            let got = q.pop_for_circuit(&r, NodeId(0), NodeId(2)).unwrap();
             assert_eq!(got.dst, NodeId(want));
         }
         assert!(q.is_empty());
@@ -505,7 +463,6 @@ mod tests {
             router: &R,
             from: NodeId,
             to: NodeId,
-            scan_limit: usize,
         ) -> Option<Cell> {
             if let Ok(i) = self.specific.binary_search_by_key(&to.0, |&(k, _)| k) {
                 if let Some(cell) = self.specific[i].1.pop_front() {
@@ -515,14 +472,9 @@ mod tests {
             }
             let mut scratch = Vec::new();
             for (class, fifo) in &mut self.class {
-                let limit = if scan_limit == 0 {
-                    fifo.len()
-                } else {
-                    scan_limit.min(fifo.len())
-                };
                 let mut admitted = None;
-                for _ in 0..limit {
-                    let cell = fifo.pop_front().expect("limit <= len");
+                for _ in 0..fifo.len() {
+                    let cell = fifo.pop_front().expect("within len");
                     if router.class_admits(*class, &cell, from, to) {
                         admitted = Some(cell);
                         break;
@@ -643,16 +595,17 @@ mod tests {
 
     /// Drives `NodeQueues` and the `VecDeque`-per-next-hop reference
     /// with the same random pushes, pops and drains toward `hops`, and
-    /// compares every observable after every op.
-    fn drive_against_reference(hops: &[u32], ops_per_limit: u64) {
+    /// compares every observable after every op, over three random
+    /// streams.
+    fn drive_against_reference(hops: &[u32], ops_per_stream: u64) {
         let r = ThreeShapeRouter::default();
-        for scan_limit in [0, 1, 3] {
-            let mut rng = crate::rng::NodeRng::for_node(0x51DE, scan_limit as u32);
+        for stream in [0, 1, 3] {
+            let mut rng = crate::rng::NodeRng::for_node(0x51DE, stream);
             let mut fast = NodeQueues::new(r.classes());
             let mut slow = RefQueues::new(r.classes());
             let mut pops = 0;
             let mut peak = 0;
-            for seq in 0..ops_per_limit {
+            for seq in 0..ops_per_stream {
                 let peer = NodeId(hops[rng.gen_range(hops.len() as u64) as usize]);
                 // Destinations among the first hops, so the per-cell
                 // class (2) has circuits that admit.
@@ -670,9 +623,9 @@ mod tests {
                     }
                     230 => assert_eq!(fast.drain_all(), slow.drain_all(), "op {seq}"),
                     _ => {
-                        let got = fast.pop_for_circuit(&r, NodeId(9), peer, scan_limit);
-                        let want = slow.pop_for_circuit(&r, NodeId(9), peer, scan_limit);
-                        assert_eq!(got, want, "op {seq}, scan_limit {scan_limit}");
+                        let got = fast.pop_for_circuit(&r, NodeId(9), peer);
+                        let want = slow.pop_for_circuit(&r, NodeId(9), peer);
+                        assert_eq!(got, want, "op {seq}, stream {stream}");
                         pops += got.is_some() as usize;
                     }
                 }
@@ -695,7 +648,7 @@ mod tests {
                 );
             }
             assert!(
-                pops > ops_per_limit as usize / 8,
+                pops > ops_per_stream as usize / 8,
                 "only {pops} pops returned a cell"
             );
         }
@@ -730,13 +683,13 @@ mod tests {
         assert_eq!(q.summary, bit);
         // One of the two empties: the bit stays and the other still pops.
         assert_eq!(
-            q.pop_for_circuit(&r, NodeId(9), NodeId(a), 0).unwrap().dst,
+            q.pop_for_circuit(&r, NodeId(9), NodeId(a)).unwrap().dst,
             NodeId(1)
         );
-        assert!(q.pop_for_circuit(&r, NodeId(9), NodeId(a), 0).is_none());
+        assert!(q.pop_for_circuit(&r, NodeId(9), NodeId(a)).is_none());
         assert_eq!(q.summary, bit);
         assert_eq!(
-            q.pop_for_circuit(&r, NodeId(9), NodeId(b), 0).unwrap().dst,
+            q.pop_for_circuit(&r, NodeId(9), NodeId(b)).unwrap().dst,
             NodeId(2)
         );
         assert_eq!(q.summary, 0);
@@ -757,7 +710,7 @@ mod tests {
                 q.push_specific(hop, c);
                 peak = peak.max(q.depth());
             } else {
-                q.pop_for_circuit(&r, NodeId(99), hop, 0);
+                q.pop_for_circuit(&r, NodeId(99), hop);
             }
         }
         assert!(peak >= 16, "peak depth {peak}: the cycle never filled");
@@ -785,7 +738,7 @@ mod tests {
         // A pop and a push in between, so slab order ≠ FIFO order.
         let r = EvenClassRouter;
         assert_eq!(
-            q.pop_for_circuit(&r, NodeId(0), NodeId(4), 0).unwrap().dst,
+            q.pop_for_circuit(&r, NodeId(0), NodeId(4)).unwrap().dst,
             NodeId(10)
         );
         q.push_specific(NodeId(4), cell(12));
@@ -805,18 +758,18 @@ mod tests {
         }
         // `Some(false)`: the whole queue is skipped.
         for _ in 0..1_000 {
-            assert!(q.pop_for_circuit(&r, NodeId(0), NodeId(3), 0).is_none());
+            assert!(q.pop_for_circuit(&r, NodeId(0), NodeId(3)).is_none());
         }
         // `Some(true)`: the head pops, in order.
         for seq in 0..1_000 {
-            let got = q.pop_for_circuit(&r, NodeId(0), NodeId(4), 0).unwrap();
+            let got = q.pop_for_circuit(&r, NodeId(0), NodeId(4)).unwrap();
             assert_eq!(got.seq, seq);
         }
         assert_eq!(q.depth(), 99_000);
         assert_eq!(r.per_cell_calls.load(Relaxed), 0);
         // A per-cell class in front of it is still scanned.
         q.push_class(ClassId(2), cell(7));
-        assert!(q.pop_for_circuit(&r, NodeId(0), NodeId(3), 0).is_none());
+        assert!(q.pop_for_circuit(&r, NodeId(0), NodeId(3)).is_none());
         assert_eq!(r.per_cell_calls.load(Relaxed), 1);
     }
 

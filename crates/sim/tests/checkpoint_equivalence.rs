@@ -16,8 +16,9 @@
 
 use sorn_base::rng::cases;
 use sorn_sim::{
-    Cell, CheckpointFaultFs, CheckpointStore, ClassId, Engine, FaultPlan, FaultStorm, Flow, FlowId,
-    Metrics, NodeRng, RouteDecision, Router, SimConfig, Snapshot, WriteFault,
+    Cell, CheckpointError, CheckpointFaultFs, CheckpointStore, ClassId, Engine, FaultPlan,
+    FaultStorm, Flow, FlowId, Metrics, NodeRng, RouteDecision, Router, SimConfig, Snapshot,
+    WriteFault, FORMAT_VERSION,
 };
 use sorn_telemetry::{FlightRecorder, FlowTraceCollector, DEFAULT_CAPACITY};
 use sorn_topology::builders::round_robin;
@@ -507,6 +508,34 @@ fn golden_checkpoint_bytes_restore_and_match() {
     let mut eng = Engine::restore_with_probe(&snap, &base, &router, (collector, recorder)).unwrap();
     drive_to_end(&mut eng, &sc, &rotated);
     assert_eq!(finish(eng), run_uninterrupted(&sc, 1));
+}
+
+/// A generation written under another format version is refused with
+/// both versions named, and a store holding only such a file reports
+/// it rather than loading anything.
+#[test]
+fn golden_with_another_version_is_refused_by_name() {
+    let mut bytes = include_bytes!("golden/checkpoint_small.sorn").to_vec();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let reason = match Snapshot::from_bytes(&bytes) {
+        Err(CheckpointError::Corrupt { reason }) => reason,
+        other => panic!("expected Corrupt, got {other:?}"),
+    };
+    let want = format!("format version 2 (this build reads {FORMAT_VERSION})");
+    assert_eq!(reason, want);
+
+    let dir = std::path::PathBuf::from("/mem");
+    let path = dir.join("ckpt-00000001-slot8.sorn");
+    let mut fs = CheckpointFaultFs::new();
+    fs.put(&path, bytes);
+    match CheckpointStore::with_fs(&dir, fs, 2).load_latest() {
+        Err(CheckpointError::NoValidCheckpoint { skipped, .. }) => {
+            assert_eq!(skipped.len(), 1);
+            assert_eq!(skipped[0].0, path);
+            assert!(skipped[0].1.contains(&want), "{}", skipped[0].1);
+        }
+        other => panic!("expected NoValidCheckpoint, got {other:?}"),
+    }
 }
 
 /// Not a test: rewrites the golden fixture from the current tree.
