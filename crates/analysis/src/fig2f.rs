@@ -1,14 +1,18 @@
-//! Figure 2(f) reproduction: worst-case throughput vs traffic locality.
+//! Figure 2(f): worst-case throughput for the semi-oblivious design with
+//! varying traffic locality ratios, and `sorn-cli fig2f`.
 //!
 //! Two series, as in the paper:
 //!
 //! - **Theory**: `r = 1/(3 − x)` — the closed form at the ideal
-//!   oversubscription `q* = 2/(1 − x)`.
+//!   oversubscription `q* = 2/(1 − x)`, bounded between 1/3 and 1/2.
 //! - **Simulated**: exact flow-level evaluation of the actually
-//!   constructed 128-node / 8-clique schedule under a clique-local
-//!   demand, plus an optional packet-level validation point driven by
-//!   pFabric web-search traffic ("real-world traffic \[2\]").
+//!   constructed 128-node / 8-clique schedules under a clique-local
+//!   demand, plus packet-level validation points driven by pFabric
+//!   web-search traffic ("real-world traffic \[2\]").
 
+use crate::render::{to_csv, TextTable};
+use crate::timeseries::{self, trace_run};
+use crate::{header, run_jobs, Args, Task, TelemetryOpts};
 use sorn_core::{model, CoreError, SornConfig, SornNetwork};
 use sorn_sim::{Metrics, NoopProbe, Probe, SimError};
 use sorn_traffic::{spatial::CliqueLocal, FlowSizeDist, PoissonWorkload};
@@ -86,36 +90,12 @@ pub struct PacketValidation {
 /// Packet-simulates one Figure 2(f) point with pFabric web-search flows
 /// at the given offered load, checking that a load below the predicted
 /// throughput drains. `engine_threads` shards the engine's slot phases
-/// (`1` = serial path; any value is bit-identical).
+/// (`1` = serial path; any value is bit-identical). `probe` observes the
+/// run ([`NoopProbe`] for none); it comes back with the run's metrics
+/// alongside the validation summary, so a caller can cross-check a
+/// written trace against the aggregate counters.
 #[allow(clippy::too_many_arguments)]
-pub fn validate_point(
-    n: usize,
-    cliques: usize,
-    x: f64,
-    load: f64,
-    duration_ns: u64,
-    seed: u64,
-    engine_threads: usize,
-) -> Result<PacketValidation, SimError> {
-    validate_point_traced(
-        n,
-        cliques,
-        x,
-        load,
-        duration_ns,
-        seed,
-        engine_threads,
-        NoopProbe,
-    )
-    .map(|(v, _, _)| v)
-}
-
-/// Like [`validate_point`], but with a telemetry probe observing the
-/// packet run; returns the full run metrics and the probe alongside the
-/// validation summary, so callers can cross-check a written trace
-/// against the aggregate counters.
-#[allow(clippy::too_many_arguments)]
-pub fn validate_point_traced<P: Probe>(
+pub fn validate_point<P: Probe>(
     n: usize,
     cliques: usize,
     x: f64,
@@ -153,6 +133,100 @@ pub fn validate_point_traced<P: Probe>(
         flows: n_flows.min(metrics.flows.len()),
     };
     Ok((validation, metrics, probe))
+}
+
+/// `sorn-cli fig2f [--n N] [--cliques C] [--jobs N] [--engine-threads N]
+/// [--trace-out <path>] [--sample-interval-ns <n>]`. `--n`/`--cliques`
+/// size the flow-level sweep; the packet validation stays at 128 / 8.
+pub fn run(args: &mut Args) -> Result<(), String> {
+    let mut params = Fig2fParams::default();
+    params.n = args.get("n", params.n)?;
+    params.cliques = args.get("cliques", params.cliques)?;
+    let jobs = args.count("jobs", 1)?;
+    let engine_threads = args.count("engine-threads", 1)?;
+    let telemetry = TelemetryOpts::read(args)?;
+    args.reject_unknown()?;
+    let pts = generate(&params).map_err(|e| e.to_string())?;
+
+    header("Figure 2(f) — worst-case throughput vs locality ratio");
+    println!("network: {} nodes, {} cliques\n", params.n, params.cliques);
+
+    let mut t = TextTable::new(&[
+        "x",
+        "theory 1/(3-x)",
+        &format!("sim ({} nodes, {} cliques)", params.n, params.cliques),
+        "mean hops",
+    ]);
+    let mut csv_rows = Vec::new();
+    for p in &pts {
+        let row = vec![
+            format!("{:.1}", p.x),
+            format!("{:.4}", p.theory),
+            format!("{:.4}", p.simulated),
+            format!("{:.3}", p.mean_hops),
+        ];
+        csv_rows.push(row.clone());
+        t.row(row);
+    }
+    println!("{}", t.render());
+    // Plot-ready data alongside the table.
+    let csv = to_csv(&["x", "theory", "simulated", "mean_hops"], &csv_rows);
+    if std::fs::create_dir_all("results").is_ok()
+        && std::fs::write("results/fig2f.csv", &csv).is_ok()
+    {
+        println!("(series written to results/fig2f.csv)\n");
+    }
+
+    header("Packet-level validation (pFabric web-search flows)");
+    println!("offered load 0.3 per node; a load below r must drain:\n");
+    let mut v = TextTable::new(&["x", "flows", "drained", "mean hops", "delivery fraction"]);
+    // The packet runs dominate the wall time and are independent seeded
+    // simulations — fan them out under --jobs; rows land in x order.
+    const POINTS: [f64; 3] = [0.2, 0.56, 0.8];
+    let tasks: Vec<Task<PacketValidation>> = POINTS
+        .iter()
+        .map(|&x| -> Task<PacketValidation> {
+            Box::new(move || {
+                validate_point(128, 8, x, 0.3, 2_000_000, 42, engine_threads, NoopProbe)
+                    .expect("validation point")
+                    .0
+            })
+        })
+        .collect();
+    for (x, p) in POINTS.iter().zip(run_jobs(jobs, tasks)) {
+        v.row(vec![
+            format!("{x:.2}"),
+            p.flows.to_string(),
+            p.drained.to_string(),
+            format!("{:.3}", p.mean_hops),
+            format!("{:.3}", p.delivery_fraction),
+        ]);
+    }
+    println!("{}", v.render());
+    println!("(delivery fraction ~= 1/mean_hops; mean hops ~= 3 - x, so the");
+    println!(" measured packet-level throughput tracks the theory curve)");
+
+    if let Some(path) = &telemetry.trace_out {
+        header("Telemetry: traced re-run of the x = 0.56 validation point");
+        let traced = trace_run(path, telemetry.sample_interval_ns, |sampler| {
+            let (_, metrics, sampler) =
+                validate_point(128, 8, 0.56, 0.3, 2_000_000, 42, engine_threads, sampler)
+                    .map_err(|e| e.to_string())?;
+            Ok((metrics, sampler))
+        })?;
+        println!(
+            "wrote {} events to {} (sample interval {} ns)",
+            traced.events,
+            path.display(),
+            telemetry.sample_interval_ns
+        );
+        println!(
+            "final snapshot: {} delivered cells == metrics aggregate\n",
+            traced.metrics.delivered_cells
+        );
+        println!("{}", timeseries::summary_table(&traced.snapshots).render());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -199,9 +273,10 @@ mod tests {
 
     #[test]
     fn packet_validation_drains_below_capacity() {
-        let v = validate_point(16, 4, 0.5, 0.2, 200_000, 7, 1).unwrap();
+        let point = |threads| validate_point(16, 4, 0.5, 0.2, 200_000, 7, threads, NoopProbe);
+        let v = point(1).unwrap().0;
         // The sharded engine must reproduce the serial run bit-for-bit.
-        assert_eq!(validate_point(16, 4, 0.5, 0.2, 200_000, 7, 2).unwrap(), v);
+        assert_eq!(point(2).unwrap().0, v);
         assert!(v.drained, "load 0.2 below r=0.4 must drain: {v:?}");
         assert!(v.flows > 0);
         assert!(v.mean_hops > 1.0 && v.mean_hops <= 3.0);

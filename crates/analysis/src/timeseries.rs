@@ -1,12 +1,15 @@
-//! Time-series summaries of telemetry run traces.
+//! Time-series summaries of telemetry run traces, and the one
+//! `--trace-out` companion run the experiments record them with.
 //!
-//! Consumes the [`Snapshot`] series an
-//! [`IntervalSampler`](sorn_telemetry::IntervalSampler) emits and
-//! renders queue- and utilization-over-time as percentile tables and
-//! CSV timelines, following the `render` module's conventions.
+//! Consumes the [`Snapshot`] series an [`IntervalSampler`] emits and
+//! renders queue- and utilization-over-time as percentile tables,
+//! following the `render` module's conventions.
 
-use crate::render::{to_csv, TextTable};
-use sorn_telemetry::{Snapshot, TraceEvent};
+use crate::render::TextTable;
+use sorn_sim::{Engine, Flow, Metrics, Router, SimConfig};
+use sorn_telemetry::{read_jsonl, IntervalSampler, JsonlTraceSink, Snapshot, TraceEvent};
+use sorn_topology::CircuitSchedule;
+use std::path::Path;
 
 /// Order statistics of one sampled series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,39 +102,69 @@ pub fn summary_table(snapshots: &[Snapshot]) -> TextTable {
     t
 }
 
-/// Renders the snapshot timeline as CSV (one record per sample), for
-/// plotting queue and utilization curves over time.
-pub fn timeline_csv(snapshots: &[Snapshot]) -> String {
-    let rows: Vec<Vec<String>> = snapshots
-        .iter()
-        .map(|s| {
-            vec![
-                s.at_ns.to_string(),
-                s.slot.to_string(),
-                s.queued_cells.to_string(),
-                s.inflight_cells.to_string(),
-                s.injected_cells.to_string(),
-                s.delivered_cells.to_string(),
-                s.dropped_cells.to_string(),
-                format!("{:.6}", s.circuit_utilization),
-                format!("{:.6}", s.delivery_fraction),
-            ]
-        })
-        .collect();
-    to_csv(
-        &[
-            "at_ns",
-            "slot",
-            "queued_cells",
-            "inflight_cells",
-            "injected_cells",
-            "delivered_cells",
-            "dropped_cells",
-            "circuit_utilization",
-            "delivery_fraction",
-        ],
-        &rows,
-    )
+/// The probe a `--trace-out` run writes through: a JSONL file sink
+/// sampled every `--sample-interval-ns`.
+pub type TraceSampler = IntervalSampler<JsonlTraceSink>;
+
+/// What [`trace_run`] returns: the trace as written and read back.
+#[derive(Debug, Clone)]
+pub struct TracedRun {
+    /// Events written to the trace file.
+    pub events: u64,
+    /// The trace's snapshot series, in order; the last is the run's end.
+    pub snapshots: Vec<Snapshot>,
+    /// The run's aggregate metrics.
+    pub metrics: Metrics,
+}
+
+/// The `--trace-out` companion run of an experiment: creates the JSONL
+/// trace at `path`, hands its sampler (one snapshot every `interval_ns`
+/// of simulated time) to `run`, which drives a packet simulation and
+/// returns the sampler with the run's metrics, then flushes the file,
+/// reads it back, and checks that it holds every event written and that
+/// its final snapshot's delivered cells equal the metrics'.
+pub fn trace_run(
+    path: &Path,
+    interval_ns: u64,
+    run: impl FnOnce(TraceSampler) -> Result<(Metrics, TraceSampler), String>,
+) -> Result<TracedRun, String> {
+    let file = |e: std::io::Error| format!("--trace-out file {}: {e}", path.display());
+    let sink = JsonlTraceSink::create(path).map_err(file)?;
+    let (metrics, sampler) = run(IntervalSampler::new(sink, interval_ns))?;
+    let written = sampler.into_sink().finish().map_err(file)?;
+    let events = read_jsonl(path).map_err(file)?;
+    let snapshots = snapshots_of(&events);
+    let delivered = snapshots.last().map(|s| s.delivered_cells);
+    if events.len() as u64 != written || delivered != Some(metrics.delivered_cells) {
+        return Err(format!(
+            "--trace-out file {}: read back {} of {written} events, final snapshot \
+             delivered {delivered:?} cells, the run {}",
+            path.display(),
+            events.len(),
+            metrics.delivered_cells
+        ));
+    }
+    Ok(TracedRun {
+        events: written,
+        snapshots,
+        metrics,
+    })
+}
+
+/// A `run` for [`trace_run`]: drains `flows` on `schedule` under
+/// `router` with the default [`SimConfig`], giving up after 100 000
+/// slots.
+pub fn drain<'a>(
+    schedule: &'a CircuitSchedule,
+    router: &'a dyn Router,
+    flows: Vec<Flow>,
+) -> impl FnOnce(TraceSampler) -> Result<(Metrics, TraceSampler), String> + 'a {
+    move |sampler| {
+        let mut eng = Engine::with_probe(SimConfig::default(), schedule, router, sampler);
+        eng.add_flows(flows).map_err(|e| e.to_string())?;
+        eng.run_until_drained(100_000).map_err(|e| e.to_string())?;
+        Ok((eng.metrics().clone(), eng.finish()))
+    }
 }
 
 #[cfg(test)]
@@ -178,16 +211,6 @@ mod tests {
     #[test]
     fn empty_trace_gives_empty_table() {
         assert!(summary_table(&[]).is_empty());
-    }
-
-    #[test]
-    fn timeline_csv_has_one_record_per_snapshot() {
-        let snaps: Vec<Snapshot> = (0..3).map(|i| snap(i * 1000, i, 0.4)).collect();
-        let csv = timeline_csv(&snaps);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert!(lines[0].starts_with("at_ns,slot,queued_cells"));
-        assert!(lines[1].starts_with("0,0,0"));
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Integration tests for the analysis experiment drivers — exercising
-//! them the way the bench binaries do, with assertions on the shapes the
-//! paper claims.
+//! Integration tests for the experiments' computations — exercising
+//! them the way the `sorn-cli` commands do, with assertions on the
+//! shapes the paper claims.
 
-use sorn_analysis::adaptation;
-use sorn_analysis::blast::blast_radius;
+use sorn_analysis::ablation_routing::{find_saturation, LoadedWorkload};
+use sorn_analysis::adaptation::run_with_decisions;
+use sorn_analysis::blast_radius::blast_radius;
 use sorn_analysis::fct::{bucketed_slowdown, ideal_fct_ns, DEFAULT_BUCKETS};
-use sorn_analysis::saturation::{find_saturation, LoadedWorkload};
-use sorn_analysis::syncdomains::{flat_sync, sorn_sync, SyncModel};
+use sorn_analysis::sync_domains::{flat_sync, sorn_sync, SyncModel};
 use sorn_analysis::table1::{generate, Table1Params};
 use sorn_base::rng::Rng;
 use sorn_control::ControlConfig;
@@ -161,7 +161,7 @@ fn adaptation_driver_respects_no_lookahead() {
     let mut cfg = ControlConfig::default();
     cfg.allowed_sizes = vec![4];
     cfg.alpha = 1.0;
-    let epochs = adaptation::run(n, 4, Ratio::integer(2), cfg, &[(2, flows)]).unwrap();
+    let (epochs, _) = run_with_decisions(n, 4, Ratio::integer(2), cfg, &[(2, flows)]).unwrap();
     assert_eq!(epochs.len(), 2);
     assert!(
         (epochs[0].adaptive_throughput - epochs[0].static_throughput).abs() < 1e-12,

@@ -39,6 +39,13 @@ impl PoissonWorkload {
         assert!(self.node_bandwidth_bytes_per_ns > 0.0);
         let mut rng = Rng::seed_from_u64(self.seed);
         let rate = self.arrival_rate(dist);
+        // An infinite rate (a zero mean size, an infinite load) never
+        // advances `t` below, so the loop would push flows until memory
+        // runs out.
+        assert!(
+            rate.is_finite() && rate > 0.0,
+            "arrival rate must be finite and positive, got {rate} flows/ns"
+        );
         let mut flows = Vec::new();
         for src in 0..self.n as u32 {
             let mut t = 0.0f64;

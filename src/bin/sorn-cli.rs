@@ -7,7 +7,7 @@
 //! sorn-cli analyze --n 4096 --cliques 64 --locality 0.56 --uplinks 16
 //! ```
 //!
-//! The commands live in `sorn_bench::COMMANDS`. An unknown command or
+//! The commands live in `sorn_analysis::COMMANDS`. An unknown command or
 //! flag, a bad value, or a failed run prints a message and exits 2; a
 //! checkpointed run stopped by SIGINT/SIGTERM exits 3.
 
@@ -15,7 +15,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match sorn_bench::dispatch(&argv) {
+    match sorn_analysis::dispatch(&argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
@@ -29,8 +29,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use sorn::topology::Ratio;
-    use sorn_bench::experiments::tools::{build_config, parse_dist, parse_q};
-    use sorn_bench::Args;
+    use sorn_analysis::tools::{build_config, parse_dist, parse_q};
+    use sorn_analysis::Args;
 
     fn parse(line: &str) -> Result<Args, String> {
         Args::parse(
@@ -93,6 +93,7 @@ mod tests {
         assert_eq!(parse_dist("fixed:1500").unwrap().name(), "fixed-1500B");
         assert!(parse_dist("bogus").is_err());
         assert!(parse_dist("fixed:x").is_err());
+        assert!(parse_dist("fixed:0").is_err());
     }
 
     #[test]

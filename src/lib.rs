@@ -17,7 +17,7 @@
 //! | [`traffic`] | pFabric & Facebook-like workloads, traces |
 //! | [`core`] | the SORN design: config, model formulas, baselines |
 //! | [`control`] | pattern estimation, clique optimization, updates |
-//! | [`analysis`] | Table 1 / Figure 2(f) / ablation experiment drivers |
+//! | [`analysis`] | every experiment (one module per `sorn-cli` command) and the command table |
 //!
 //! See `examples/quickstart.rs` for a guided tour.
 

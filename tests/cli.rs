@@ -1,7 +1,7 @@
 //! End-to-end tests for `sorn-cli`, the one binary, run as a child
 //! process.
 //!
-//! Every command in `sorn_bench::COMMANDS` runs and prints its
+//! Every command in `sorn_analysis::COMMANDS` runs and prints its
 //! paper-defining numbers (the measured columns of EXPERIMENTS.md). The
 //! flag parser rejects what a command does not read. The tools
 //! round-trip a trace through files. And `resilience` keeps the
@@ -117,9 +117,9 @@ const EXPECTED: &[(&str, &[&str])] = &[
 #[test]
 fn every_command_reproduces_its_recorded_numbers() {
     let list = cli("list").1;
-    let tasks: Vec<sorn_bench::Task<()>> = sorn_bench::COMMANDS
+    let tasks: Vec<sorn_analysis::Task<()>> = sorn_analysis::COMMANDS
         .iter()
-        .map(|c| -> sorn_bench::Task<()> {
+        .map(|c| -> sorn_analysis::Task<()> {
             assert!(
                 list.contains(&format!("{:<22} {}", c.name, c.artifact)),
                 "{list}"
@@ -143,7 +143,7 @@ fn every_command_reproduces_its_recorded_numbers() {
             })
         })
         .collect();
-    sorn_bench::run_jobs(2, tasks);
+    sorn_analysis::run_jobs(2, tasks);
 }
 
 /// Runs `line`, expecting exit 2 with nothing on stdout and `flag`
@@ -223,6 +223,12 @@ fn bad_flag_values_exit_2() {
         ("fig2f --sample-interval-ns 0", "--sample-interval-ns"),
         ("hierarchy --radices 4,4,4", "--radices"),
         ("simulate --trace t --resume", "--checkpoint-dir"),
+        ("gen-trace --n 8 --cliques 2 --load 0", "--load"),
+        ("gen-trace --n 8 --cliques 2 --load nan", "--load"),
+        (
+            "gen-trace --n 8 --cliques 2 --out t --dist fixed:0",
+            "--dist",
+        ),
     ] {
         rejects(line, flag);
     }

@@ -1,12 +1,14 @@
 //! Reproduction assertions: the key quantitative claims of the paper
 //! must hold on this implementation (shape and, where printed, values).
 
-use sorn::analysis::blast::blast_radius;
+use sorn::analysis::blast_radius::blast_radius;
 use sorn::analysis::fig2f::{generate, Fig2fParams};
 use sorn::analysis::table1::{generate as table1, Table1Params};
-use sorn::core::model;
-use sorn::routing::{SornPaths, VlbPaths};
-use sorn::topology::CliqueMap;
+use sorn::core::{model, SornConfig, SornNetwork};
+use sorn::routing::{SornPaths, VlbPaths, VlbRouter};
+use sorn::sim::{Engine, Flow, FlowId, Router, SimConfig};
+use sorn::topology::builders::round_robin;
+use sorn::topology::{CircuitSchedule, CliqueMap, NodeId};
 
 #[test]
 fn table1_values_match_the_paper() {
@@ -116,6 +118,56 @@ fn modularity_shrinks_blast_radius() {
     let sorn8 = blast_radius(n, &SornPaths::new(CliqueMap::contiguous(n, 8)));
     // §6: modular designs reduce failure exposure significantly.
     assert!(sorn8.mean_exposure * 3.0 < flat.mean_exposure);
+}
+
+/// Sends one single-cell flow between every ordered pair of `n` nodes
+/// (flow `i` is the `i`-th pair) with link 0 -> 1 failed for the whole
+/// run, and returns the flows still incomplete after 20 000 slots.
+fn stuck_with_link_0_1_failed(
+    n: u32,
+    schedule: &CircuitSchedule,
+    router: &dyn Router,
+) -> Vec<Flow> {
+    let flows: Vec<Flow> = (0..n)
+        .flat_map(|s| (0..n).filter(move |&d| d != s).map(move |d| (s, d)))
+        .enumerate()
+        .map(|(i, (s, d))| Flow {
+            id: FlowId(i as u64),
+            src: NodeId(s),
+            dst: NodeId(d),
+            size_bytes: 1250,
+            arrival_ns: 0,
+        })
+        .collect();
+    let mut eng = Engine::new(SimConfig::default(), schedule, router);
+    eng.add_flows(flows.clone()).unwrap();
+    eng.failures_mut().fail_link(NodeId(0), NodeId(1));
+    eng.run_until_drained(20_000).unwrap();
+    let done: std::collections::HashSet<FlowId> =
+        eng.metrics().flows.iter().map(|f| f.id).collect();
+    flows
+        .into_iter()
+        .filter(|f| !done.contains(&f.id))
+        .collect()
+}
+
+#[test]
+fn a_failed_link_strands_only_flows_of_its_clique() {
+    // §6, in the packet simulator: with link 0 -> 1 down, the flows a
+    // modular SORN leaves stuck all start or end in the failed link's
+    // clique (nodes 0..8 of 32 in 4 cliques). EXPERIMENTS.md records
+    // the counts: 1 flow stuck under flat VLB, 4 under SORN.
+    let n = 32;
+    let flat = stuck_with_link_0_1_failed(n, &round_robin(n as usize).unwrap(), &VlbRouter::new());
+    assert_eq!(flat.len(), 1, "flat VLB: {flat:?}");
+
+    let net = SornNetwork::build(SornConfig::small(n as usize, 4, 0.5)).unwrap();
+    let sorn = stuck_with_link_0_1_failed(n, net.schedule(), net.router());
+    assert!(!sorn.is_empty(), "the failed link must strand some flow");
+    for f in &sorn {
+        assert!(f.src.0 < 8 || f.dst.0 < 8, "{f:?} is outside clique 0");
+    }
+    assert_eq!(sorn.len(), 4, "SORN: {sorn:?}");
 }
 
 #[test]
