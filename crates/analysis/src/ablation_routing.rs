@@ -17,7 +17,7 @@
 use crate::render::TextTable;
 use crate::{header, Args};
 use sorn_base::rng::Rng;
-use sorn_routing::{AdaptiveSornRouter, AdaptiveVlbRouter, SornRouter, VlbRouter};
+use sorn_routing::{Grouping, SornRouter};
 use sorn_sim::{Engine, Flow, FlowId, Router, SimConfig};
 use sorn_topology::builders::{round_robin, sorn_schedule, SornScheduleParams};
 use sorn_topology::{CircuitSchedule, CliqueMap, NodeId, Ratio};
@@ -227,10 +227,10 @@ pub fn run(args: &mut Args) -> Result<(), String> {
         duration_ns: 300_000,
     };
 
-    let vlb = VlbRouter::new();
-    let avlb = AdaptiveVlbRouter::new(4);
+    let vlb = SornRouter::flat();
+    let avlb = SornRouter::direct_first(Grouping::Flat, 4);
     let sorn = SornRouter::new(map.clone());
-    let asorn = AdaptiveSornRouter::new(map.clone(), 4);
+    let asorn = SornRouter::direct_first(Grouping::Cliques(map.clone()), 4);
 
     let mut t = TextTable::new(&[
         "scheme",
@@ -313,7 +313,7 @@ mod tests {
         // loads below ~0.5 are stable and above are not.
         let n = 16;
         let sched = round_robin(n).unwrap();
-        let router = VlbRouter::new();
+        let router = SornRouter::flat();
         let wl = UniformCells {
             n,
             duration_ns: 400_000,
@@ -333,7 +333,7 @@ mod tests {
     fn low_load_probe_is_stable_and_high_load_is_not() {
         let n = 8;
         let sched = round_robin(n).unwrap();
-        let router = VlbRouter::new();
+        let router = SornRouter::flat();
         let wl = UniformCells {
             n,
             duration_ns: 300_000,

@@ -14,7 +14,7 @@
 use crate::render::TextTable;
 use crate::timeseries::{drain, trace_run};
 use crate::{header, Args, TelemetryOpts};
-use sorn_routing::{evaluate, worst_demand_search, DemandMatrix, SornPaths, SornRouter, VlbPaths};
+use sorn_routing::{evaluate, worst_demand_search, DemandMatrix, SornPaths, SornRouter};
 use sorn_sim::{Flow, FlowId};
 use sorn_topology::builders::{
     gravity_schedule, round_robin, sorn_schedule, GravityWeights, SornScheduleParams,
@@ -38,7 +38,7 @@ pub fn run(args: &mut Args) -> Result<(), String> {
 
     // Baseline guarantees.
     let flat = round_robin(n).unwrap().logical_topology();
-    let vlb_res = worst_demand_search(&flat, &VlbPaths::new(n), 400, 4, 17);
+    let vlb_res = worst_demand_search(&flat, &SornPaths::flat(n), 400, 4, 17);
     let sorn_res = worst_demand_search(&topo, &model, 600, 6, 17);
 
     let mut t = TextTable::new(&["scheme", "demand", "throughput"]);

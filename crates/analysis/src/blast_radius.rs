@@ -15,7 +15,7 @@ use crate::render::TextTable;
 use crate::timeseries::{self, trace_run};
 use crate::{header, Args, TelemetryOpts};
 use sorn_core::{SornConfig, SornNetwork};
-use sorn_routing::{PathModel, SornPaths, VlbPaths};
+use sorn_routing::{PathModel, SornPaths};
 use sorn_sim::{Engine, FaultPlan, SimConfig};
 use sorn_topology::{CliqueMap, NodeId};
 use sorn_traffic::{spatial::CliqueLocal, FlowSizeDist, PoissonWorkload};
@@ -109,7 +109,7 @@ pub fn run(args: &mut Args) -> Result<(), String> {
         "max affected/link",
     ]);
 
-    let flat = blast_radius(n, &VlbPaths::new(n));
+    let flat = blast_radius(n, &SornPaths::flat(n));
     t.row(vec![
         "flat VLB".into(),
         flat.links.to_string(),
@@ -212,7 +212,7 @@ mod tests {
         // direct hop of many pairs; the worst link affects almost all
         // pairs (every pair sprays over every outgoing link of its
         // source, and every pair can use any direct link).
-        let r = blast_radius(16, &VlbPaths::new(16));
+        let r = blast_radius(16, &SornPaths::flat(16));
         assert_eq!(r.links, 16 * 15);
         // Link (u,v) is used by: all pairs with source u (spray), all
         // pairs with destination v (direct): ~2n pairs of n(n-1).
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn sorn_blast_radius_is_smaller() {
         let map = CliqueMap::contiguous(16, 4);
-        let flat = blast_radius(16, &VlbPaths::new(16));
+        let flat = blast_radius(16, &SornPaths::flat(16));
         let sorn = blast_radius(16, &SornPaths::new(map));
         assert!(
             sorn.mean_affected < flat.mean_affected,
@@ -248,7 +248,7 @@ mod tests {
         // spray links of s and any of the n-1 direct links into d; the
         // link (s,d) appears in both sets, so exposure = 2(n-1) - 1.
         let n = 12;
-        let r = blast_radius(n, &VlbPaths::new(n));
+        let r = blast_radius(n, &SornPaths::flat(n));
         assert_eq!(r.max_exposure, 2 * (n - 1) - 1);
         assert!((r.mean_exposure - (2.0 * (n as f64 - 1.0) - 1.0)).abs() < 1e-9);
     }

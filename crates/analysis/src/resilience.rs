@@ -49,10 +49,9 @@ use crate::{
     Task, TelemetryOpts, WeatherOpts, EXIT_INTERRUPTED,
 };
 use sorn_control::{ControlConfig, ControlLoop, EpochOutcome};
-use sorn_routing::{FaultAwareSornRouter, FaultAwareVlbRouter};
+use sorn_routing::{Grouping, SornRouter};
 use sorn_sim::{
-    Engine, FailureSet, FaultPlan, FaultStorm, Flow, LinkHealth, Metrics, Router, SimConfig,
-    Snapshot,
+    Engine, FailureSet, FaultPlan, FaultStorm, Flow, LinkHealth, Metrics, SimConfig, Snapshot,
 };
 use sorn_telemetry::{
     FlightRecorder, FlowTraceCollector, IntervalSampler, JsonlTraceSink, WeatherProbe,
@@ -444,11 +443,12 @@ fn run_scheme(
         return Ok(None);
     }
     let health = LinkHealth::new();
-    let router: Box<dyn Router> = if scheme == "flat-vlb" {
-        Box::new(FaultAwareVlbRouter::new(health.clone()))
+    let grouping = if scheme == "flat-vlb" {
+        Grouping::Flat
     } else {
-        Box::new(FaultAwareSornRouter::new(map.clone(), health.clone()))
+        Grouping::Cliques(map.clone())
     };
+    let router = SornRouter::fault_aware(grouping, health.clone());
     let cfg = SimConfig {
         seed: 42,
         engine_threads: opts.engine_threads,
@@ -475,7 +475,7 @@ fn run_scheme(
         // The snapshot carries the flows, the fault plan and the
         // failure state.
         out.snapshot.set_engine_threads(opts.engine_threads);
-        Engine::restore_with_probe(&out.snapshot, schedule, &*router, (None, observers)).map_err(
+        Engine::restore_with_probe(&out.snapshot, schedule, &router, (None, observers)).map_err(
             |e| {
                 let path = out.path.display();
                 format!("[{scheme}] checkpoint {path} does not fit this scenario: {e}")
@@ -490,7 +490,7 @@ fn run_scheme(
                     .map_err(|e| format!("cannot create --trace-out file {}: {e}", path.display()))
             })
             .transpose()?;
-        let mut eng = Engine::with_probe(cfg, schedule, &*router, (sampler, observers));
+        let mut eng = Engine::with_probe(cfg, schedule, &router, (sampler, observers));
         eng.set_fault_plan(plan);
         eng.add_flows(flows).expect("flows in range");
         eng

@@ -10,7 +10,7 @@
 use crate::render::TextTable;
 use crate::{header, Args};
 use sorn_core::model::{self, InterCliqueLatencyModel};
-use sorn_routing::{HdimRouter, OperaModel, OperaShortRouter, SornRouter, VlbRouter};
+use sorn_routing::{HdimRouter, OperaModel, OperaShortRouter, SornRouter};
 use sorn_sim::{Engine, Flow, FlowId, Router, SimConfig};
 use sorn_topology::builders::{hdim_orn, round_robin, sorn_schedule, SornScheduleParams};
 use sorn_topology::{CircuitSchedule, CliqueMap, NodeId, Ratio};
@@ -76,7 +76,7 @@ pub fn run(args: &mut Args) -> Result<(), String> {
 
     // --- 1D ORN + VLB ---
     let rr = round_robin(N).unwrap();
-    let vlb = VlbRouter::new();
+    let vlb = SornRouter::flat();
     let pairs = [(0u32, 1u32), (3, 130), (7, 200)];
     let (worst, mean) = measure(&rr, &vlb, &pairs, 13);
     // delta_m = N-1 slots for the direct hop + up to 1 slot spray wait.

@@ -10,7 +10,7 @@ use sorn_analysis::sync_domains::{flat_sync, sorn_sync, SyncModel};
 use sorn_analysis::table1::{generate, Table1Params};
 use sorn_base::rng::Rng;
 use sorn_control::ControlConfig;
-use sorn_routing::{SornPaths, SornRouter, VlbPaths};
+use sorn_routing::{SornPaths, SornRouter};
 use sorn_sim::{Flow, FlowId, SimConfig};
 use sorn_topology::builders::{sorn_schedule, SornScheduleParams};
 use sorn_topology::{CliqueMap, NodeId, Ratio};
@@ -18,7 +18,7 @@ use sorn_topology::{CliqueMap, NodeId, Ratio};
 #[test]
 fn blast_radius_shrinks_monotonically_with_clique_count() {
     let n = 64;
-    let mut last = blast_radius(n, &VlbPaths::new(n)).mean_exposure;
+    let mut last = blast_radius(n, &SornPaths::flat(n)).mean_exposure;
     for nc in [4usize, 8, 16] {
         let r = blast_radius(n, &SornPaths::new(CliqueMap::contiguous(n, nc)));
         assert!(

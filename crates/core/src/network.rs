@@ -173,6 +173,7 @@ impl SornNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sorn_routing::INTRA_SPRAY;
     use sorn_sim::FlowId;
     use sorn_topology::{NodeId, Ratio};
 
@@ -187,7 +188,14 @@ mod tests {
         let net = topology_a_network();
         assert_eq!(net.schedule().period(), 4);
         assert_eq!(net.cliques().cliques(), 2);
-        assert_eq!(net.router().cliques().n(), 8);
+        // The router is built over the network's clique map: its spray
+        // hop admits exactly topology A's intra-clique circuits.
+        let router: &dyn sorn_sim::Router = net.router();
+        assert_eq!(router.name(), "sorn");
+        let admits = |from, to| router.circuit_admits(INTRA_SPRAY, NodeId(from), NodeId(to));
+        assert_eq!(admits(0, 3), Some(true));
+        assert_eq!(admits(0, 4), Some(false));
+        assert_eq!(admits(4, 7), Some(true));
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub fn worst_demand_search(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paths::{SornPaths, VlbPaths};
+    use crate::paths::SornPaths;
     use sorn_topology::builders::{round_robin, sorn_schedule, SornScheduleParams};
     use sorn_topology::{CliqueMap, Ratio};
 
@@ -112,7 +112,7 @@ mod tests {
         // The VLB guarantee: no admissible demand pushes throughput
         // below 1/2 on a flat round robin.
         let topo = round_robin(12).unwrap().logical_topology();
-        let res = worst_demand_search(&topo, &VlbPaths::new(12), 300, 3, 7);
+        let res = worst_demand_search(&topo, &SornPaths::flat(12), 300, 3, 7);
         assert!(
             res.worst_throughput >= 0.5 - 1e-9,
             "search broke the VLB bound: {}",
@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn trajectory_is_monotone_nonincreasing_between_restarts() {
         let topo = round_robin(8).unwrap().logical_topology();
-        let res = worst_demand_search(&topo, &VlbPaths::new(8), 100, 1, 11);
+        let res = worst_demand_search(&topo, &SornPaths::flat(8), 100, 1, 11);
         for w in res.trajectory.windows(2) {
             assert!(w[1] <= w[0] + 1e-12);
         }

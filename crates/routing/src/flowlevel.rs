@@ -48,11 +48,11 @@ impl std::error::Error for FlowLevelError {}
 /// (a node cannot offer more than its line rate).
 ///
 /// ```
-/// use sorn_routing::{evaluate, DemandMatrix, VlbPaths};
+/// use sorn_routing::{evaluate, DemandMatrix, SornPaths};
 /// use sorn_topology::builders::round_robin;
 ///
 /// let topo = round_robin(8).unwrap().logical_topology();
-/// let report = evaluate(&topo, &VlbPaths::new(8), &DemandMatrix::uniform(8)).unwrap();
+/// let report = evaluate(&topo, &SornPaths::flat(8), &DemandMatrix::uniform(8)).unwrap();
 /// // Classic 2-hop VLB: at least half of every admissible demand.
 /// assert!(report.throughput >= 0.5);
 /// ```

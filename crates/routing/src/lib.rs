@@ -3,10 +3,13 @@
 //! Routing schemes for reconfigurable datacenter networks, in two forms:
 //!
 //! - **Packet routers** implementing [`sorn_sim::Router`], plugged into
-//!   the slot-synchronous simulator: [`VlbRouter`] (flat 2-hop VLB, the
-//!   Sirius-style 1D ORN), [`HdimRouter`] (2h-hop routing on
-//!   h-dimensional ORN schedules), and [`SornRouter`] (the paper's
-//!   semi-oblivious intra/inter-clique scheme).
+//!   the slot-synchronous simulator: [`SornRouter`] (the paper's
+//!   semi-oblivious intra/inter-clique scheme; over one clique, flat
+//!   2-hop VLB, the Sirius-style 1D ORN; each oblivious, fault-aware or
+//!   direct-first), [`HdimRouter`] (2h-hop routing on h-dimensional ORN
+//!   schedules), [`HierarchicalRouter`] (the scheme on digit-addressed
+//!   levels), [`GeneralSornRouter`] (non-uniform cliques) and
+//!   [`OperaShortRouter`] (Opera's expander paths).
 //! - **Path models** implementing [`PathModel`] for exact flow-level
 //!   evaluation ([`flowlevel::evaluate`]): the same schemes as fixed path
 //!   distributions, plus Opera's expander paths.
@@ -18,9 +21,7 @@
 
 #![warn(missing_docs)]
 
-mod adaptive;
 mod adversarial;
-mod fault_aware;
 pub mod flowlevel;
 mod general;
 mod hdim;
@@ -28,16 +29,12 @@ mod hierarchical;
 mod opera;
 mod paths;
 mod sorn;
-mod vlb;
 
-pub use adaptive::{AdaptiveSornRouter, AdaptiveVlbRouter};
 pub use adversarial::{worst_demand_search, AdversarialResult};
-pub use fault_aware::{FaultAwareSornRouter, FaultAwareVlbRouter};
 pub use flowlevel::{evaluate, DemandMatrix, FlowLevelError, PathModel, ThroughputReport};
 pub use general::{GeneralSornRouter, GEN_INTER_ANY, GEN_INTRA_SPRAY};
 pub use hdim::{HdimRouter, HDIM_CORRECT, HDIM_SPRAY};
 pub use hierarchical::{HierarchicalPaths, HierarchicalRouter, HIER_SPRAY};
 pub use opera::{ExpanderPaths, OperaModel, OperaShortRouter, OPERA_SHORT};
-pub use paths::{DirectPaths, HdimPaths, SornPaths, VlbPaths};
-pub use sorn::{SornRouter, INTRA_SPRAY};
-pub use vlb::{VlbRouter, VLB_SPRAY};
+pub use paths::{DirectPaths, HdimPaths, SornPaths};
+pub use sorn::{FaultAwareSornRouter, Grouping, SornRouter, VlbRouter, INTRA_SPRAY};

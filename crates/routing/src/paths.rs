@@ -21,43 +21,10 @@ impl PathModel for DirectPaths {
     }
 }
 
-/// 2-hop VLB over a flat round robin: spray uniformly over the `n-1`
-/// peers, then the direct circuit.
-#[derive(Debug, Clone, Copy)]
-pub struct VlbPaths {
-    n: usize,
-}
-
-impl VlbPaths {
-    /// Paths over `n` nodes.
-    pub fn new(n: usize) -> Self {
-        assert!(n >= 2);
-        VlbPaths { n }
-    }
-}
-
-impl PathModel for VlbPaths {
-    fn for_each_path(&self, src: NodeId, dst: NodeId, visit: &mut dyn FnMut(&[NodeId], f64)) {
-        let p = 1.0 / (self.n - 1) as f64;
-        for i in 0..self.n as u32 {
-            let i = NodeId(i);
-            if i == src {
-                continue;
-            }
-            if i == dst {
-                visit(&[src, dst], p);
-            } else {
-                visit(&[src, i, dst], p);
-            }
-        }
-    }
-    fn name(&self) -> &str {
-        "vlb-1d"
-    }
-}
-
 /// The paper's SORN routing: intra-clique 2-hop VLB, inter-clique 3 hops
-/// via the intermediate's inter-clique gateway.
+/// via the intermediate's inter-clique gateway. Over one clique it is
+/// flat 2-hop VLB: spray uniformly over the `n-1` peers, then the direct
+/// circuit.
 #[derive(Debug, Clone)]
 pub struct SornPaths {
     cliques: CliqueMap,
@@ -71,6 +38,12 @@ impl SornPaths {
     pub fn new(cliques: CliqueMap) -> Self {
         assert!(cliques.is_uniform(), "SornPaths requires uniform cliques");
         SornPaths { cliques }
+    }
+
+    /// Flat 2-hop VLB over `n` nodes: one clique of all of them.
+    pub fn flat(n: usize) -> Self {
+        assert!(n >= 2);
+        SornPaths::new(CliqueMap::contiguous(n, 1))
     }
 
     fn gateway(&self, via: NodeId, dst: NodeId) -> NodeId {
@@ -116,7 +89,11 @@ impl PathModel for SornPaths {
         }
     }
     fn name(&self) -> &str {
-        "sorn"
+        if self.cliques.cliques() == 1 {
+            "vlb-1d"
+        } else {
+            "sorn"
+        }
     }
 }
 
@@ -219,7 +196,7 @@ mod tests {
 
     #[test]
     fn probabilities_sum_to_one() {
-        assert!((total_prob(&VlbPaths::new(8), 0, 5) - 1.0).abs() < 1e-12);
+        assert!((total_prob(&SornPaths::flat(8), 0, 5) - 1.0).abs() < 1e-12);
         let sorn = SornPaths::new(CliqueMap::contiguous(8, 2));
         assert!((total_prob(&sorn, 0, 2) - 1.0).abs() < 1e-12);
         assert!((total_prob(&sorn, 0, 6) - 1.0).abs() < 1e-12);
@@ -232,7 +209,7 @@ mod tests {
         // Uniform demand on a flat round robin with 2-hop VLB: every cell
         // crosses the fabric twice, throughput 1/2 (§2).
         let topo = round_robin(16).unwrap().logical_topology();
-        let rep = evaluate(&topo, &VlbPaths::new(16), &DemandMatrix::uniform(16)).unwrap();
+        let rep = evaluate(&topo, &SornPaths::flat(16), &DemandMatrix::uniform(16)).unwrap();
         // Mean hops slightly under 2 because sprays can land on the
         // destination; throughput is 1/mean_hops for this symmetric case.
         assert!(

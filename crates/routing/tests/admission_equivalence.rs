@@ -5,15 +5,16 @@
 //! scanned cell by cell with `class_admits`. `PerCellOnly` hides the
 //! former behind the latter — which is also what any forwarding wrapper
 //! written before `circuit_admits` existed does — so a run through it
-//! must produce the same `Metrics`, field for field, as the bare router.
+//! must produce the same `Metrics`, field for field, as the bare router,
+//! and the same at two engine threads as at one.
 
-use sorn_routing::{FaultAwareSornRouter, HierarchicalRouter, SornRouter};
+use sorn_routing::{Grouping, HierarchicalRouter, SornRouter};
 use sorn_sim::{
     Cell, ClassId, Engine, FaultPlan, FaultStorm, Flow, FlowId, LinkHealth, Metrics, NodeRng,
     RouteDecision, Router, SimConfig,
 };
 use sorn_topology::builders::{
-    hierarchical_schedule, sorn_schedule, HierarchySpec, SornScheduleParams,
+    hierarchical_schedule, round_robin, sorn_schedule, HierarchySpec, SornScheduleParams,
 };
 use sorn_topology::{CircuitSchedule, CliqueMap, NodeId, Ratio};
 
@@ -106,8 +107,8 @@ fn run(
 
 /// Runs the router `make` builds bare and behind `PerCellOnly`, at one
 /// and two engine threads, and requires identical `Metrics`. `make` is
-/// called once per run so that every engine gets its own health view.
-/// Returns the bare single-thread metrics for scenario-specific checks.
+/// called once per run so that every engine gets its own health view and
+/// router state. Returns the bare metrics for scenario-specific checks.
 fn assert_paths_agree<R: Router>(
     what: &str,
     schedule: &CircuitSchedule,
@@ -136,7 +137,10 @@ fn assert_paths_agree<R: Router>(
         );
         assert!(bare.flows == wrapped.flows, "{what} x{threads}: flows");
         assert!(bare == wrapped, "{what} x{threads}: metrics");
-        first.get_or_insert(bare);
+        assert!(
+            *first.get_or_insert(bare.clone()) == bare,
+            "{what}: x{threads} != x1"
+        );
     }
     first.expect("ran at least once")
 }
@@ -160,6 +164,34 @@ fn sorn_on_the_fig2f_fabric() {
 }
 
 #[test]
+fn flat_vlb_on_two_shards() {
+    // 200 nodes span four 64-node words, which 2 engine threads split
+    // into two shards.
+    let schedule = round_robin(200).unwrap();
+    let offered = flows(200, 200, 0.0, 400, 4);
+    let bare = assert_paths_agree("vlb", &schedule, &offered, || (SornRouter::flat(), None));
+    assert!(bare.peak_queue_depth > 100, "{}", bare.peak_queue_depth);
+}
+
+#[test]
+fn direct_first_in_both_groupings() {
+    let schedule = round_robin(200).unwrap();
+    let offered = flows(200, 200, 0.0, 400, 5);
+    assert_paths_agree("adaptive vlb", &schedule, &offered, || {
+        (SornRouter::direct_first(Grouping::Flat, 4), None)
+    });
+    let map = CliqueMap::contiguous(200, 8);
+    let schedule = sorn_schedule(&map, &SornScheduleParams::with_q(Ratio::integer(3))).unwrap();
+    let offered = flows(200, 25, 0.6, 400, 6);
+    assert_paths_agree("adaptive sorn", &schedule, &offered, || {
+        (
+            SornRouter::direct_first(Grouping::Cliques(map.clone()), 4),
+            None,
+        )
+    });
+}
+
+#[test]
 fn fault_aware_sorn_under_a_storm() {
     let map = CliqueMap::contiguous(64, 4);
     let schedule = sorn_schedule(&map, &SornScheduleParams::with_q(Ratio::integer(3))).unwrap();
@@ -178,7 +210,7 @@ fn fault_aware_sorn_under_a_storm() {
     let bare = assert_paths_agree("fault-aware sorn", &schedule, &offered, || {
         let health = LinkHealth::new();
         (
-            FaultAwareSornRouter::new(map.clone(), health.clone()),
+            SornRouter::fault_aware(Grouping::Cliques(map.clone()), health.clone()),
             Some((plan.clone(), health, storm_slots)),
         )
     });

@@ -2,12 +2,12 @@
 //! `Some(b)` for a circuit, `class_admits` must answer `b` for *every*
 //! cell on that circuit — the transmit path relies on it to skip or
 //! pop a class queue without looking at a cell. Checked over random
-//! inputs for every packet router in this crate plus `DirectRouter`.
+//! inputs for every packet router in this crate (`SornRouter` in both
+//! groupings and all three modes) plus `DirectRouter`.
 
 use sorn_routing::{
-    AdaptiveSornRouter, AdaptiveVlbRouter, FaultAwareSornRouter, FaultAwareVlbRouter,
-    GeneralSornRouter, HdimRouter, HierarchicalRouter, OperaModel, OperaShortRouter, SornRouter,
-    VlbRouter, GEN_INTER_ANY, INTRA_SPRAY, VLB_SPRAY,
+    GeneralSornRouter, Grouping, HdimRouter, HierarchicalRouter, OperaModel, OperaShortRouter,
+    SornRouter, GEN_INTER_ANY, INTRA_SPRAY,
 };
 use sorn_sim::{Cell, ClassId, DirectRouter, FailureSet, FlowId, LinkHealth, NodeRng, Router};
 use sorn_topology::builders::HierarchySpec;
@@ -74,6 +74,14 @@ fn check(router: &dyn Router, n: u32, expect: Answers, rng: &mut NodeRng) {
     }
 }
 
+/// The two groupings of a `SornRouter` over 32 nodes.
+fn groupings() -> [Grouping; 2] {
+    [
+        Grouping::Flat,
+        Grouping::Cliques(CliqueMap::contiguous(32, 4)),
+    ]
+}
+
 /// A failure set over `n` nodes with a few dead links and one dead node.
 fn random_failures(n: u32, rng: &mut NodeRng) -> FailureSet {
     let mut fs = FailureSet::none();
@@ -87,17 +95,16 @@ fn random_failures(n: u32, rng: &mut NodeRng) -> FailureSet {
 #[test]
 fn cell_independent_routers_always_answer_and_agree_with_class_admits() {
     let mut rng = NodeRng::for_node(0xC1AC, 0);
-    let cliques = || CliqueMap::contiguous(32, 4);
     check(&DirectRouter, 32, Answers::Always, &mut rng);
-    check(&VlbRouter::new(), 32, Answers::Always, &mut rng);
-    check(&SornRouter::new(cliques()), 32, Answers::Always, &mut rng);
-    check(&AdaptiveVlbRouter::new(4), 32, Answers::Always, &mut rng);
-    check(
-        &AdaptiveSornRouter::new(cliques(), 4),
-        32,
-        Answers::Always,
-        &mut rng,
-    );
+    for grouping in groupings() {
+        let oblivious = match grouping.clone() {
+            Grouping::Flat => SornRouter::flat(),
+            Grouping::Cliques(map) => SornRouter::new(map),
+        };
+        check(&oblivious, 32, Answers::Always, &mut rng);
+        let direct_first = SornRouter::direct_first(grouping, 4);
+        check(&direct_first, 32, Answers::Always, &mut rng);
+    }
     let spec = HierarchySpec::new(vec![4, 4, 2], vec![4, 2, 1]).unwrap();
     check(
         &HierarchicalRouter::new(spec),
@@ -111,8 +118,7 @@ fn cell_independent_routers_always_answer_and_agree_with_class_admits() {
 fn fault_aware_routers_track_link_health() {
     let mut rng = NodeRng::for_node(0xC1AC, 1);
     let health = LinkHealth::new();
-    let vlb = FaultAwareVlbRouter::new(health.clone());
-    let sorn = FaultAwareSornRouter::new(CliqueMap::contiguous(32, 4), health.clone());
+    let [vlb, sorn] = groupings().map(|g| SornRouter::fault_aware(g, health.clone()));
     // Healthy, then two different degraded fabrics, then healthy again:
     // the answer must follow the shared view, never a copy of it.
     for round in 0..4 {
@@ -125,17 +131,17 @@ fn fault_aware_routers_track_link_health() {
     }
     // One named link, down and up again.
     let (a, b) = (NodeId(1), NodeId(2)); // same clique
-    assert_eq!(vlb.circuit_admits(VLB_SPRAY, a, b), Some(true));
+    assert_eq!(vlb.circuit_admits(INTRA_SPRAY, a, b), Some(true));
     assert_eq!(sorn.circuit_admits(INTRA_SPRAY, a, b), Some(true));
     let mut fs = FailureSet::none();
     fs.fail_link(a, b);
     health.publish(&fs);
-    assert_eq!(vlb.circuit_admits(VLB_SPRAY, a, b), Some(false));
+    assert_eq!(vlb.circuit_admits(INTRA_SPRAY, a, b), Some(false));
     assert_eq!(sorn.circuit_admits(INTRA_SPRAY, a, b), Some(false));
-    assert_eq!(vlb.circuit_admits(VLB_SPRAY, b, a), Some(true));
+    assert_eq!(vlb.circuit_admits(INTRA_SPRAY, b, a), Some(true));
     fs.restore_link(a, b);
     health.publish(&fs);
-    assert_eq!(vlb.circuit_admits(VLB_SPRAY, a, b), Some(true));
+    assert_eq!(vlb.circuit_admits(INTRA_SPRAY, a, b), Some(true));
     assert_eq!(sorn.circuit_admits(INTRA_SPRAY, a, b), Some(true));
 }
 

@@ -2,9 +2,7 @@
 //! evaluator.
 
 use sorn_base::rng::cases;
-use sorn_routing::{
-    evaluate, DemandMatrix, HdimPaths, PathModel, SornPaths, SornRouter, VlbPaths, VlbRouter,
-};
+use sorn_routing::{evaluate, DemandMatrix, HdimPaths, PathModel, SornPaths, SornRouter};
 use sorn_sim::{Engine, Flow, FlowId, Router, SimConfig};
 use sorn_topology::builders::{round_robin, sorn_schedule, SornScheduleParams};
 use sorn_topology::{CliqueMap, NodeId, Ratio};
@@ -33,7 +31,7 @@ fn path_probabilities_normalize() {
         let cliques = rng.gen_range(2usize..5);
         let size = rng.gen_range(2usize..5);
         let n = cliques * size;
-        assert_probs_sum_to_one(&VlbPaths::new(n), n);
+        assert_probs_sum_to_one(&SornPaths::flat(n), n);
         assert_probs_sum_to_one(&SornPaths::new(CliqueMap::contiguous(n, cliques)), n);
     });
 }
@@ -82,7 +80,7 @@ fn vlb_guarantees_half_throughput() {
         let topo = round_robin(n).unwrap().logical_topology();
         let perm: Vec<usize> = (0..n).map(|i| (i + shift) % n).collect();
         let demand = DemandMatrix::permutation(&perm).unwrap();
-        let rep = evaluate(&topo, &VlbPaths::new(n), &demand).unwrap();
+        let rep = evaluate(&topo, &SornPaths::flat(n), &demand).unwrap();
         assert!(
             rep.throughput >= 0.5 - 1e-9,
             "throughput {}",
@@ -135,7 +133,7 @@ fn vlb_sim_delivers_everything() {
         });
         let seed = rng.gen_range(0u64..1000);
         let sched = round_robin(n).unwrap();
-        let router = VlbRouter::new();
+        let router = SornRouter::flat();
         let cfg = SimConfig {
             seed,
             ..SimConfig::default()
@@ -208,7 +206,7 @@ fn vlb_mean_hops_closed_form() {
     cases(256, |rng| {
         let n = rng.gen_range(3usize..30);
         let topo = round_robin(n).unwrap().logical_topology();
-        let rep = evaluate(&topo, &VlbPaths::new(n), &DemandMatrix::uniform(n)).unwrap();
+        let rep = evaluate(&topo, &SornPaths::flat(n), &DemandMatrix::uniform(n)).unwrap();
         let expect = 2.0 - 1.0 / (n as f64 - 1.0);
         assert!((rep.mean_hops - expect).abs() < 1e-9);
     });

@@ -6,7 +6,7 @@
 use sorn_base::rng::Rng;
 use sorn_routing::{
     evaluate, DemandMatrix, FlowLevelError, HierarchicalPaths, PathModel, SornPaths,
-    ThroughputReport, VlbPaths,
+    ThroughputReport,
 };
 use sorn_topology::builders::{
     hierarchical_schedule, round_robin, sorn_schedule, HierarchySpec, SornScheduleParams,
@@ -191,8 +191,8 @@ fn reports_match_the_hash_map_evaluator() {
 
     for n in [2, 8, 19] {
         let topo = round_robin(n).unwrap().logical_topology();
-        let model = VlbPaths::new(n);
         let map = CliqueMap::contiguous(n, 1);
+        let model = SornPaths::new(map.clone());
         for (name, demand) in demands(&map, &mut rng) {
             assert_same_report(&format!("vlb {n}, {name}"), &topo, &model, &demand);
         }
@@ -233,7 +233,12 @@ fn errors_match_the_hash_map_evaluator() {
         "{err:?}"
     );
     assert_same_report("wrong cliques", &topo, &wrong, &uniform);
-    assert_same_report("vlb over cliques", &topo, &VlbPaths::new(16), &uniform);
+    assert_same_report(
+        "vlb over cliques",
+        &topo,
+        &SornPaths::new(CliqueMap::contiguous(16, 1)),
+        &uniform,
+    );
 
     // A virtual edge of zero capacity is as good as absent.
     let ring = |cap01: f64| {
@@ -276,7 +281,7 @@ fn errors_match_the_hash_map_evaluator() {
 #[test]
 fn tied_bottleneck_is_the_first_edge_in_canonical_order() {
     let topo = round_robin(8).unwrap().logical_topology();
-    let model = VlbPaths::new(8);
+    let model = SornPaths::new(CliqueMap::contiguous(8, 1));
     let demand = DemandMatrix::uniform(8);
 
     let (reference, loads) = evaluate_reference(&topo, &model, &demand).unwrap();

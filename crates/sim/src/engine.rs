@@ -2323,15 +2323,6 @@ mod tests {
             }
             RouteDecision::ToNode(cell.dst)
         }
-        fn class_admits(
-            &self,
-            _c: crate::router::ClassId,
-            _cell: &Cell,
-            _from: NodeId,
-            _to: NodeId,
-        ) -> bool {
-            false
-        }
         fn classes(&self) -> &[crate::router::ClassId] {
             &[]
         }

@@ -63,7 +63,14 @@ pub trait Router: Sync {
 
     /// Whether a cell queued in `class` at node `from` may ride a circuit
     /// to `to`.
-    fn class_admits(&self, class: ClassId, cell: &Cell, from: NodeId, to: NodeId) -> bool;
+    ///
+    /// The default reads [`Router::circuit_admits`] and treats `None` as
+    /// "no", so a router that answers `None` for a class it declares must
+    /// override this with the per-cell rule.
+    fn class_admits(&self, class: ClassId, cell: &Cell, from: NodeId, to: NodeId) -> bool {
+        let _ = cell;
+        self.circuit_admits(class, from, to) == Some(true)
+    }
 
     /// The cell-independent form of [`Router::class_admits`]: `Some(b)`
     /// when `class_admits(class, cell, from, to) == b` for *every* cell
@@ -111,10 +118,7 @@ impl Router for DirectRouter {
         }
     }
 
-    fn class_admits(&self, class: ClassId, _cell: &Cell, from: NodeId, to: NodeId) -> bool {
-        self.circuit_admits(class, from, to) == Some(true)
-    }
-
+    #[inline]
     fn circuit_admits(&self, _class: ClassId, _from: NodeId, _to: NodeId) -> Option<bool> {
         Some(false) // no classes: nothing ever sprays
     }

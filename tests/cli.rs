@@ -101,7 +101,7 @@ const EXPECTED: &[(&str, &[&str])] = &[
         "SORN uniform-inter adversarial search 0.1111 (= 1/((q+1)(Nc-1)) = 0.1111)",
     ]),
     ("ablation_routing", &[
-        "flat + VLB 1.97 2.8 0.46", "flat + adaptive VLB 1.00 2.4 0.68", "SORN 2.31 2.3 0.37",
+        "flat + VLB 1.97 2.8 0.46", "flat + adaptive VLB 1.00 2.4 0.54", "SORN 2.31 2.3 0.37",
         "SORN + adaptive intra 1.83 2.0 0.37",
     ]),
     ("analyze --n 4096 --cliques 64 --locality 0.56 --uplinks 16", &[

@@ -2,9 +2,7 @@
 //! adaptive routing, Opera frozen-epoch simulation, live schedule
 //! updates, and diurnal tracking.
 
-use sorn::routing::{
-    AdaptiveSornRouter, GeneralSornRouter, OperaModel, OperaShortRouter, SornRouter, VlbRouter,
-};
+use sorn::routing::{GeneralSornRouter, Grouping, OperaModel, OperaShortRouter, SornRouter};
 use sorn::sim::{Engine, Flow, FlowId, SimConfig};
 use sorn::topology::builders::{
     nonuniform_sorn_schedule, round_robin, sorn_schedule, SornScheduleParams,
@@ -66,7 +64,7 @@ fn adaptive_sorn_never_worse_hop_bound_and_lower_tax() {
     let map = CliqueMap::contiguous(16, 4);
     let sched = sorn_schedule(&map, &SornScheduleParams::with_q(Ratio::integer(4))).unwrap();
     let plain = SornRouter::new(map.clone());
-    let adaptive = AdaptiveSornRouter::new(map.clone(), 8);
+    let adaptive = SornRouter::direct_first(Grouping::Cliques(map.clone()), 8);
 
     let run = |router: &dyn sorn::sim::Router| {
         let mut eng = Engine::new(SimConfig::default(), &sched, router);
@@ -117,7 +115,7 @@ fn opera_frozen_epoch_short_flows_have_low_latency() {
     // Contrast: the same flows on a 1D round robin wait for the direct
     // circuit — worst case near the full 63-slot period.
     let rr = round_robin(64).unwrap();
-    let vlb = VlbRouter::new();
+    let vlb = SornRouter::flat();
     let mut eng2 = Engine::new(SimConfig::default(), &rr, &vlb);
     eng2.add_flows(
         (0..32u32)

@@ -5,7 +5,7 @@ use sorn::analysis::blast_radius::blast_radius;
 use sorn::analysis::fig2f::{generate, Fig2fParams};
 use sorn::analysis::table1::{generate as table1, Table1Params};
 use sorn::core::{model, SornConfig, SornNetwork};
-use sorn::routing::{SornPaths, VlbPaths, VlbRouter};
+use sorn::routing::{SornPaths, SornRouter};
 use sorn::sim::{Engine, Flow, FlowId, Router, SimConfig};
 use sorn::topology::builders::round_robin;
 use sorn::topology::{CircuitSchedule, CliqueMap, NodeId};
@@ -114,7 +114,7 @@ fn fig2f_series_reproduces_the_paper_shape() {
 #[test]
 fn modularity_shrinks_blast_radius() {
     let n = 64;
-    let flat = blast_radius(n, &VlbPaths::new(n));
+    let flat = blast_radius(n, &SornPaths::flat(n));
     let sorn8 = blast_radius(n, &SornPaths::new(CliqueMap::contiguous(n, 8)));
     // §6: modular designs reduce failure exposure significantly.
     assert!(sorn8.mean_exposure * 3.0 < flat.mean_exposure);
@@ -158,7 +158,8 @@ fn a_failed_link_strands_only_flows_of_its_clique() {
     // clique (nodes 0..8 of 32 in 4 cliques). EXPERIMENTS.md records
     // the counts: 1 flow stuck under flat VLB, 4 under SORN.
     let n = 32;
-    let flat = stuck_with_link_0_1_failed(n, &round_robin(n as usize).unwrap(), &VlbRouter::new());
+    let flat =
+        stuck_with_link_0_1_failed(n, &round_robin(n as usize).unwrap(), &SornRouter::flat());
     assert_eq!(flat.len(), 1, "flat VLB: {flat:?}");
 
     let net = SornNetwork::build(SornConfig::small(n as usize, 4, 0.5)).unwrap();
