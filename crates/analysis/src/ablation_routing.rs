@@ -17,6 +17,7 @@
 use crate::render::TextTable;
 use crate::{header, Args};
 use sorn_base::rng::Rng;
+use sorn_core::model::ideal_q;
 use sorn_routing::{Grouping, SornRouter};
 use sorn_sim::{Engine, Flow, FlowId, Router, SimConfig};
 use sorn_topology::builders::{round_robin, sorn_schedule, SornScheduleParams};
@@ -220,7 +221,7 @@ pub fn run(args: &mut Args) -> Result<(), String> {
 
     let flat = round_robin(N).unwrap();
     let map = CliqueMap::contiguous(N, 4);
-    let q = Ratio::approximate(2.0 / (1.0 - X), 64);
+    let q = Ratio::approximate(ideal_q(X), 64);
     let sorn_sched = sorn_schedule(&map, &SornScheduleParams::with_q(q)).unwrap();
     let wl = CliqueWorkload {
         cliques: map.clone(),

@@ -109,17 +109,15 @@ pub enum DriveOutcome {
 /// sidecar blobs (probe state such as trace or flight-recorder bytes),
 /// the snapshot goes through `store`, and `on_written(slot, path,
 /// bytes)` fires so the caller can log or publish telemetry. Without
-/// one nothing is written and the loop steps exactly like
+/// one nothing is written and the loop advances exactly like
 /// `Engine::run_slots` / `Engine::run_until_drained`. When `stop` is
 /// observed the current slot is already complete; the final checkpoint
 /// (if any) is written and [`DriveOutcome::Interrupted`] returned. An
 /// error says whether the simulation or a checkpoint write failed.
 ///
-/// When the engine has batched fast-forward enabled
-/// (`Engine::set_fast_forward`), quiet gaps are jumped in one step —
-/// bounded by the next checkpoint boundary, so the snapshot cadence
-/// (and therefore every written checkpoint) is identical to the
-/// slot-by-slot loop.
+/// Quiet gaps are jumped in one step, bounded by the next checkpoint
+/// boundary, so the snapshot cadence (and therefore every written
+/// checkpoint) is identical to the slot-by-slot loop.
 #[allow(clippy::too_many_arguments)]
 pub fn drive_checkpointed<P, F, FS>(
     engine: &mut Engine<'_, P, F>,
@@ -172,16 +170,13 @@ where
             };
             return Ok(DriveOutcome::Interrupted { slot, path });
         }
-        // Fast-forward quiet gaps (a no-op unless the engine has
-        // `set_fast_forward(true)`), but never past the run goal or the
+        // Quiet gaps are jumped, but never past the run goal or the
         // next checkpoint boundary — checkpoint cadence must be
         // identical to the slot-by-slot loop so a resumed run replays
         // the same snapshot sequence.
-        if engine.fast_forward_to(goal.min(next_ckpt)) == 0 {
-            engine
-                .step()
-                .map_err(|e| format!("simulation failed: {e}"))?;
-        }
+        engine
+            .advance_to(goal.min(next_ckpt))
+            .map_err(|e| format!("simulation failed: {e}"))?;
         if let Some(store) = store.as_deref_mut() {
             if engine.now_slot() >= next_ckpt {
                 write(engine, store)?;

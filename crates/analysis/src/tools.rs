@@ -119,6 +119,10 @@ pub fn schedule(args: &mut Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The most flows `gen-trace` plans before refusing: at about 46 bytes
+/// a flow, a trace this size is already half a gigabyte of JSON.
+const MAX_PLANNED_FLOWS: f64 = 1e7;
+
 /// `sorn-cli gen-trace`: records a Poisson workload over one
 /// configuration's cliques as a JSON trace.
 pub fn gen_trace(args: &mut Args) -> Result<(), String> {
@@ -134,12 +138,28 @@ pub fn gen_trace(args: &mut Args) -> Result<(), String> {
         .map_err(|e| format!("--dist: {e}"))?;
     args.reject_unknown()?;
 
+    let Some(duration_ns) = duration_us.checked_mul(1000) else {
+        return Err(format!(
+            "--duration-us {duration_us} overflows a u64 of nanoseconds"
+        ));
+    };
+    // The expected flow count, `n · load · bandwidth · duration / mean
+    // size`, checked before anything is built or generated.
+    let bandwidth = 12.5 * cfg.uplinks as f64;
+    let planned = cfg.n as f64 * load * bandwidth * duration_ns as f64 / dist.mean_bytes();
+    if planned > MAX_PLANNED_FLOWS {
+        return Err(format!(
+            "--load and --duration-us plan about {planned:.2e} flows; the limit is \
+             {MAX_PLANNED_FLOWS:.0e}"
+        ));
+    }
+
     let net = SornNetwork::build(cfg.clone()).map_err(|e| e.to_string())?;
     let wl = PoissonWorkload {
         n: cfg.n,
         load,
-        node_bandwidth_bytes_per_ns: 12.5 * cfg.uplinks as f64,
-        duration_ns: duration_us * 1000,
+        node_bandwidth_bytes_per_ns: bandwidth,
+        duration_ns,
         seed,
     };
     let flows = wl.generate(

@@ -119,17 +119,6 @@ impl SornNetwork {
             .map_err(|e| CoreError::InvalidConfig(format!("flow-level evaluation failed: {e}")))
     }
 
-    /// Exact flow-level throughput for an arbitrary demand matrix.
-    pub fn flow_throughput_for(
-        &self,
-        demand: &DemandMatrix,
-    ) -> Result<ThroughputReport, CoreError> {
-        let topo = self.schedule.logical_topology();
-        let model = SornPaths::new(self.cliques.clone());
-        evaluate(&topo, &model, demand)
-            .map_err(|e| CoreError::InvalidConfig(format!("flow-level evaluation failed: {e}")))
-    }
-
     /// Packet-simulates the given flows until drained (or `max_slots`),
     /// returning the metrics. `seed` controls routing randomness.
     pub fn simulate(

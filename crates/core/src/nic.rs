@@ -117,13 +117,6 @@ impl NicState {
         self.neighbors.get(&n.0)
     }
 
-    /// Fraction of the period allotted to `n`.
-    pub fn bandwidth_share(&self, n: NodeId) -> f64 {
-        self.neighbor(n)
-            .map(|s| s.slot_count as f64 / self.period as f64)
-            .unwrap_or(0.0)
-    }
-
     /// Records queued traffic toward a neighbor (test/telemetry hook;
     /// the simulator keeps its own authoritative queues).
     pub fn set_queue_depth(&mut self, n: NodeId, cells: u64) {
@@ -195,9 +188,9 @@ mod tests {
         assert_eq!(nic.neighbor_count(), 4);
         assert_eq!(nic.period(), 4);
         for n in [1u32, 2, 3, 4] {
-            assert!((nic.bandwidth_share(NodeId(n)) - 0.25).abs() < 1e-12);
+            assert_eq!(nic.neighbor(NodeId(n)).unwrap().slot_count, 1);
         }
-        assert_eq!(nic.bandwidth_share(NodeId(6)), 0.0);
+        assert!(nic.neighbor(NodeId(6)).is_none());
     }
 
     #[test]
@@ -214,9 +207,9 @@ mod tests {
         assert_eq!(nic.version(), 1);
         // q=1 topology: intra 3 slots over shifts 1..3 plus inter 3 slots
         // => share of each intra neighbor 1/6... intra total = inter total.
-        let intra: f64 = (1..4).map(|n| nic.bandwidth_share(NodeId(n))).sum();
-        let inter = nic.bandwidth_share(NodeId(4));
-        assert!((intra - inter).abs() < 1e-12);
+        let slots = |n| nic.neighbor(NodeId(n)).unwrap().slot_count;
+        let intra: u64 = (1..4).map(slots).sum();
+        assert_eq!(intra, slots(4));
     }
 
     #[test]

@@ -58,8 +58,9 @@ pub const MAGIC: &[u8; 8] = b"SORNCKPT";
 /// Current format version. Bump on any layout change; the loader
 /// rejects other versions outright rather than guessing. v2 appended
 /// `Metrics::slots_skipped` to the MET section; v3 dropped two unused
-/// config fields from CFG and writes the flow table's columns to FLW.
-pub const FORMAT_VERSION: u32 = 3;
+/// config fields from CFG and writes the flow table's columns to FLW;
+/// v4 drops the unused hop bound from CFG (the router's is the bound).
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Generations [`CheckpointStore`] retains (current + one fallback).
 pub const KEEP_GENERATIONS: usize = 2;
@@ -361,7 +362,6 @@ impl Snapshot {
         out.put_u64(c.uplinks as u64);
         out.put_u32(c.cell_bytes);
         out.put_u64(c.seed);
-        out.put_u8(c.max_hops);
         out.put_u64(c.node_queue_cap as u64);
         out.put_u64(c.engine_threads as u64);
         out.put_u64(c.trace_one_in);
@@ -644,7 +644,6 @@ impl Snapshot {
             uplinks: c.u64()? as usize,
             cell_bytes: c.u32()?,
             seed: c.u64()?,
-            max_hops: c.u8()?,
             node_queue_cap: c.u64()? as usize,
             engine_threads: (c.u64()? as usize).max(1),
             trace_one_in: c.u64()?,

@@ -26,9 +26,6 @@ pub struct SimConfig {
     pub cell_bytes: u32,
     /// RNG seed; identical seeds reproduce runs exactly.
     pub seed: u64,
-    /// Safety bound on hops per cell; exceeding it is a routing bug and
-    /// aborts the run with an error.
-    pub max_hops: u8,
     /// Total queued cells a node may hold before arrivals are dropped;
     /// `0` means unbounded (the open-loop default for throughput
     /// studies). Finite caps enable loss experiments.
@@ -54,7 +51,6 @@ impl Default for SimConfig {
             uplinks: 1,
             cell_bytes: 1250,
             seed: 0,
-            max_hops: 16,
             node_queue_cap: 0,
             engine_threads: 1,
             trace_one_in: 0,
@@ -63,38 +59,10 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Table 1's deployment parameters (100 ns slots, 500 ns propagation,
-    /// 16 uplinks, 100 Gb/s-equivalent cells).
-    pub fn paper_reference() -> Self {
-        SimConfig {
-            slot_ns: 100,
-            propagation_ns: 500,
-            uplinks: 16,
-            ..Default::default()
-        }
-    }
-
     /// Start time (ns) of slot `t`.
     #[inline]
     pub fn slot_start(&self, slot: u64) -> Nanos {
         slot * self.slot_ns
-    }
-
-    /// The slot containing time `ns`.
-    #[inline]
-    pub fn slot_of(&self, ns: Nanos) -> u64 {
-        ns / self.slot_ns
-    }
-
-    /// Per-uplink line rate implied by cell size and slot length, in
-    /// gigabits per second.
-    pub fn line_rate_gbps(&self) -> f64 {
-        (self.cell_bytes as f64 * 8.0) / self.slot_ns as f64
-    }
-
-    /// Aggregate node bandwidth in gigabits per second (all uplinks).
-    pub fn node_bandwidth_gbps(&self) -> f64 {
-        self.line_rate_gbps() * self.uplinks as f64
     }
 }
 
@@ -103,20 +71,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slot_arithmetic_round_trips() {
+    fn slot_arithmetic() {
         let c = SimConfig::default();
         assert_eq!(c.slot_start(7), 700);
-        assert_eq!(c.slot_of(700), 7);
-        assert_eq!(c.slot_of(799), 7);
-        assert_eq!(c.slot_of(800), 8);
-    }
-
-    #[test]
-    fn paper_reference_rates() {
-        let c = SimConfig::paper_reference();
-        // 1250 B per 100 ns slot = 100 Gb/s per uplink.
-        assert!((c.line_rate_gbps() - 100.0).abs() < 1e-9);
-        assert!((c.node_bandwidth_gbps() - 1600.0).abs() < 1e-9);
-        assert_eq!(c.uplinks, 16);
     }
 }

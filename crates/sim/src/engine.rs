@@ -484,11 +484,6 @@ pub struct Engine<'a, P: Probe = NoopProbe, F: Profiler = NoopProfiler> {
     /// hop-by-hop spans. Pure hash of `(seed, flow id)` — it never
     /// draws from the routing streams, so tracing cannot perturb a run.
     tracer: Option<FlowSampler>,
-    /// Opt-in batched quiet-gap skipping (see
-    /// [`Engine::set_fast_forward`]). A runtime knob, not simulation
-    /// state: it is deliberately *not* checkpointed, so a resumed run
-    /// chooses it afresh.
-    ff_enabled: bool,
     probe: P,
     profiler: F,
 }
@@ -601,7 +596,6 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             node_cells: vec![Vec::new(); n],
             finished_flows: Vec::new(),
             tracer: (cfg.trace_one_in > 0).then(|| FlowSampler::new(cfg.seed, cfg.trace_one_in)),
-            ff_enabled: false,
             probe,
             profiler,
             cfg,
@@ -732,15 +726,12 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             && self.injecting_flows == 0
     }
 
-    /// Runs `slots` more slots. With fast-forward enabled
-    /// ([`Engine::set_fast_forward`]), quiet gaps inside the range are
-    /// jumped in O(1) per gap instead of O(slots).
+    /// Runs `slots` more slots; quiet gaps inside the range are jumped
+    /// in O(1) per gap instead of O(slots) (see [`Engine::advance_to`]).
     pub fn run_slots(&mut self, slots: u64) -> Result<(), SimError> {
         let deadline = self.slot + slots;
         while self.slot < deadline {
-            if self.fast_forward_to(deadline) == 0 {
-                self.step()?;
-            }
+            self.advance_to(deadline)?;
         }
         Ok(())
     }
@@ -753,27 +744,16 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             if self.is_drained() {
                 return Ok(true);
             }
-            if self.fast_forward_to(deadline) == 0 {
-                self.step()?;
-            }
+            self.advance_to(deadline)?;
         }
         // One more check: the last step may have drained the system.
         Ok(self.is_drained())
     }
 
-    /// Enables batched quiet-gap skipping: [`Engine::fast_forward_to`]
-    /// (and through it [`Engine::run_slots`] /
-    /// [`Engine::run_until_drained`]) may jump whole quiescent spans in
-    /// one arithmetic step instead of one slot per [`Engine::step`].
-    /// Off by default. Results are bit-identical either way —
-    /// the only observable difference is that probes receive one
-    /// [`Probe::on_slots_skipped`] call per span instead of per-slot
-    /// [`Probe::on_slot_end`] calls, and every probe in this workspace
-    /// batches those spans exactly. Not checkpointed: re-enable after a
-    /// restore if wanted.
-    pub fn set_fast_forward(&mut self, enabled: bool) {
-        self.ff_enabled = enabled;
-    }
+    /// Does nothing: the engine always jumps quiet gaps. Kept only
+    /// because the repo benchmark's harness still calls it; it goes
+    /// once that call does.
+    pub fn set_fast_forward(&mut self, _enabled: bool) {}
 
     /// True when this slot provably has no work: nothing queued or
     /// injecting, no arrival or flow activation due, no scripted fault
@@ -799,38 +779,31 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
                 .is_none_or(|e| e.at_ns > now)
     }
 
-    /// Jumps an entire quiescent gap — from the current slot up to (but
-    /// bounded by) `target` — in one arithmetic step, and returns how
-    /// many slots it covered (`0` means "no jump: call
-    /// [`Engine::step`]"). The jump stops at the earliest of `target`,
-    /// the calendar's [`SlotCalendar::next_due_slot`], the first slot a
-    /// pending flow activation lands in, and the first slot the next
-    /// scripted [`FaultPlan`] event affects — exactly the conditions
-    /// under which per-slot stepping would stop finding the slot quiet —
-    /// and the attached probe's [`Probe::next_boundary_ns`] (an interval
-    /// sampler's next mark). Reconfiguration and checkpoint boundaries
-    /// are the *caller's* boundaries: pass the slot you would otherwise
-    /// have stepped to (drivers that `install_schedule` or checkpoint at
-    /// slot `s` pass `target = s`); epoch-series boundaries need no
-    /// bound because probes batch whole spans exactly via
-    /// [`Probe::on_slots_skipped`].
+    /// Advances at least one slot and at most to `target`, and returns
+    /// how many slots it covered. A busy slot is stepped; a quiet one
+    /// opens a gap that is jumped in one arithmetic step. The jump stops
+    /// at the earliest of `target`, the next in-flight arrival, the
+    /// first slot a pending flow activation lands in, and the first slot
+    /// the next scripted [`FaultPlan`] event affects — exactly the
+    /// conditions under which per-slot stepping would stop finding the
+    /// slot quiet — and the attached probe's [`Probe::next_boundary_ns`]
+    /// (an interval sampler's next mark). Reconfiguration and checkpoint
+    /// boundaries are the *caller's* boundaries: pass the slot you would
+    /// otherwise have stepped to (drivers that `install_schedule` or
+    /// checkpoint at slot `s` pass `target = s`); epoch-series
+    /// boundaries need no bound because probes batch whole spans exactly
+    /// via [`Probe::on_slots_skipped`].
     ///
     /// No RNG is drawn in a quiet slot, so the skipped span is pure
     /// arithmetic: metrics, calendar head, checkpoint bytes, and every
-    /// workspace probe's state end up bit-identical to stepping
-    /// slot-by-slot, at any `engine_threads`.
-    ///
-    /// Returns `0` (and does nothing) when fast-forward is disabled
-    /// (see [`Engine::set_fast_forward`]), the current slot is not
-    /// provably quiet, or the bounded gap is shorter than two slots.
-    pub fn fast_forward_to(&mut self, target: u64) -> u64 {
-        if !self.ff_enabled {
-            return 0;
-        }
+    /// workspace probe's state end up bit-identical to calling
+    /// [`Engine::step`] slot by slot, at any `engine_threads`.
+    pub fn advance_to(&mut self, target: u64) -> Result<u64, SimError> {
         self.sync_health_mirror();
         let now = self.cfg.slot_start(self.slot);
         if !self.slot_is_quiet(now) {
-            return 0;
+            self.step_busy(now)?;
+            return Ok(1);
         }
         let slot_ns = self.cfg.slot_ns;
         let mut bound = target;
@@ -852,10 +825,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             // slot_ns)`, so that slot is `ceil(t / slot_ns) + 1`.
             bound = bound.min(t.div_ceil(slot_ns) + 1);
         }
-        if bound <= self.slot + 1 {
-            return 0;
-        }
-        self.jump_quiet(bound)
+        Ok(self.jump_quiet(bound.max(self.slot + 1)))
     }
 
     /// Jumps the provably-quiet slots `self.slot .. bound` (see
@@ -863,8 +833,8 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
     /// scheduled port idles, so the idle counter advances by each active
     /// matching's precomputed circuit total and the calendar head keeps
     /// pace. A quiet [`Engine::step`] is the one-slot case and
-    /// [`Engine::fast_forward_to`] the batched one; either way the run
-    /// stays bit-identical to walking every slot, checkpoints included.
+    /// [`Engine::advance_to`] the batched one; either way the run stays
+    /// bit-identical to walking every slot, checkpoints included.
     /// Returns the number of slots jumped.
     fn jump_quiet(&mut self, bound: u64) -> u64 {
         let now = self.cfg.slot_start(self.slot);
@@ -942,16 +912,15 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         }
     }
 
-    /// Advances one slot: deliveries, arrivals, injection, transmission.
+    /// Advances exactly one slot: deliveries, arrivals, injection,
+    /// transmission. Per-slot oracles drive the engine with this; runs
+    /// use [`Engine::advance_to`], which jumps quiet gaps whole.
     pub fn step(&mut self) -> Result<(), SimError> {
-        let now = self.cfg.slot_start(self.slot);
-        self.sync_health_mirror();
+        self.advance_to(self.slot + 1).map(drop)
+    }
 
-        if self.slot_is_quiet(now) {
-            self.jump_quiet(self.slot + 1);
-            return Ok(());
-        }
-
+    /// One slot that is not provably quiet, starting at `now`.
+    fn step_busy(&mut self, now: Nanos) -> Result<(), SimError> {
         // 0. Scripted fault events due by this slot boundary take effect
         // before any routing, so this slot already sees the new health.
         {
@@ -2251,8 +2220,8 @@ mod tests {
         for (a, b) in m.link_transmissions.keys() {
             assert_eq!((a + 2) % 6, b);
         }
-        // Symmetric load: CV 0.
-        assert!(m.link_load_cv() < 1e-12);
+        // Symmetric load: every used link carries its source's 3 cells.
+        assert!(m.link_transmissions.values().all(|c| c == 3));
     }
 
     #[test]
@@ -2270,7 +2239,7 @@ mod tests {
         let m = eng.metrics();
         assert!(m.dropped_cells > 0, "cap must bite");
         assert_eq!(m.delivered_cells + m.dropped_cells, m.injected_cells);
-        assert!(m.loss_rate() > 0.0 && m.loss_rate() < 1.0);
+        assert!(m.dropped_cells < m.injected_cells, "some cells get through");
         // A flow with losses never completes.
         assert!(m.flows.is_empty());
     }
@@ -2283,7 +2252,6 @@ mod tests {
         eng.add_flows([flow(1, 0, 1, 10 * 1250, 0)]).unwrap();
         assert!(eng.run_until_drained(10_000).unwrap());
         assert_eq!(eng.metrics().dropped_cells, 0);
-        assert_eq!(eng.metrics().loss_rate(), 0.0);
     }
 
     #[test]

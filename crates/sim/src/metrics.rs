@@ -136,11 +136,6 @@ impl LatencyHistogram {
     pub fn p99(&self) -> Option<Nanos> {
         self.percentile(99.0)
     }
-
-    /// 99.9th-percentile latency (bucket upper bound).
-    pub fn p999(&self) -> Option<Nanos> {
-        self.percentile(99.9)
-    }
 }
 
 /// One source node's outgoing-link counts: `(dst, count)` pairs sorted
@@ -158,8 +153,7 @@ pub(crate) type LinkRow = Vec<(u32, u64)>;
 /// content. The matrix grows on demand when a larger node id appears
 /// (hand-built metrics); the engine pre-sizes it to the network.
 /// Accessors mirror the map API this replaced and expose only links
-/// with a nonzero count, preserving the semantics of
-/// [`Metrics::link_load_cv`] and [`Metrics::hottest_links`].
+/// with a nonzero count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LinkMatrix {
     n: u32,
@@ -342,9 +336,9 @@ pub struct Metrics {
     pub recovery_times_ns: Vec<Nanos>,
     /// Slots advanced without the full per-node walk: provably-quiet
     /// slots covered by the gap jump, one slot at a time from `step` or
-    /// a whole gap from `fast_forward_to`. A
-    /// fast-forward jump only covers slots that per-slot stepping would
-    /// also have proven quiet, so the count is identical either way.
+    /// a whole gap from `advance_to`. A jump only covers slots that
+    /// per-slot stepping would also have proven quiet, so the count is
+    /// identical either way.
     /// Always ≤ `slots`.
     pub slots_skipped: u64,
 }
@@ -368,19 +362,6 @@ impl Metrics {
     /// 99th-percentile cell delivery latency (log-bucket upper bound).
     pub fn cell_latency_p99_ns(&self) -> Option<Nanos> {
         self.cell_latency.p99()
-    }
-
-    /// 99.9th-percentile cell delivery latency (log-bucket upper bound).
-    pub fn cell_latency_p999_ns(&self) -> Option<Nanos> {
-        self.cell_latency.p999()
-    }
-
-    /// Mean delivered-cell latency in nanoseconds.
-    pub fn mean_cell_latency_ns(&self) -> f64 {
-        if self.delivered_cells == 0 {
-            return 0.0;
-        }
-        self.cell_latency_sum_ns as f64 / self.delivered_cells as f64
     }
 
     /// Mean hops per delivered cell — the paper's normalized bandwidth
@@ -415,50 +396,6 @@ impl Metrics {
             return 0.0;
         }
         self.transmissions as f64 / total as f64
-    }
-
-    /// The `k` busiest directed links with their transmission counts,
-    /// descending (ties broken by link id for determinism).
-    pub fn hottest_links(&self, k: usize) -> Vec<((u32, u32), u64)> {
-        let mut v: Vec<((u32, u32), u64)> = self.link_transmissions.iter().collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(k);
-        v
-    }
-
-    /// Coefficient of variation of per-link transmissions — a load-
-    /// balance quality measure (0 = perfectly even).
-    ///
-    /// The mean is taken over the per-link counts themselves, so the
-    /// statistic stays correct even when `transmissions` and the link
-    /// map disagree (hand-built or merged metrics).
-    pub fn link_load_cv(&self) -> f64 {
-        let n = self.link_transmissions.len();
-        if n == 0 {
-            return 0.0;
-        }
-        let mean = self.link_transmissions.values().sum::<u64>() as f64 / n as f64;
-        if mean == 0.0 {
-            return 0.0;
-        }
-        let var = self
-            .link_transmissions
-            .values()
-            .map(|c| {
-                let d = c as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / n as f64;
-        var.sqrt() / mean
-    }
-
-    /// Fraction of injected cells that were dropped at full queues.
-    pub fn loss_rate(&self) -> f64 {
-        if self.injected_cells == 0 {
-            return 0.0;
-        }
-        self.dropped_cells as f64 / self.injected_cells as f64
     }
 
     /// Goodput while degraded, in delivered cells per slot; 0 when the
@@ -553,7 +490,7 @@ mod tests {
         assert_eq!(m.delivered_bytes, 2500);
         assert_eq!(m.hop_histogram[2], 1);
         assert_eq!(m.hop_histogram[3], 1);
-        assert!((m.mean_cell_latency_ns() - 2000.0).abs() < 1e-9);
+        assert_eq!(m.cell_latency_sum_ns, 4000);
         assert!((m.mean_hops() - 2.5).abs() < 1e-9);
     }
 
@@ -580,33 +517,11 @@ mod tests {
     #[test]
     fn empty_metrics_are_zero() {
         let m = Metrics::default();
-        assert_eq!(m.mean_cell_latency_ns(), 0.0);
         assert_eq!(m.mean_hops(), 0.0);
         assert_eq!(m.delivery_fraction(), 0.0);
         assert_eq!(m.circuit_utilization(), 0.0);
         assert_eq!(m.mean_fct_ns(), 0.0);
         assert_eq!(m.fct_percentile_ns(50.0), None);
-    }
-
-    #[test]
-    fn hottest_links_and_cv() {
-        let mut m = Metrics::default();
-        m.link_transmissions.insert((0, 1), 10);
-        m.link_transmissions.insert((1, 2), 4);
-        m.link_transmissions.insert((2, 0), 4);
-        m.transmissions = 18;
-        let hot = m.hottest_links(2);
-        assert_eq!(hot[0], ((0, 1), 10));
-        assert_eq!(hot[1].1, 4);
-        assert!(m.link_load_cv() > 0.0);
-        // Perfectly even load has CV 0.
-        let mut even = Metrics::default();
-        even.link_transmissions.insert((0, 1), 5);
-        even.link_transmissions.insert((1, 0), 5);
-        even.transmissions = 10;
-        assert!(even.link_load_cv() < 1e-12);
-        // Empty map: 0.
-        assert_eq!(Metrics::default().link_load_cv(), 0.0);
     }
 
     #[test]
@@ -633,24 +548,6 @@ mod tests {
         let mut m = Metrics::default();
         m.on_delivered(200, 0, 1);
         assert_eq!(m.hop_histogram[31], 1);
-    }
-
-    #[test]
-    fn link_load_cv_ignores_inconsistent_total() {
-        // Regression: the CV once derived its mean from `transmissions`,
-        // so a total inconsistent with the link map skewed the result.
-        let mut m = Metrics::default();
-        m.link_transmissions.insert((0, 1), 5);
-        m.link_transmissions.insert((1, 0), 5);
-        m.transmissions = 99; // deliberately inconsistent
-        assert!(m.link_load_cv() < 1e-12, "even links must give CV 0");
-
-        let mut skew = Metrics::default();
-        skew.link_transmissions.insert((0, 1), 9);
-        skew.link_transmissions.insert((1, 0), 1);
-        skew.transmissions = 0; // would divide by a zero mean before
-                                // mean 5, sd 4 -> CV 0.8.
-        assert!((skew.link_load_cv() - 0.8).abs() < 1e-12);
     }
 
     #[test]
@@ -717,6 +614,5 @@ mod tests {
         // Rank convention: round(0.5 * 3) = 2 -> 400 -> bucket [256,512).
         assert_eq!(m.cell_latency_p50_ns(), Some(511));
         assert_eq!(m.cell_latency_p99_ns(), Some(1023));
-        assert_eq!(m.cell_latency_p999_ns(), Some(1023));
     }
 }

@@ -44,16 +44,8 @@ pub struct SlotView<'a> {
     pub queues: &'a [NodeQueues],
 }
 
-impl SlotView<'_> {
-    /// Cells queued at `node` right now (`0` if the view carries no
-    /// per-node queues or `node` is out of range).
-    pub fn queue_depth(&self, node: NodeId) -> usize {
-        self.queues.get(node.index()).map_or(0, NodeQueues::depth)
-    }
-}
-
 /// A batch of provably-quiet slots the engine fast-forwarded over in
-/// one jump (see `Engine::fast_forward_to`).
+/// one jump (see `Engine::advance_to`).
 ///
 /// `end` is exactly the [`SlotView`] the final slot of the span would
 /// have produced through [`Probe::on_slot_end`]. The earlier slots in
@@ -109,7 +101,7 @@ pub trait Probe {
 
     /// The next simulated time at which this probe must observe a slot
     /// boundary individually rather than as part of a batched span —
-    /// e.g. an interval sampler's next mark. `Engine::fast_forward_to`
+    /// e.g. an interval sampler's next mark. `Engine::advance_to`
     /// never jumps past the first slot whose end view reaches this
     /// time, so a probe returning its mark here sees exactly the views
     /// per-slot stepping would have delivered at every mark. `None`

@@ -318,22 +318,6 @@ impl NodeQueues {
             .collect();
         (specific, class)
     }
-
-    /// Number of cells queued for a specific next hop.
-    pub fn specific_depth(&self, next: NodeId) -> usize {
-        match self.hops.binary_search(&next.0) {
-            Ok(i) => self.fifos[i].len as usize,
-            Err(_) => 0,
-        }
-    }
-
-    /// Number of cells queued in a class.
-    pub fn class_depth(&self, class: ClassId) -> usize {
-        self.class
-            .iter()
-            .find(|(c, _)| *c == class)
-            .map_or(0, |(_, q)| q.len())
-    }
 }
 
 #[cfg(test)]
@@ -537,20 +521,6 @@ mod tests {
             all.sort_unstable();
             all
         }
-
-        fn specific_depth(&self, next: NodeId) -> usize {
-            self.specific
-                .iter()
-                .find(|(k, _)| *k == next.0)
-                .map_or(0, |(_, q)| q.len())
-        }
-
-        fn class_depth(&self, class: ClassId) -> usize {
-            self.class
-                .iter()
-                .find(|(c, _)| *c == class)
-                .map_or(0, |(_, q)| q.len())
-        }
     }
 
     /// Class 0 rides any circuit, class 1 any circuit to an even node,
@@ -630,10 +600,6 @@ mod tests {
                     }
                 }
                 assert_eq!(fast.depth(), slow.depth);
-                assert_eq!(fast.specific_depth(peer), slow.specific_depth(peer));
-                for class in r.classes() {
-                    assert_eq!(fast.class_depth(*class), slow.class_depth(*class));
-                }
                 assert_eq!(fast.export_cells(), slow.export_cells(), "op {seq}");
                 let mut cells: Vec<_> = fast
                     .iter_cells()
@@ -796,9 +762,9 @@ mod tests {
         q.push_class(ClassId(7), cell(1));
         q.push_class(ClassId(2), cell(2));
         q.push_class(ClassId(2), cell(3));
-        assert_eq!(q.class_depth(ClassId(7)), 1);
-        assert_eq!(q.class_depth(ClassId(2)), 2);
-        assert_eq!(q.class_depth(ClassId(0)), 0);
+        let (_, class) = q.export_cells();
+        let depths: Vec<(u16, usize)> = class.iter().map(|(c, q)| (*c, q.len())).collect();
+        assert_eq!(depths, vec![(7, 1), (2, 2)]);
         assert_eq!(q.depth(), 3);
     }
 
@@ -812,7 +778,6 @@ mod tests {
         let drained = q.drain_all();
         assert_eq!(drained.len(), 3);
         assert!(q.is_empty());
-        assert_eq!(q.specific_depth(NodeId(1)), 0);
-        assert_eq!(q.class_depth(ClassId(0)), 0);
+        assert_eq!(q.export_cells(), (vec![], vec![]));
     }
 }

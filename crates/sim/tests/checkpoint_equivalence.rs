@@ -516,12 +516,13 @@ fn golden_checkpoint_bytes_restore_and_match() {
 #[test]
 fn golden_with_another_version_is_refused_by_name() {
     let mut bytes = include_bytes!("golden/checkpoint_small.sorn").to_vec();
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    let older = FORMAT_VERSION - 1;
+    bytes[8..12].copy_from_slice(&older.to_le_bytes());
     let reason = match Snapshot::from_bytes(&bytes) {
         Err(CheckpointError::Corrupt { reason }) => reason,
         other => panic!("expected Corrupt, got {other:?}"),
     };
-    let want = format!("format version 2 (this build reads {FORMAT_VERSION})");
+    let want = format!("format version {older} (this build reads {FORMAT_VERSION})");
     assert_eq!(reason, want);
 
     let dir = std::path::PathBuf::from("/mem");

@@ -1,12 +1,13 @@
-//! Fast-forward equivalence: `Engine::fast_forward_to` must be
-//! bit-identical to slot-by-slot stepping (DESIGN.md §15).
+//! Fast-forward equivalence: `Engine::advance_to`, which jumps quiet
+//! gaps whole, must be bit-identical to calling `Engine::step` slot by
+//! slot (DESIGN.md §15).
 //!
 //! Every scenario here has long quiescent gaps — bursty workloads with
 //! hundreds of thousands of empty slots between them — plus the things
 //! that must *terminate* a gap: scripted fault events, fault storms,
 //! pending flow activations, mid-run `install_schedule` boundaries, and
-//! an interval sampler's marks. Each scenario runs once with
-//! fast-forward off (quiet slots jumped one at a time) and once with it on,
+//! an interval sampler's marks. Each scenario runs once driven by
+//! `step` (quiet slots jumped one at a time) and once by `advance_to`,
 //! at 1–4 engine threads, and the complete observable state must match:
 //! `Metrics` (including `slots_skipped`), rendered trace spans,
 //! flight-recorder dumps, WEATHER reports (text and JSON), sampler
@@ -19,8 +20,8 @@ use sorn_sim::{
     Router, SimConfig, Snapshot,
 };
 use sorn_telemetry::{
-    FlightRecorder, FlowTraceCollector, IntervalSampler, MemorySink, TraceEvent, WeatherProbe,
-    DEFAULT_CAPACITY,
+    CountingProbe, FlightRecorder, FlowTraceCollector, IntervalSampler, MemorySink, TraceEvent,
+    WeatherProbe, DEFAULT_CAPACITY,
 };
 use sorn_topology::builders::round_robin;
 use sorn_topology::{CircuitSchedule, CliqueMap, NodeId};
@@ -173,11 +174,17 @@ fn plan(sc: &Scenario) -> FaultPlan {
     plan
 }
 
-/// Steps (or jumps) to the end. The fast-forward target is the next
+/// Steps (or jumps) to the end. The `advance_to` target is the next
 /// *driver* boundary — the reconfiguration slot or the run bound —
-/// exactly as a real driver would pass it.
-fn drive_to_end<'a>(eng: &mut Engine<'a, Obs>, sc: &Scenario, rotated: &'a CircuitSchedule) {
-    drive_until(eng, sc, rotated, MAX_SLOTS);
+/// exactly as a real driver would pass it; without `fast_forward` every
+/// slot is one `step`.
+fn drive_to_end<'a>(
+    eng: &mut Engine<'a, Obs>,
+    sc: &Scenario,
+    rotated: &'a CircuitSchedule,
+    fast_forward: bool,
+) {
+    drive_until(eng, sc, rotated, MAX_SLOTS, fast_forward);
 }
 
 fn drive_until<'a>(
@@ -185,6 +192,7 @@ fn drive_until<'a>(
     sc: &Scenario,
     rotated: &'a CircuitSchedule,
     stop_at: u64,
+    fast_forward: bool,
 ) {
     while !eng.is_drained() && eng.now_slot() < stop_at {
         if sc.reconfigure_at == Some(eng.now_slot()) {
@@ -195,7 +203,9 @@ fn drive_until<'a>(
             Some(r) if eng.now_slot() < r => stop_at.min(r),
             _ => stop_at,
         };
-        if eng.fast_forward_to(target) == 0 {
+        if fast_forward {
+            eng.advance_to(target).unwrap();
+        } else {
             eng.step().unwrap();
         }
     }
@@ -248,12 +258,10 @@ fn build<'a>(
     base: &'a CircuitSchedule,
     router: &'a CoinSprayRouter,
     threads: usize,
-    fast_forward: bool,
 ) -> Engine<'a, Obs> {
     let cfg = config(sc, threads);
     let probe = fresh_probe(sc, &cfg);
     let mut eng = Engine::with_probe(cfg, base, router, probe);
-    eng.set_fast_forward(fast_forward);
     eng.add_flows(seeded_flows(sc)).unwrap();
     eng.set_fault_plan(plan(sc));
     eng
@@ -262,8 +270,8 @@ fn build<'a>(
 fn run(sc: &Scenario, threads: usize, fast_forward: bool) -> RunOutput {
     let (base, rotated) = schedules(sc);
     let router = CoinSprayRouter;
-    let mut eng = build(sc, &base, &router, threads, fast_forward);
-    drive_to_end(&mut eng, sc, &rotated);
+    let mut eng = build(sc, &base, &router, threads);
+    drive_to_end(&mut eng, sc, &rotated, fast_forward);
     finish(eng)
 }
 
@@ -372,9 +380,8 @@ fn interval_sampler_marks_are_bit_identical() {
     });
 }
 
-/// Satellite regression (pinned *before* `fast_forward_to` was built on
-/// top): a fault event scheduled inside a quiet gap must terminate the
-/// gap. Per-slot stepping must apply the event at exactly slot
+/// Regression (pinned *before* the gap jump was built on top): a fault
+/// event scheduled inside a quiet gap must terminate the gap. Per-slot stepping must apply the event at exactly slot
 /// `ceil(at_ns / slot_ns)`, and a fast-forward jump must stop at that
 /// slot rather than leaping over the outage.
 #[test]
@@ -398,7 +405,7 @@ fn fault_event_inside_quiet_gap_terminates_the_gap() {
     // Per-slot: quiet stepping keeps the fault plan's cursor in view,
     // so the fault fires at exactly `fault_slot` even though every slot
     // around it is quiet.
-    let mut eng = build(&sc, &base, &router, 1, false);
+    let mut eng = build(&sc, &base, &router, 1);
     while eng.now_slot() < fault_slot {
         assert!(
             eng.failures().is_empty(),
@@ -416,12 +423,13 @@ fn fault_event_inside_quiet_gap_terminates_the_gap() {
     assert_eq!(eng.metrics().failure_slots, 1);
 
     // Fast-forward: a jump aimed far past the fault must stop at the
-    // fault slot with the outage not yet applied.
-    let mut eng = build(&sc, &base, &router, 1, true);
-    drive_until(&mut eng, &sc, &rotated, 40); // drain the burst
+    // fault slot with the outage not yet applied; the next advance is
+    // the one busy slot that applies it.
+    let mut eng = build(&sc, &base, &router, 1);
+    drive_until(&mut eng, &sc, &rotated, 40, true); // drain the burst
     assert!(eng.is_drained());
     let from = eng.now_slot();
-    let skipped = eng.fast_forward_to(MAX_SLOTS);
+    let skipped = eng.advance_to(MAX_SLOTS).unwrap();
     assert_eq!(
         eng.now_slot(),
         fault_slot,
@@ -429,8 +437,11 @@ fn fault_event_inside_quiet_gap_terminates_the_gap() {
     );
     assert_eq!(skipped, fault_slot - from);
     assert!(eng.failures().is_empty(), "jump applied the fault itself");
-    assert_eq!(eng.fast_forward_to(MAX_SLOTS), 0, "jumped into an outage");
-    eng.step().unwrap();
+    assert_eq!(
+        eng.advance_to(MAX_SLOTS).unwrap(),
+        1,
+        "jumped into an outage"
+    );
     assert!(!eng.failures().is_empty());
     assert_eq!(eng.metrics().failure_slots, 1);
 }
@@ -438,19 +449,19 @@ fn fault_event_inside_quiet_gap_terminates_the_gap() {
 /// Checkpointing in the middle of a gap: a fast-forward run stopped at
 /// slot `stop_at` must produce byte-identical checkpoint bytes to the
 /// per-slot run stopped there, and resuming (at any thread count, with
-/// fast-forward re-enabled) must land on the same final output.
+/// gaps jumped) must land on the same final output.
 fn assert_checkpoint_equivalence(sc: &Scenario, stops: &[u64]) {
     let (base, rotated) = schedules(sc);
     let router = CoinSprayRouter;
     let reference = run(sc, 1, false);
     for &stop_at in stops {
-        let mut slow = build(sc, &base, &router, 1, false);
-        drive_until(&mut slow, sc, &rotated, stop_at);
+        let mut slow = build(sc, &base, &router, 1);
+        drive_until(&mut slow, sc, &rotated, stop_at, false);
         let slow_snap = snapshot_with_blobs(&slow);
         drop(slow);
 
-        let mut fast = build(sc, &base, &router, 1, true);
-        drive_until(&mut fast, sc, &rotated, stop_at);
+        let mut fast = build(sc, &base, &router, 1);
+        drive_until(&mut fast, sc, &rotated, stop_at, true);
         let fast_snap = snapshot_with_blobs(&fast);
         drop(fast);
         assert_eq!(
@@ -472,8 +483,7 @@ fn assert_checkpoint_equivalence(sc: &Scenario, stops: &[u64]) {
             };
             let probe: Obs = (weather, (collector, (recorder, None)));
             let mut eng = Engine::restore_with_probe(&snap, current, &router, probe).unwrap();
-            eng.set_fast_forward(true);
-            drive_to_end(&mut eng, sc, &rotated);
+            drive_to_end(&mut eng, sc, &rotated, true);
             let resumed = finish(eng);
             assert_eq!(
                 reference, resumed,
@@ -547,4 +557,24 @@ fn fast_forward_is_bit_identical_for_random_scenarios() {
         };
         assert_eq!(run(&sc, 1, false), run(&sc, threads, true));
     });
+}
+
+/// Gap jumping needs no switch: a plain engine driven by `run_until_drained`
+/// covers a quiet gap in batched spans, and the slots its probe counts
+/// one by one plus those in spans are every slot the run advanced.
+#[test]
+fn a_plain_run_jumps_quiet_gaps() {
+    let sc = gap_scenario();
+    let (base, _) = schedules(&sc);
+    let router = CoinSprayRouter;
+    let mut eng = Engine::with_probe(config(&sc, 1), &base, &router, CountingProbe::new());
+    eng.add_flows(seeded_flows(&sc)).unwrap();
+    assert!(eng.run_until_drained(MAX_SLOTS).unwrap());
+    let slots = eng.metrics().slots;
+    let probe = eng.finish();
+    assert!(
+        probe.skip_spans >= 1,
+        "the quiet gap was stepped slot by slot"
+    );
+    assert_eq!(probe.slots + probe.skipped_slots, slots);
 }

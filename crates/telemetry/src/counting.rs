@@ -26,8 +26,8 @@ pub struct CountingProbe {
     pub run_ends: u64,
     /// `on_slots_skipped` invocations (batched quiet spans).
     pub skip_spans: u64,
-    /// Slots covered by those spans; `slots + skipped_slots` is the
-    /// total simulated slots observed regardless of fast-forward.
+    /// Slots covered by those spans; `slots + skipped_slots` is every
+    /// slot the run advanced.
     pub skipped_slots: u64,
 }
 

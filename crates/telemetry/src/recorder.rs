@@ -212,12 +212,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Sets the per-slot drop count that arms the anomaly flag.
-    pub fn with_drop_spike_threshold(mut self, drops: u64) -> Self {
-        self.drop_spike_threshold = drops;
-        self
-    }
-
     /// Configures where [`FlightRecorder::dump_if_anomalous`] — and the
     /// panic-path `Drop` impl — write the JSONL dump.
     pub fn with_dump_path(mut self, path: impl Into<PathBuf>) -> Self {
@@ -708,18 +702,18 @@ mod tests {
 
     #[test]
     fn drop_spike_watchdog_flags_anomaly() {
-        let mut r = FlightRecorder::new(16).with_drop_spike_threshold(3);
+        let mut r = FlightRecorder::new(16);
         let mut m = Metrics::default();
         m.dropped_cells = 2;
         r.on_slot_end(&view(&m, 1));
         assert!(r.anomaly().is_none());
-        m.dropped_cells = 10; // 8 drops in slot 2
+        m.dropped_cells = 2 + DEFAULT_DROP_SPIKE; // a threshold's worth in slot 2
         r.on_slot_end(&view(&m, 2));
         assert!(r.anomaly().unwrap().contains("drop spike"));
         assert!(r.entries().iter().any(|e| matches!(
             e,
             RecordedEvent::DropSpike {
-                drops: 8,
+                drops: DEFAULT_DROP_SPIKE,
                 slot: 2,
                 ..
             }
@@ -779,12 +773,12 @@ mod tests {
 
     #[test]
     fn byte_round_trip_reproduces_the_dump() {
-        let mut r = FlightRecorder::new(4).with_drop_spike_threshold(3);
+        let mut r = FlightRecorder::new(4);
         for i in 0..6 {
             r.on_drop(&cell(i, 0), NodeId(1), i * 10);
         }
         let mut m = Metrics::default();
-        m.dropped_cells = 10;
+        m.dropped_cells = DEFAULT_DROP_SPIKE;
         r.on_slot_end(&view(&m, 2)); // arms the anomaly, wraps the ring
         r.note_checkpoint_written(2, 123, "/tmp/ckpt-1.sorn");
         r.note_checkpoint_restored(2, "/tmp/ckpt-1.sorn");

@@ -17,7 +17,6 @@
 
 use crate::error::{invalid, Result};
 use crate::matching::Matching;
-use crate::node::NodeId;
 
 /// A wavelength-routed optical circuit switch setup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,53 +96,6 @@ impl AwgrSetup {
     pub fn expressivity(&self) -> Expressivity {
         Expressivity { setup: *self }
     }
-
-    /// Whether a *multi-circuit* slot is realizable when nodes may emit
-    /// `wavelengths_per_port` wavelengths simultaneously (§5: "nodes
-    /// could choose to emit different wavelengths at the same time,
-    /// increasing flexibility significantly").
-    ///
-    /// A circuit `s → d` uses port `shift(d−s)/grating_ports` on both
-    /// ends (AWGR routing is shift-symmetric). Feasibility requires, per
-    /// node and port: at most `wavelengths_per_port` transmitted circuits
-    /// (distinct laser lines) and at most `wavelengths_per_port` received
-    /// circuits (distinct receiver lines), with every shift within reach.
-    /// With `wavelengths_per_port = 1` and one circuit per source this
-    /// reduces to [`AwgrSetup::is_realizable`].
-    pub fn is_realizable_multislot(
-        &self,
-        circuits: &[(NodeId, NodeId)],
-        wavelengths_per_port: usize,
-    ) -> bool {
-        if wavelengths_per_port == 0 {
-            return circuits.is_empty();
-        }
-        let mut tx: std::collections::HashMap<(u32, usize), usize> =
-            std::collections::HashMap::new();
-        let mut rx: std::collections::HashMap<(u32, usize), usize> =
-            std::collections::HashMap::new();
-        let mut seen: std::collections::HashSet<(u32, u32)> = std::collections::HashSet::new();
-        for &(s, d) in circuits {
-            if s == d || !seen.insert((s.0, d.0)) {
-                return false; // self-loops and duplicates are invalid
-            }
-            let k = (d.0 as usize + self.nodes - s.0 as usize) % self.nodes;
-            let Some(port) = self.port_for_shift(k) else {
-                return false;
-            };
-            let t = tx.entry((s.0, port)).or_insert(0);
-            *t += 1;
-            if *t > wavelengths_per_port {
-                return false;
-            }
-            let r = rx.entry((d.0, port)).or_insert(0);
-            *r += 1;
-            if *r > wavelengths_per_port {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 /// Answers §5's expressivity questions for a given [`AwgrSetup`].
@@ -211,11 +163,6 @@ impl Expressivity {
             .min(self.setup.nodes.saturating_sub(1))
             .saturating_sub(schedule_matchings)
     }
-}
-
-/// Computes the shift class (`dst - src mod n`) of a circuit.
-pub fn shift_of(n: usize, src: NodeId, dst: NodeId) -> usize {
-    (dst.0 as usize + n - src.0 as usize) % n
 }
 
 #[cfg(test)]
@@ -310,64 +257,5 @@ mod tests {
         // A SORN schedule with 64-cliques uses 63 intra + 63 inter = 126
         // distinct matchings; thousands remain.
         assert!(e.spare_matchings(126) > 3000);
-    }
-
-    #[test]
-    fn multislot_single_wavelength_matches_matching_rule() {
-        let s = AwgrSetup {
-            nodes: 16,
-            ports_per_node: 2,
-            grating_ports: 8,
-        };
-        // A valid permutation-slot: every node shifts by 3.
-        let circuits: Vec<(NodeId, NodeId)> = (0..16u32)
-            .map(|v| (NodeId(v), NodeId((v + 3) % 16)))
-            .collect();
-        assert!(s.is_realizable_multislot(&circuits, 1));
-        // Two circuits from the same source on the same port need 2
-        // wavelengths: shifts 3 and 5 both live on port 0.
-        let double = vec![(NodeId(0), NodeId(3)), (NodeId(0), NodeId(5))];
-        assert!(!s.is_realizable_multislot(&double, 1));
-        assert!(s.is_realizable_multislot(&double, 2));
-        // Different ports don't contend: shifts 3 (port 0) and 9 (port 1).
-        let split = vec![(NodeId(0), NodeId(3)), (NodeId(0), NodeId(9))];
-        assert!(s.is_realizable_multislot(&split, 1));
-    }
-
-    #[test]
-    fn multislot_receiver_collisions_checked() {
-        let s = AwgrSetup {
-            nodes: 16,
-            ports_per_node: 2,
-            grating_ports: 8,
-        };
-        // Two sources hitting node 6 via port-0 shifts (3 and 5).
-        let collide = vec![(NodeId(3), NodeId(6)), (NodeId(1), NodeId(6))];
-        assert!(!s.is_realizable_multislot(&collide, 1));
-        assert!(s.is_realizable_multislot(&collide, 2));
-        // Same destination via different ports is fine: shifts 3 (p0)
-        // and 9 (p1).
-        let ok = vec![(NodeId(3), NodeId(6)), (NodeId(13), NodeId(6))];
-        assert!(s.is_realizable_multislot(&ok, 1));
-    }
-
-    #[test]
-    fn multislot_rejects_garbage() {
-        let s = AwgrSetup {
-            nodes: 8,
-            ports_per_node: 1,
-            grating_ports: 8,
-        };
-        assert!(!s.is_realizable_multislot(&[(NodeId(2), NodeId(2))], 2)); // self loop
-        assert!(!s.is_realizable_multislot(&[(NodeId(0), NodeId(1)), (NodeId(0), NodeId(1))], 4)); // duplicate
-        assert!(s.is_realizable_multislot(&[], 0));
-        assert!(!s.is_realizable_multislot(&[(NodeId(0), NodeId(1))], 0));
-    }
-
-    #[test]
-    fn shift_of_wraps() {
-        assert_eq!(shift_of(8, NodeId(6), NodeId(2)), 4);
-        assert_eq!(shift_of(8, NodeId(2), NodeId(6)), 4);
-        assert_eq!(shift_of(8, NodeId(3), NodeId(3)), 0);
     }
 }

@@ -71,39 +71,6 @@ impl DiGraph {
         dist
     }
 
-    /// One shortest path `src → dst` (inclusive), or `None` if unreachable.
-    pub fn shortest_path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        if src == dst {
-            return Some(vec![src]);
-        }
-        let mut prev: Vec<Option<NodeId>> = vec![None; self.n()];
-        let mut seen = vec![false; self.n()];
-        let mut queue = std::collections::VecDeque::new();
-        seen[src.index()] = true;
-        queue.push_back(src);
-        while let Some(u) = queue.pop_front() {
-            for &v in &self.adj[u.index()] {
-                let v = NodeId(v);
-                if !seen[v.index()] {
-                    seen[v.index()] = true;
-                    prev[v.index()] = Some(u);
-                    if v == dst {
-                        let mut path = vec![dst];
-                        let mut cur = dst;
-                        while let Some(p) = prev[cur.index()] {
-                            path.push(p);
-                            cur = p;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(v);
-                }
-            }
-        }
-        None
-    }
-
     /// Diameter in hops (max finite BFS distance over all pairs).
     ///
     /// Returns `None` when the graph is not strongly connected.
@@ -205,14 +172,6 @@ mod tests {
             d,
             vec![Some(0), Some(1), Some(2), Some(3), Some(4), Some(5)]
         );
-    }
-
-    #[test]
-    fn shortest_path_on_ring() {
-        let g = ring(5);
-        let p = g.shortest_path(NodeId(0), NodeId(3)).unwrap();
-        assert_eq!(p, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
-        assert_eq!(g.shortest_path(NodeId(2), NodeId(2)), Some(vec![NodeId(2)]));
     }
 
     #[test]

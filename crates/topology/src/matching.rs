@@ -80,26 +80,6 @@ impl Matching {
         NodeId(self.dst[src.index()])
     }
 
-    /// Source that reaches `dst` under this matching, if any.
-    pub fn src_of(&self, dst: NodeId) -> Option<NodeId> {
-        // Matchings are permutations, so invert by scan; callers that need
-        // repeated inversion should build an inverse once via `invert`.
-        self.dst
-            .iter()
-            .position(|&d| d == dst.0)
-            .map(NodeId::from)
-            .filter(|&s| s != dst)
-    }
-
-    /// The inverse matching (`dst -> src`).
-    pub fn invert(&self) -> Matching {
-        let mut inv = vec![0u32; self.dst.len()];
-        for (s, &d) in self.dst.iter().enumerate() {
-            inv[d as usize] = s as u32;
-        }
-        Matching { dst: inv }
-    }
-
     /// True when this matching connects `src` to `dst`.
     #[inline]
     pub fn connects(&self, src: NodeId, dst: NodeId) -> bool {
@@ -115,38 +95,14 @@ impl Matching {
             .map(|(s, &d)| (NodeId(s as u32), NodeId(d)))
     }
 
-    /// Number of active (non-idle) circuits.
-    pub fn active_circuits(&self) -> usize {
-        self.circuits().count()
-    }
-
     /// True when no port is idle.
     pub fn is_perfect(&self) -> bool {
         self.dst.iter().enumerate().all(|(s, &d)| s != d as usize)
     }
 
-    /// True when this is the identity (all ports idle).
-    pub fn is_identity(&self) -> bool {
-        self.dst.iter().enumerate().all(|(s, &d)| s == d as usize)
-    }
-
     /// Raw destination slice (`dst[i]` = destination of node `i`).
     pub fn as_slice(&self) -> &[u32] {
         &self.dst
-    }
-
-    /// Composes two matchings: `self.compose(&g)` maps `i` to `g(self(i))`.
-    ///
-    /// Useful for reasoning about multi-hop reachability within a schedule.
-    pub fn compose(&self, g: &Matching) -> Result<Matching> {
-        if self.n() != g.n() {
-            return Err(TopologyError::SizeMismatch {
-                expected: self.n(),
-                actual: g.n(),
-            });
-        }
-        let dst = self.dst.iter().map(|&mid| g.dst[mid as usize]).collect();
-        Matching::from_permutation(dst)
     }
 }
 
@@ -173,9 +129,8 @@ mod tests {
     #[test]
     fn identity_is_all_idle() {
         let m = Matching::identity(5);
-        assert!(m.is_identity());
         assert!(!m.is_perfect());
-        assert_eq!(m.active_circuits(), 0);
+        assert_eq!(m.circuits().count(), 0);
         assert_eq!(m.dst_of(NodeId(2)), None);
     }
 
@@ -187,46 +142,12 @@ mod tests {
     }
 
     #[test]
-    fn invert_round_trips() {
-        let m = Matching::cyclic(7, 3);
-        let inv = m.invert();
-        for i in 0..7u32 {
-            let d = m.raw_dst(NodeId(i));
-            assert_eq!(inv.raw_dst(d), NodeId(i));
-        }
-    }
-
-    #[test]
-    fn src_of_finds_the_unique_source() {
-        let m = Matching::cyclic(6, 2);
-        assert_eq!(m.src_of(NodeId(0)), Some(NodeId(4)));
-        assert_eq!(m.src_of(NodeId(5)), Some(NodeId(3)));
-        let id = Matching::identity(4);
-        assert_eq!(id.src_of(NodeId(1)), None);
-    }
-
-    #[test]
     fn connects_is_directional_and_ignores_self() {
         let m = Matching::cyclic(4, 1);
         assert!(m.connects(NodeId(0), NodeId(1)));
         assert!(!m.connects(NodeId(1), NodeId(0)));
         let id = Matching::identity(4);
         assert!(!id.connects(NodeId(2), NodeId(2)));
-    }
-
-    #[test]
-    fn compose_adds_cyclic_shifts() {
-        let a = Matching::cyclic(10, 3);
-        let b = Matching::cyclic(10, 4);
-        let c = a.compose(&b).unwrap();
-        assert_eq!(c, Matching::cyclic(10, 7));
-    }
-
-    #[test]
-    fn compose_rejects_size_mismatch() {
-        let a = Matching::cyclic(4, 1);
-        let b = Matching::cyclic(5, 1);
-        assert!(a.compose(&b).is_err());
     }
 
     #[test]

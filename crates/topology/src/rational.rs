@@ -99,11 +99,6 @@ impl Ratio {
         }
         Ratio::new(best_h, best_k.max(1))
     }
-
-    /// The reciprocal `den/num`.
-    pub fn recip(self) -> Self {
-        Ratio::new(self.den, self.num)
-    }
 }
 
 impl fmt::Display for Ratio {
@@ -156,9 +151,8 @@ mod tests {
     }
 
     #[test]
-    fn recip_and_display() {
+    fn display() {
         let r = Ratio::new(3, 2);
-        assert_eq!(r.recip(), Ratio::new(2, 3));
         assert_eq!(r.to_string(), "3/2");
         assert_eq!(Ratio::integer(4).to_string(), "4");
     }

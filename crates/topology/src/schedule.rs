@@ -169,21 +169,6 @@ impl CircuitSchedule {
         Some(max_gap)
     }
 
-    /// Fraction of slots in which the circuit `src → dst` is up.
-    ///
-    /// This is the `l` of §4: the virtual edge `src → dst` has bandwidth
-    /// `b·l`.
-    pub fn circuit_fraction(&self, src: NodeId, dst: NodeId) -> f64 {
-        let ups: u64 = self
-            .matchings
-            .iter()
-            .zip(&self.slot_counts)
-            .filter(|(m, _)| m.connects(src, dst))
-            .map(|(_, &count)| count)
-            .sum();
-        ups as f64 / self.period() as f64
-    }
-
     /// Extracts the logical topology: every virtual edge and its capacity
     /// fraction.
     ///
@@ -459,19 +444,6 @@ mod tests {
     }
 
     #[test]
-    fn circuit_fraction_uniform_in_round_robin() {
-        let s = round_robin(6);
-        for src in 0..6u32 {
-            for dst in 0..6u32 {
-                if src != dst {
-                    let f = s.circuit_fraction(NodeId(src), NodeId(dst));
-                    assert!((f - 1.0 / 5.0).abs() < 1e-12);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn logical_topology_of_round_robin_is_uniform_clique() {
         let s = round_robin(5);
         let t = s.logical_topology();
@@ -509,10 +481,9 @@ mod tests {
         // Give m1 three slots and m2 one slot: 0->1 gets 75% capacity.
         let ms = vec![Matching::cyclic(4, 1), Matching::cyclic(4, 2)];
         let s = CircuitSchedule::new(ms, vec![0, 0, 0, 1]).unwrap();
-        assert!((s.circuit_fraction(NodeId(0), NodeId(1)) - 0.75).abs() < 1e-12);
-        assert!((s.circuit_fraction(NodeId(0), NodeId(2)) - 0.25).abs() < 1e-12);
         let t = s.logical_topology();
         assert!((t.capacity(NodeId(0), NodeId(1)) - 0.75).abs() < 1e-12);
+        assert!((t.capacity(NodeId(0), NodeId(2)) - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -16,30 +16,6 @@ fn cyclic_matchings_are_permutations() {
     });
 }
 
-/// Inverting a matching twice is the identity operation.
-#[test]
-fn invert_is_involutive() {
-    cases(256, |rng| {
-        let n = rng.gen_range(1usize..100);
-        let k = rng.gen_range(0usize..100);
-        let m = Matching::cyclic(n, k);
-        assert_eq!(m.invert().invert(), m);
-    });
-}
-
-/// Composition of cyclic matchings adds shifts mod n.
-#[test]
-fn compose_adds_shifts() {
-    cases(256, |rng| {
-        let n = rng.gen_range(1usize..64);
-        let a = rng.gen_range(0usize..64);
-        let b = rng.gen_range(0usize..64);
-        let ma = Matching::cyclic(n, a);
-        let mb = Matching::cyclic(n, b);
-        assert_eq!(ma.compose(&mb).unwrap(), Matching::cyclic(n, (a + b) % n));
-    });
-}
-
 /// Round-robin schedules connect every ordered pair exactly once per
 /// period.
 #[test]

@@ -1,7 +1,7 @@
-//! `CircuitSchedule::logical_topology` and `circuit_fraction` read the
-//! per-matching slot counts; the references here walk every slot of the
-//! period, as both did before the counts existed. The two must agree
-//! exactly (`PartialEq` on `f64` capacities, not a tolerance).
+//! `CircuitSchedule::logical_topology` reads the per-matching slot
+//! counts; the references here walk every slot of the period, as it did
+//! before the counts existed. The two must agree exactly (`PartialEq` on
+//! `f64` capacities, not a tolerance).
 use sorn_base::rng::Rng;
 use sorn_topology::builders::{
     clique_of_cliques, gravity_schedule, hdim_orn, hierarchical_schedule, nonuniform_sorn_schedule,
@@ -36,7 +36,7 @@ fn slot_walk_fraction(s: &CircuitSchedule, src: NodeId, dst: NodeId) -> f64 {
 }
 
 /// Checks the schedule against both references; `rng` picks the pairs
-/// whose `circuit_fraction` is compared (each costs a full slot walk).
+/// whose capacity is compared (each costs a full slot walk).
 fn assert_matches_slot_walk(what: &str, s: &CircuitSchedule, rng: &mut Rng) {
     let counts = s.matching_slot_counts();
     assert_eq!(
@@ -67,15 +67,9 @@ fn assert_matches_slot_walk(what: &str, s: &CircuitSchedule, rng: &mut Rng) {
     let n = s.n() as u32;
     for _ in 0..6 {
         let (a, b) = (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n)));
-        let f = s.circuit_fraction(a, b);
         assert_eq!(
-            f.to_bits(),
-            slot_walk_fraction(s, a, b).to_bits(),
-            "{what}: fraction {a}->{b}"
-        );
-        assert_eq!(
-            f.to_bits(),
             topo.capacity(a, b).to_bits(),
+            slot_walk_fraction(s, a, b).to_bits(),
             "{what}: capacity {a}->{b}"
         );
     }

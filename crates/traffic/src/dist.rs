@@ -197,28 +197,6 @@ impl FlowSizeDist {
         }
         mean
     }
-
-    /// Fraction of flows at or below `bytes` — e.g. the "short flow"
-    /// share given a cutoff.
-    pub fn fraction_below(&self, bytes: f64) -> f64 {
-        let first = self.points[0];
-        if bytes < first.0 {
-            return 0.0;
-        }
-        let mut last = first;
-        for &(s, p) in &self.points {
-            if bytes < s {
-                // Interpolate within (last, (s, p)).
-                if s == last.0 {
-                    return p;
-                }
-                let frac = (bytes - last.0) / (s - last.0);
-                return last.1 + frac * (p - last.1);
-            }
-            last = (s, p);
-        }
-        1.0
-    }
 }
 
 #[cfg(test)]
@@ -279,16 +257,6 @@ mod tests {
             (emp / ana - 1.0).abs() < 0.05,
             "empirical {emp} vs analytical {ana}"
         );
-    }
-
-    #[test]
-    fn fraction_below_interpolates() {
-        let ws = FlowSizeDist::web_search();
-        assert_eq!(ws.fraction_below(1.0), 0.0);
-        assert!((ws.fraction_below(6_000.0) - 0.15).abs() < 1e-9);
-        assert!((ws.fraction_below(30_000_000.0) - 1.0).abs() < 1e-9);
-        let mid = ws.fraction_below(9_500.0);
-        assert!(mid > 0.15 && mid < 0.20);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 
 use crate::dist::FlowSizeDist;
 use crate::spatial::{CliqueLocal, SpatialModel};
-use crate::workload::PoissonWorkload;
 use sorn_base::rng::Rng;
 use sorn_sim::{Flow, FlowId, Nanos};
 use sorn_topology::CliqueMap;
@@ -165,17 +164,6 @@ impl FacebookWorkload {
             f.id = FlowId(i as u64);
         }
         flows
-    }
-
-    /// The equivalent plain Poisson workload (for rate comparisons).
-    pub fn as_poisson(&self) -> PoissonWorkload {
-        PoissonWorkload {
-            n: self.cliques.n(),
-            load: self.load,
-            node_bandwidth_bytes_per_ns: self.node_bandwidth_bytes_per_ns,
-            duration_ns: self.duration_ns,
-            seed: self.seed,
-        }
     }
 }
 

@@ -9,8 +9,8 @@
 //!
 //! - [`FlowSizeDist`]: empirical CDF samplers, including the pFabric
 //!   web-search and data-mining workloads used by Figure 2(f).
-//! - [`spatial`]: destination models — uniform, clique-local with a
-//!   locality ratio `x`, clique-level gravity, hotspots, permutations.
+//! - [`spatial`]: destination models — uniform, and clique-local with a
+//!   locality ratio `x`.
 //! - [`PoissonWorkload`]: open-loop arrivals at a target offered load.
 //! - [`FacebookWorkload`]: the cluster-role workload standing in for the
 //!   production trace behind Table 1's constants (x = 0.56, 75% short).

@@ -1,13 +1,12 @@
 //! Spatial traffic models: who talks to whom.
 //!
-//! §3 identifies the macro-patterns a SORN optimizes for: *spatial
-//! locality* (a known fraction of traffic stays inside each clique) and
-//! *aggregated traffic matrices* (stable gravity weights between groups).
-//! This module provides destination pickers for those patterns plus the
-//! standard adversarial/synthetic ones (uniform, permutation, hotspot).
+//! §3 identifies *spatial locality* (a known fraction of traffic stays
+//! inside each clique) as a macro-pattern a SORN optimizes for. This
+//! module provides a destination picker for it plus the uniform
+//! all-to-all baseline.
 
 use sorn_base::rng::Rng;
-use sorn_topology::{CliqueId, CliqueMap, NodeId};
+use sorn_topology::{CliqueMap, NodeId};
 
 /// A spatial model: picks a destination for traffic from a given source.
 pub trait SpatialModel {
@@ -100,170 +99,6 @@ impl SpatialModel for CliqueLocal {
     }
 }
 
-/// Gravity model between cliques: inter-clique destinations are drawn
-/// with probability proportional to a per-clique weight (§3 "Aggregated
-/// Traffic Matrices"); intra-clique traffic keeps ratio `x`.
-#[derive(Debug, Clone)]
-pub struct CliqueGravity {
-    cliques: CliqueMap,
-    x: f64,
-    /// Relative attraction weight of each clique.
-    weights: Vec<f64>,
-    total_weight: f64,
-}
-
-impl CliqueGravity {
-    /// Builds the model from per-clique attraction weights.
-    ///
-    /// # Panics
-    /// Panics when the weight vector length mismatches the clique count,
-    /// weights are negative, or all weights are zero.
-    pub fn new(cliques: CliqueMap, x: f64, weights: Vec<f64>) -> Self {
-        assert!((0.0..=1.0).contains(&x));
-        assert_eq!(weights.len(), cliques.cliques(), "one weight per clique");
-        assert!(weights.iter().all(|&w| w >= 0.0), "weights must be >= 0");
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "at least one positive weight");
-        assert!(
-            weights.iter().filter(|&&w| w > 0.0).count() >= 2,
-            "need positive weight in at least two cliques (inter-clique \
-             destinations must exist from every source clique)"
-        );
-        CliqueGravity {
-            cliques,
-            x,
-            weights,
-            total_weight: total,
-        }
-    }
-
-    fn pick_clique_except(&self, exclude: CliqueId, rng: &mut Rng) -> CliqueId {
-        let excluded_w = self.weights[exclude.index()];
-        let total = self.total_weight - excluded_w;
-        debug_assert!(
-            total > 0.0,
-            "gravity needs weight outside the source clique"
-        );
-        let mut t = rng.gen::<f64>() * total;
-        for (i, &w) in self.weights.iter().enumerate() {
-            if i == exclude.index() {
-                continue;
-            }
-            t -= w;
-            if t <= 0.0 {
-                return CliqueId(i as u32);
-            }
-        }
-        // Floating point slack: last non-excluded clique.
-        CliqueId(
-            (0..self.weights.len())
-                .rev()
-                .find(|&i| i != exclude.index())
-                .expect("at least two cliques") as u32,
-        )
-    }
-}
-
-impl SpatialModel for CliqueGravity {
-    fn pick_dst(&self, src: NodeId, rng: &mut Rng) -> NodeId {
-        let c = self.cliques.clique_of(src);
-        let members = self.cliques.members(c);
-        if members.len() > 1 && rng.gen::<f64>() < self.x {
-            loop {
-                let m = members[rng.gen_range(0..members.len())];
-                if m != src {
-                    return m;
-                }
-            }
-        }
-        let target = self.pick_clique_except(c, rng);
-        let tm = self.cliques.members(target);
-        tm[rng.gen_range(0..tm.len())]
-    }
-    fn name(&self) -> &str {
-        "clique-gravity"
-    }
-}
-
-/// Hotspot traffic: a fraction `beta` of traffic targets a small hot set,
-/// the rest is uniform. The short-lived pattern §3 argues reconfiguration
-/// should *not* chase.
-#[derive(Debug, Clone)]
-pub struct Hotspot {
-    n: usize,
-    hot: Vec<NodeId>,
-    beta: f64,
-}
-
-impl Hotspot {
-    /// Builds the model: `beta` of traffic goes to `hot` targets.
-    ///
-    /// # Panics
-    /// Panics when `hot` is empty or `beta` outside `[0, 1]`.
-    pub fn new(n: usize, hot: Vec<NodeId>, beta: f64) -> Self {
-        assert!(!hot.is_empty(), "need at least one hotspot");
-        assert!((0.0..=1.0).contains(&beta));
-        assert!(hot.iter().all(|h| h.index() < n));
-        Hotspot { n, hot, beta }
-    }
-}
-
-impl SpatialModel for Hotspot {
-    fn pick_dst(&self, src: NodeId, rng: &mut Rng) -> NodeId {
-        if rng.gen::<f64>() < self.beta {
-            // A hot target other than the source, if one exists.
-            for _ in 0..32 {
-                let h = self.hot[rng.gen_range(0..self.hot.len())];
-                if h != src {
-                    return h;
-                }
-            }
-        }
-        Uniform::new(self.n).pick_dst(src, rng)
-    }
-    fn name(&self) -> &str {
-        "hotspot"
-    }
-}
-
-/// Fixed permutation traffic: node `i` always sends to `perm[i]` — the
-/// adversarial pattern for direct-routing schemes.
-#[derive(Debug, Clone)]
-pub struct Permutation {
-    perm: Vec<NodeId>,
-}
-
-impl Permutation {
-    /// Builds from an explicit permutation (must have no fixed points).
-    ///
-    /// # Panics
-    /// Panics on fixed points or out-of-range entries.
-    pub fn new(perm: Vec<NodeId>) -> Self {
-        for (i, p) in perm.iter().enumerate() {
-            assert!(p.index() < perm.len(), "perm out of range");
-            assert!(p.index() != i, "permutation has a fixed point at {i}");
-        }
-        Permutation { perm }
-    }
-
-    /// The cyclic shift `i -> i + k mod n`.
-    pub fn shift(n: usize, k: usize) -> Self {
-        assert!(!k.is_multiple_of(n), "shift must move every node");
-        Permutation {
-            perm: (0..n).map(|i| NodeId(((i + k) % n) as u32)).collect(),
-        }
-    }
-}
-
-impl SpatialModel for Permutation {
-    fn pick_dst(&self, src: NodeId, _rng: &mut Rng) -> NodeId {
-        self.perm[src.index()]
-    }
-    fn name(&self) -> &str {
-        "permutation"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,61 +156,5 @@ mod tests {
             let d = m1.pick_dst(NodeId(2), &mut rng);
             assert_ne!(d, NodeId(2));
         }
-    }
-
-    #[test]
-    fn gravity_skews_toward_heavy_cliques() {
-        let map = CliqueMap::contiguous(16, 4);
-        // Clique 3 is 8x more attractive than the others.
-        let m = CliqueGravity::new(map.clone(), 0.0, vec![1.0, 1.0, 1.0, 8.0]);
-        let mut rng = rng();
-        let mut to_c3 = 0;
-        let trials = 10_000;
-        for _ in 0..trials {
-            let d = m.pick_dst(NodeId(0), &mut rng);
-            if map.clique_of(d) == CliqueId(3) {
-                to_c3 += 1;
-            }
-        }
-        let frac = to_c3 as f64 / trials as f64;
-        assert!((frac - 0.8).abs() < 0.03, "clique-3 share {frac}");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two cliques")]
-    fn gravity_rejects_single_positive_weight() {
-        let map = CliqueMap::contiguous(8, 2);
-        let _ = CliqueGravity::new(map, 0.5, vec![1.0, 0.0]);
-    }
-
-    #[test]
-    fn hotspot_concentrates_traffic() {
-        let m = Hotspot::new(16, vec![NodeId(5)], 0.9);
-        let mut rng = rng();
-        let mut hits = 0;
-        for _ in 0..1000 {
-            if m.pick_dst(NodeId(0), &mut rng) == NodeId(5) {
-                hits += 1;
-            }
-        }
-        assert!(hits > 800, "hotspot hits {hits}");
-        // The hotspot itself never sends to itself.
-        for _ in 0..200 {
-            assert_ne!(m.pick_dst(NodeId(5), &mut rng), NodeId(5));
-        }
-    }
-
-    #[test]
-    fn permutation_is_deterministic() {
-        let m = Permutation::shift(8, 3);
-        let mut rng = rng();
-        assert_eq!(m.pick_dst(NodeId(0), &mut rng), NodeId(3));
-        assert_eq!(m.pick_dst(NodeId(7), &mut rng), NodeId(2));
-    }
-
-    #[test]
-    #[should_panic(expected = "fixed point")]
-    fn permutation_rejects_fixed_points() {
-        let _ = Permutation::new(vec![NodeId(0), NodeId(2), NodeId(1)]);
     }
 }

@@ -31,19 +31,6 @@ fn samples_stay_in_support() {
     });
 }
 
-/// fraction_below is a proper CDF: monotone, 0 at 0, 1 at the max.
-#[test]
-fn fraction_below_is_monotone() {
-    let dm = FlowSizeDist::data_mining();
-    cases(256, |rng| {
-        let (a, b) = (rng.gen_range(0.0..1e9), rng.gen_range(0.0..1e9));
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        assert!(dm.fraction_below(lo) <= dm.fraction_below(hi) + 1e-12);
-        assert_eq!(dm.fraction_below(0.0), 0.0);
-        assert!((dm.fraction_below(1e12) - 1.0).abs() < 1e-12);
-    });
-}
-
 /// Spatial models never return the source itself.
 #[test]
 fn spatial_models_avoid_self() {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, and the full test suite.
+# Local CI gate: formatting, lints, doc links, and the full test suite.
 # Run from anywhere inside the repo.
 #
 # Runs every step even when an earlier one fails, prints a per-step
@@ -46,6 +46,8 @@ std_only() {
 run_step "Cargo.lock is workspace only" std_only
 run_step "cargo fmt --check" cargo fmt --all --check
 run_step "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D warnings
+# Every intra-doc link must resolve: a link to a deleted item fails here.
+run_step "cargo doc (deny warnings)" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 run_step "cargo test" cargo test --workspace -q --no-fail-fast
 
 echo "== recap =="

@@ -225,6 +225,11 @@ fn bad_flag_values_exit_2() {
         ("simulate --trace t --resume", "--checkpoint-dir"),
         ("gen-trace --n 8 --cliques 2 --load 0", "--load"),
         ("gen-trace --n 8 --cliques 2 --load nan", "--load"),
+        ("gen-trace --n 8 --cliques 2 --out t --load 1e300", "--load"),
+        (
+            "gen-trace --n 8 --cliques 2 --out t --duration-us 18446744073709551615",
+            "--duration-us",
+        ),
         (
             "gen-trace --n 8 --cliques 2 --out t --dist fixed:0",
             "--dist",
