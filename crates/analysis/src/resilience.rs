@@ -51,7 +51,8 @@ use crate::{
 use sorn_control::{ControlConfig, ControlLoop, EpochOutcome};
 use sorn_routing::{Grouping, SornRouter};
 use sorn_sim::{
-    Engine, FailureSet, FaultPlan, FaultStorm, Flow, LinkHealth, Metrics, SimConfig, Snapshot,
+    CheckpointStore, Engine, FailureSet, FaultPlan, FaultStorm, Flow, LinkHealth, LoadOutcome,
+    Metrics, SimConfig, Snapshot,
 };
 use sorn_telemetry::{
     FlightRecorder, FlowTraceCollector, IntervalSampler, JsonlTraceSink, WeatherProbe,
@@ -272,6 +273,16 @@ pub fn run(args: &mut Args) -> Result<(), String> {
                     (the JSONL trace file cannot be rewound on resume)"
             .into());
     }
+    // Both schemes' stores open, and a refused resume exits, before
+    // anything reaches stdout.
+    let opened = SCHEMES
+        .iter()
+        .map(|scheme| {
+            opts.ckpt
+                .open(scheme)
+                .map_err(|e| format!("[{scheme}] {e}"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     header("Resilience: flat VLB vs modular SORN under one failure storm");
 
     // The per-scheme trace files land next to the `--trace-out` base
@@ -340,11 +351,13 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     // Each scheme's closure owns everything it touches (schedule,
     // router, health mirror, flows, plan), so the pair can run on
     // worker threads; messages print after the join, in order.
-    let tasks: Vec<Task<_>> = [("flat-vlb", flat_sched), ("sorn", sorn_sched.clone())]
+    let tasks: Vec<Task<_>> = SCHEMES
         .into_iter()
-        .map(|(scheme, sched)| -> Task<_> {
+        .zip([flat_sched, sorn_sched.clone()])
+        .zip(opened)
+        .map(|((scheme, sched), ckpt)| -> Task<_> {
             let (map, flows, plan, opts) = (map.clone(), flows.clone(), plan.clone(), opts.clone());
-            Box::new(move || run_scheme(scheme, &sched, &map, flows, plan, &opts))
+            Box::new(move || run_scheme(scheme, &sched, &map, flows, plan, &opts, ckpt))
         })
         .collect();
     let outcomes = run_jobs(jobs, tasks)
@@ -425,8 +438,12 @@ const BLOB_TRACE: &str = "trace";
 const BLOB_WEATHER: &str = "weather";
 const BLOB_FLIGHT: &str = "flight";
 
+/// The two fabrics, in table order; each checkpoints to `DIR/<scheme>/`.
+const SCHEMES: [&str; 2] = ["flat-vlb", "sorn"];
+
 /// Runs one scheme through the storm, plain or checkpointed to
-/// `DIR/<scheme>/` (same metrics either way), and returns its final
+/// `DIR/<scheme>/` through `ckpt`, its opened store and loaded resume
+/// state (same metrics either way), and returns its final
 /// metrics (stranded count included) plus observer messages to print
 /// once every scheme has joined — or `None` when a signal stopped it
 /// (its final checkpoint is then on disk) or stopped an earlier scheme.
@@ -437,6 +454,7 @@ fn run_scheme(
     flows: Vec<Flow>,
     plan: FaultPlan,
     opts: &Opts,
+    (mut store, mut resumed): (Option<CheckpointStore>, Option<LoadOutcome>),
 ) -> Result<Option<(Metrics, Option<String>)>, String> {
     let stop = stop_flag(opts.ckpt.enabled());
     if stop.load(std::sync::atomic::Ordering::SeqCst) {
@@ -459,10 +477,6 @@ fn run_scheme(
     // to empty would append a low-rate tail of all-healthy slots and
     // skew the healthy-goodput baseline.
     let slots = DURATION_NS / cfg.slot_ns;
-    let (mut store, mut resumed) = opts
-        .ckpt
-        .open(scheme)
-        .map_err(|e| format!("[{scheme}] {e}"))?;
     let trace_path = opts
         .telemetry
         .trace_out

@@ -50,6 +50,20 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     cfg.uplinks = uplinks;
     cfg.validate().map_err(|e| e.to_string())?;
     let net = SornNetwork::build(cfg.clone()).map_err(|e| e.to_string())?;
+    // A refused resume exits before anything reaches stdout.
+    let (mut store, resumed) = ckpt.open("simulate")?;
+    let weather_blob = resumed
+        .as_ref()
+        .and_then(|out| out.snapshot.blob(BLOB_WEATHER));
+    let probe = match weather_blob {
+        Some(b) => Some(
+            WeatherProbe::from_bytes(b, net.cliques().clone())
+                .map_err(|e| format!("bad weather blob in checkpoint: {e}"))?,
+        ),
+        None => weather
+            .enabled
+            .then(|| WeatherProbe::new(net.cliques().clone(), weather.topk)),
+    };
     let flows = trace.replay();
     println!(
         "simulating {} flows ({}) on {} nodes / {} cliques...",
@@ -67,19 +81,6 @@ pub fn run(args: &mut Args) -> Result<(), String> {
         engine_threads: cfg.engine_threads,
         trace_one_in: cfg.trace_one_in,
         ..SimConfig::default()
-    };
-    let (mut store, resumed) = ckpt.open("simulate")?;
-    let weather_blob = resumed
-        .as_ref()
-        .and_then(|out| out.snapshot.blob(BLOB_WEATHER));
-    let probe = match weather_blob {
-        Some(b) => Some(
-            WeatherProbe::from_bytes(b, net.cliques().clone())
-                .map_err(|e| format!("bad weather blob in checkpoint: {e}"))?,
-        ),
-        None => weather
-            .enabled
-            .then(|| WeatherProbe::new(net.cliques().clone(), weather.topk)),
     };
     let mut eng = if let Some(out) = &resumed {
         for (path, reason) in &out.skipped {

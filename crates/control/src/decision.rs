@@ -22,6 +22,9 @@ pub struct ScheduleDiff {
     /// rebalancing).
     pub nics_changed: usize,
     /// Cells drained across all NICs during installation.
+    ///
+    /// Always 0 in a run: queue depths reach the control plane only
+    /// through `NicState::set_queue_depth`, which no command calls.
     pub drained_cells: u64,
     /// True when the update only rebalanced bandwidth shares.
     pub rebalance_only: bool,

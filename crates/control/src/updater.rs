@@ -45,7 +45,11 @@ pub struct UpdatePlan {
     pub q: Ratio,
     /// Per-node NIC diffs.
     pub reports: Vec<NicUpdateReport>,
-    /// Total cells queued toward neighbors that lost all slots.
+    /// Total cells queued toward neighbors that lost all slots: the sum
+    /// of the reports' `drained_cells`.
+    ///
+    /// Always 0 in a run: queue depths reach the control plane only
+    /// through `NicState::set_queue_depth`, which no command calls.
     pub total_drained: u64,
     /// True when every node's update was a pure rebalance (the cheap
     /// path §5 designs for).

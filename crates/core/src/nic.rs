@@ -38,6 +38,9 @@ pub struct NicUpdateReport {
     pub retained: usize,
     /// Cells that were queued toward removed neighbors and must drain or
     /// re-route.
+    ///
+    /// Always 0 in a run: queue depths reach the control plane only
+    /// through [`NicState::set_queue_depth`], which no command calls.
     pub drained_cells: u64,
 }
 

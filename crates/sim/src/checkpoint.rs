@@ -147,10 +147,15 @@ impl fmt::Display for CheckpointError {
             CheckpointError::NoValidCheckpoint { dir, skipped } => {
                 write!(
                     f,
-                    "no valid checkpoint in {} ({} candidate(s) rejected)",
+                    "no valid checkpoint in {} ({} candidate(s) rejected",
                     dir.display(),
                     skipped.len()
-                )
+                )?;
+                for (i, (path, reason)) in skipped.iter().enumerate() {
+                    let sep = if i == 0 { ": " } else { "; " };
+                    write!(f, "{sep}{}: {reason}", path.display())?;
+                }
+                write!(f, ")")
             }
         }
     }

@@ -2302,38 +2302,6 @@ mod tests {
         }
     }
 
-    fn busy_run(threads: usize) -> Metrics {
-        let sched = round_robin(16).unwrap();
-        let router = RandomViaRouter;
-        let mut cfg = SimConfig::default();
-        cfg.uplinks = 8; // enough arrivals per slot to cross PAR_MIN_ARRIVALS
-        cfg.seed = 11;
-        cfg.engine_threads = threads;
-        let mut eng = Engine::new(cfg, &sched, &router);
-        let flows: Vec<Flow> = (0..200)
-            .map(|i| {
-                flow(
-                    i,
-                    (i % 16) as u32,
-                    ((i * 7 + 3) % 16) as u32,
-                    8 * 1250,
-                    (i % 5) * 100,
-                )
-            })
-            .collect();
-        eng.add_flows(flows).unwrap();
-        assert!(eng.run_until_drained(50_000).unwrap());
-        eng.metrics().clone()
-    }
-
-    #[test]
-    fn parallel_runs_match_serial_bit_for_bit() {
-        let serial = busy_run(1);
-        assert!(serial.delivered_cells > 0);
-        assert_eq!(serial, busy_run(2), "2 threads must match serial");
-        assert_eq!(serial, busy_run(4), "4 threads must match serial");
-    }
-
     #[test]
     fn stranded_count_is_incremental_and_matches_brute_walk() {
         use crate::fault::FaultPlan;
@@ -2366,37 +2334,6 @@ mod tests {
         // Manual failure-set pokes invalidate the memo via the epoch.
         eng.failures_mut().fail_node(NodeId(5));
         assert_eq!(eng.count_stranded(), eng.count_stranded_brute());
-    }
-
-    #[test]
-    fn parallel_engine_handles_faults_and_schedule_swaps() {
-        use crate::fault::FaultPlan;
-        let run = |threads: usize| {
-            let a = round_robin(16).unwrap();
-            let b = round_robin(16).unwrap();
-            let router = RandomViaRouter;
-            let mut cfg = SimConfig::default();
-            cfg.uplinks = 8;
-            cfg.seed = 3;
-            cfg.engine_threads = threads;
-            let mut eng = Engine::new(cfg, &a, &router);
-            let flows: Vec<Flow> = (0..120)
-                .map(|i| flow(i, (i % 16) as u32, ((i * 5 + 2) % 16) as u32, 4 * 1250, 0))
-                .collect();
-            eng.add_flows(flows).unwrap();
-            let mut plan = FaultPlan::new();
-            plan.link_outage(NodeId(0), NodeId(1), 100, 1_200);
-            plan.node_outage(NodeId(9), 300, 900);
-            eng.set_fault_plan(plan);
-            eng.run_slots(6).unwrap();
-            eng.install_schedule(&b);
-            eng.reroute_queued().unwrap();
-            eng.run_until_drained(50_000).unwrap();
-            eng.metrics().clone()
-        };
-        let serial = run(1);
-        assert_eq!(serial, run(2));
-        assert_eq!(serial, run(4));
     }
 
     /// `injecting_occ` bit v ⇔ `injecting[v]` non-empty, at every slot

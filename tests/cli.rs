@@ -453,6 +453,34 @@ fn resilience_sigterm_then_resume_reproduces_the_uninterrupted_run() {
     }
 }
 
+/// A resume over a store whose only generation is garbage is refused
+/// before any output: exit 2, nothing on stdout, and stderr names the
+/// rejected file and why, for both checkpointing commands.
+#[test]
+fn a_refused_resume_prints_nothing_and_names_the_rejected_file() {
+    let dir = scratch_dir("resume-refused");
+    let (code, _, err) = cli_in(&dir, GEN_TRACE);
+    assert_eq!(code, Some(0), "{err}");
+    for (store, line) in [
+        ("ck/flat-vlb", "resilience --checkpoint-dir ck --resume"),
+        (
+            "ck/simulate",
+            "simulate --trace trace.json --cliques 4 --checkpoint-dir ck --resume",
+        ),
+    ] {
+        let _ = std::fs::remove_dir_all(dir.join("ck"));
+        std::fs::create_dir_all(dir.join(store)).unwrap();
+        let file = format!("{store}/ckpt-00000001-slot8.sorn");
+        std::fs::write(dir.join(&file), b"garbage, not a checkpoint\n").unwrap();
+        let (code, out, err) = cli_in(&dir, line);
+        assert_eq!(code, Some(2), "{line}: {err}");
+        assert_eq!(out, "", "{line} printed before refusing");
+        let reason = format!("{file}: corrupt checkpoint: bad magic");
+        assert!(err.contains(&reason), "{line}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 /// Checkpoint generations in one scheme's store directory.
 #[cfg(unix)]
 fn checkpoints(dir: &Path) -> usize {
