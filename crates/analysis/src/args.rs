@@ -1,8 +1,6 @@
 //! The one command-line parser behind every `sorn-cli` command, and the
 //! flag groups several commands share.
 
-use crate::drive::load_resume;
-use sorn_sim::{CheckpointStore, LoadOutcome};
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -176,8 +174,8 @@ impl TelemetryOpts {
 
 /// The network-weather flags: `--weather` attaches the clique-level
 /// weather probe and writes `WEATHER_<scheme>.{txt,json}` reports;
-/// `--weather-topk <K>` sizes its heavy-hitter sketches and implies
-/// `--weather`.
+/// `--weather-topk <K>` (at most [`sorn_telemetry::MAX_TOPK`]) sizes its
+/// heavy-hitter sketches and implies `--weather`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WeatherOpts {
     /// True when the weather layer is on.
@@ -190,8 +188,9 @@ impl WeatherOpts {
     /// Reads `--weather` and `--weather-topk`.
     pub fn read(args: &mut Args) -> Result<Self, String> {
         let topk: Option<usize> = args.opt("weather-topk")?;
-        if topk == Some(0) {
-            return Err("--weather-topk must be at least 1".to_string());
+        if let Some(k) = topk.filter(|k| !(1..=sorn_telemetry::MAX_TOPK).contains(k)) {
+            let max = sorn_telemetry::MAX_TOPK;
+            return Err(format!("--weather-topk must be in 1..={max}, got {k}"));
         }
         Ok(WeatherOpts {
             enabled: args.flag("weather")? || topk.is_some(),
@@ -245,21 +244,6 @@ impl CheckpointOpts {
             return Err("--checkpoint-every / --resume require --checkpoint-dir".to_string());
         }
         Ok(opts)
-    }
-
-    /// Opens the store for run `name` (`<dir>/<name>/`) and, with
-    /// `--resume`, loads its newest valid checkpoint (see
-    /// [`load_resume`]). `(None, None)` when checkpointing is off.
-    pub fn open(
-        &self,
-        name: &str,
-    ) -> Result<(Option<CheckpointStore>, Option<LoadOutcome>), String> {
-        let Some(dir) = &self.dir else {
-            return Ok((None, None));
-        };
-        let store = CheckpointStore::open(dir.join(name)).map_err(|e| e.to_string())?;
-        let resumed = load_resume(&store, self.resume)?;
-        Ok((Some(store), resumed))
     }
 }
 

@@ -16,7 +16,7 @@ use crate::timeseries::{self, trace_run};
 use crate::{header, Args, TelemetryOpts};
 use sorn_core::{SornConfig, SornNetwork};
 use sorn_routing::{PathModel, SornPaths};
-use sorn_sim::{Engine, FaultPlan, SimConfig};
+use sorn_sim::{Engine, FaultPlan};
 use sorn_topology::{CliqueMap, NodeId};
 use sorn_traffic::{spatial::CliqueLocal, FlowSizeDist, PoissonWorkload};
 use std::collections::HashMap;
@@ -163,13 +163,7 @@ fn trace_failure_run(path: &std::path::Path, sample_interval_ns: u64) -> Result<
         &CliqueLocal::new(net.cliques().clone(), 0.5),
     );
 
-    let cfg = SimConfig {
-        slot_ns: net.config().slot_ns,
-        propagation_ns: net.config().propagation_ns,
-        uplinks: net.config().uplinks,
-        seed: 42,
-        ..SimConfig::default()
-    };
+    let cfg = net.sim_config(42);
     let slot_ns = cfg.slot_ns;
     let third_ns = duration_ns / 3;
     let mut plan = FaultPlan::new();

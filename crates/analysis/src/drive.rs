@@ -1,10 +1,19 @@
-//! The one run loop every simulating command drives its engine with:
-//! optional periodic checkpoints, graceful stop, and resume.
+//! The one run path of the checkpointing commands (`simulate`,
+//! `resilience`): [`open`] the store and the observers before any
+//! output, then [`Opened::drive`] the engine through periodic
+//! checkpoints, graceful stop and resume, and write the observers'
+//! reports.
 
+use crate::autopsy::TailAutopsy;
+use crate::timeseries::{read_back, trace_sampler};
+use crate::CheckpointOpts;
 use sorn_sim::{
-    CheckpointError, CheckpointFs, CheckpointStore, Engine, LoadOutcome, Probe, Profiler, Snapshot,
+    CheckpointError, CheckpointFs, CheckpointStore, Engine, FaultPlan, Flow, LinkHealth,
+    LoadOutcome, Metrics, Router, SimConfig,
 };
-use std::path::{Path, PathBuf};
+use sorn_telemetry::{EventSink, JsonlTraceSink, Observers, WeatherProbe};
+use sorn_topology::CircuitSchedule;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Exit code for a run interrupted by SIGINT/SIGTERM after writing a
@@ -21,14 +30,14 @@ extern "C" fn record_stop_signal(_signum: i32) {
 /// The stop flag a run polls.
 ///
 /// With `checkpointing`, SIGINT/SIGTERM handlers are installed that set
-/// the flag instead of killing the process: [`drive_checkpointed`]
+/// the flag instead of killing the process: [`Opened::drive`]
 /// polls it at slot boundaries, so on the first signal the current slot
 /// finishes, a final checkpoint is written, sinks are flushed, and the
 /// process exits with [`EXIT_INTERRUPTED`]. Installing twice is
 /// harmless; non-unix targets get the flag without handlers. Without
 /// checkpointing the flag is one nothing sets, so a signal ends a plain
 /// run the default way.
-pub fn stop_flag(checkpointing: bool) -> &'static AtomicBool {
+fn stop_flag(checkpointing: bool) -> &'static AtomicBool {
     static NEVER: AtomicBool = AtomicBool::new(false);
     if !checkpointing {
         return &NEVER;
@@ -54,25 +63,7 @@ pub fn stop_flag(checkpointing: bool) -> &'static AtomicBool {
     &STOP_FLAG
 }
 
-/// Loads the newest valid checkpoint for a resuming run. `Ok(None)`
-/// means "not resuming" or "no checkpoint written yet — start fresh"
-/// (a scenario may have finished before the interruption; rerunning it
-/// is deterministic). A directory whose every generation is corrupt is
-/// an error, never a silent fresh start.
-pub fn load_resume(store: &CheckpointStore, resume: bool) -> Result<Option<LoadOutcome>, String> {
-    if !resume {
-        return Ok(None);
-    }
-    match store.load_latest() {
-        Ok(out) => Ok(Some(out)),
-        Err(CheckpointError::NoValidCheckpoint { ref skipped, .. }) if skipped.is_empty() => {
-            Ok(None)
-        }
-        Err(e) => Err(format!("cannot resume: {e}")),
-    }
-}
-
-/// How far [`drive_checkpointed`] should run the engine.
+/// How far a run drives its engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunMode {
     /// Run until the engine's absolute slot counter reaches this value
@@ -82,98 +73,295 @@ pub enum RunMode {
     UntilDrained(u64),
 }
 
-/// What ended a [`drive_checkpointed`] run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DriveOutcome {
-    /// The run mode's goal was reached.
-    Completed {
-        /// Whether the engine had drained when the goal was reached.
-        drained: bool,
-    },
-    /// The stop flag was raised; the current slot was finished and,
-    /// with a store, a final checkpoint written to `path`.
-    Interrupted {
-        /// Slot the run stopped at.
-        slot: u64,
-        /// Where the final checkpoint landed; `None` without a store.
-        path: Option<PathBuf>,
-    },
+/// The observer stack every driven run carries; its sampler writes a
+/// `--trace-out` JSONL file.
+pub type Stack = Observers<JsonlTraceSink>;
+
+/// What a run simulates, beyond its [`SimConfig`].
+pub struct Run<'a> {
+    /// The circuit schedule.
+    pub schedule: &'a CircuitSchedule,
+    /// The router.
+    pub router: &'a dyn Router,
+    /// The workload.
+    pub flows: Vec<Flow>,
+    /// Scripted failures (empty for a healthy fabric).
+    pub faults: FaultPlan,
+    /// The link-health view a fault-aware router reads, if any.
+    pub health: Option<LinkHealth>,
+    /// How far to run.
+    pub mode: RunMode,
+    /// `--trace-out` and its sampling interval: a JSONL run trace.
+    pub trace_out: Option<(PathBuf, u64)>,
 }
 
+/// A finished run.
+pub struct Finished {
+    /// Its metrics, stranded cells counted.
+    pub metrics: Metrics,
+    /// Whether the engine drained.
+    pub drained: bool,
+    /// The weather roll-up, if attached; its report files are written.
+    pub weather: Option<WeatherProbe>,
+    /// Lines for stdout: the run trace written, the tail autopsy, the
+    /// weather report files and the flight-recorder dump.
+    pub notes: Vec<String>,
+}
+
+/// `WEATHER_<name>.txt` and `WEATHER_<name>.json`.
+pub fn weather_paths(name: &str) -> [PathBuf; 2] {
+    ["txt", "json"].map(|ext| PathBuf::from(format!("WEATHER_{name}.{ext}")))
+}
+
+/// One run's store, newest checkpoint and observers: [`open`] makes it
+/// before anything reaches stdout, [`Opened::drive`] runs it.
+pub struct Opened {
+    /// Store subdirectory and `WEATHER_` / `FLIGHT_` report suffix.
+    name: String,
+    /// Prefix of errors and stdout notes: `"[sorn] "`, or empty.
+    tag: String,
+    /// Prefix of stderr notes: `"resilience: [sorn] "`.
+    log: String,
+    cfg: SimConfig,
+    store: Option<CheckpointStore>,
+    every_slots: u64,
+    resumed: Option<LoadOutcome>,
+    observers: Stack,
+}
+
+/// Opens run `name`'s store (`<dir>/<name>/`) and, with `--resume`,
+/// loads its newest valid checkpoint and restores `observers` from it;
+/// the flight recorder, if any, dumps to `FLIGHT_<name>.jsonl`. No
+/// checkpoint yet is a fresh start (a run may have finished before the
+/// interruption; rerunning it is deterministic), but a store whose
+/// every generation is corrupt, or whose newest was written with other
+/// observers or another trace rate, is refused naming the reason or
+/// the flag — before any output.
+pub fn open(
+    ckpt: &CheckpointOpts,
+    name: &str,
+    (tag, log): (&str, &str),
+    cfg: SimConfig,
+    mut observers: Stack,
+) -> Result<Opened, String> {
+    let dump = format!("FLIGHT_{name}.jsonl");
+    observers.flight = observers.flight.take().map(|f| f.with_dump_path(dump));
+    let mut store = None;
+    let mut resumed = None;
+    if let Some(dir) = &ckpt.dir {
+        let opened = CheckpointStore::open(dir.join(name)).map_err(|e| format!("{tag}{e}"))?;
+        resumed = match ckpt.resume.then(|| opened.load_latest()) {
+            None => None,
+            Some(Ok(out)) => Some(out),
+            Some(Err(CheckpointError::NoValidCheckpoint { skipped, .. })) if skipped.is_empty() => {
+                None
+            }
+            Some(Err(e)) => return Err(format!("{tag}cannot resume: {e}")),
+        };
+        store = Some(opened);
+    }
+    if let Some(out) = &resumed {
+        let refuse = |e: String| format!("{tag}cannot resume from {}: {e}", out.path.display());
+        let (saved, mine) = (out.snapshot.config().trace_one_in, cfg.trace_one_in);
+        if saved != mine {
+            return Err(refuse(format!(
+                "--trace-flows differs: the checkpointed run traced one flow in {saved}, \
+                 this run one in {mine} (0: none)"
+            )));
+        }
+        observers.restore(&out.snapshot).map_err(refuse)?;
+    }
+    Ok(Opened {
+        name: name.to_string(),
+        tag: tag.to_string(),
+        log: log.to_string(),
+        cfg,
+        store,
+        every_slots: ckpt.every_slots,
+        resumed,
+        observers,
+    })
+}
+
+impl Opened {
+    /// The one run path of the checkpointing commands. Builds `run`'s
+    /// engine fresh, or restores it from the checkpoint (flows, fault
+    /// plan and failure state come from the snapshot) at the configured
+    /// engine threads, and runs it to `run.mode` with periodic
+    /// checkpoints and graceful stop. The flight recorder notes the
+    /// restore before the run and the checkpoints written after it, so
+    /// the checkpoint cadence never shows in its engine events. At the
+    /// end the run trace is read back against the metrics, and the
+    /// weather reports and flight dump are written.
+    ///
+    /// `Ok(None)` means a signal stopped this run (its final checkpoint
+    /// is on disk) or an earlier one: the caller exits with
+    /// [`EXIT_INTERRUPTED`].
+    pub fn drive(mut self, run: Run<'_>) -> Result<Option<Finished>, String> {
+        let (tag, log) = (&self.tag, &self.log);
+        let stop = stop_flag(self.store.is_some());
+        if stop.load(Ordering::SeqCst) {
+            return Ok(None);
+        }
+        let mut eng = if let Some(out) = &mut self.resumed {
+            for (path, reason) in &out.skipped {
+                eprintln!(
+                    "{log}skipped corrupt checkpoint {}: {reason}",
+                    path.display()
+                );
+            }
+            out.snapshot.set_engine_threads(self.cfg.engine_threads);
+            let path = out.path.display();
+            let eng =
+                Engine::restore_with_probe(&out.snapshot, run.schedule, run.router, self.observers)
+                    .map_err(|e| {
+                        format!("{tag}checkpoint {path} does not fit this scenario: {e}")
+                    })?;
+            eprintln!("{log}resumed from {path} at slot {}", out.snapshot.slot());
+            eng
+        } else {
+            if let Some((path, interval_ns)) = &run.trace_out {
+                self.observers.sampler = Some(trace_sampler(path, *interval_ns)?);
+            }
+            let mut eng = Engine::with_probe(self.cfg, run.schedule, run.router, self.observers);
+            eng.set_fault_plan(run.faults);
+            eng.add_flows(run.flows).map_err(|e| format!("{tag}{e}"))?;
+            eng
+        };
+        if let Some(health) = run.health {
+            eng.set_health_mirror(health);
+        }
+        if let (Some(out), Some(recorder)) = (&self.resumed, &mut eng.probe_mut().flight) {
+            for (path, reason) in &out.skipped {
+                recorder.note_checkpoint_corrupt_skipped(&path.display().to_string(), reason);
+            }
+            recorder.note_checkpoint_restored(out.snapshot.slot(), &out.path.display().to_string());
+        }
+        let (drained, written) = drive_checkpointed(
+            &mut eng,
+            run.mode,
+            self.store.as_mut(),
+            self.every_slots,
+            stop,
+        )
+        .map_err(|e| format!("{tag}{e}"))?;
+        if let Some(recorder) = &mut eng.probe_mut().flight {
+            for (slot, path, bytes) in &written {
+                recorder.note_checkpoint_written(*slot, *bytes as u64, &path.display().to_string());
+            }
+        }
+        let Some(drained) = drained else {
+            let wrote =
+                (written.last()).map_or(String::new(), |w| format!("; wrote {}", w.1.display()));
+            eprintln!(
+                "{log}interrupted at slot {}{wrote}; rerun with --resume",
+                eng.now_slot()
+            );
+            return Ok(None);
+        };
+
+        let mut metrics = eng.metrics().clone();
+        metrics.stranded_cells = eng.count_stranded();
+        let Observers {
+            sampler,
+            trace,
+            weather,
+            flight,
+        } = eng.finish();
+        let mut notes = Vec::new();
+        if let (Some(sampler), Some((path, _))) = (sampler, &run.trace_out) {
+            let traced = read_back(path, sampler, metrics)?;
+            notes.push(format!(
+                "{tag}wrote {} trace events to {}",
+                traced.events,
+                path.display()
+            ));
+            metrics = traced.metrics;
+        }
+        if let Some(c) = trace {
+            notes.push(format!("{tag}traced {} hop events", c.len()));
+            let autopsy = TailAutopsy::from_breakdowns(&c.cell_breakdowns(), 5).render();
+            notes.extend(autopsy.lines().map(|line| format!("  {line}")));
+        }
+        if let Some(w) = &weather {
+            let (name, [txt, json]) = (&self.name, weather_paths(&self.name));
+            std::fs::write(&txt, w.render_txt(name))
+                .and_then(|()| std::fs::write(&json, w.render_json(name)))
+                .map_err(|e| format!("{tag}writing weather report: {e}"))?;
+            notes.push(format!(
+                "{tag}weather: {} and {}",
+                txt.display(),
+                json.display()
+            ));
+        }
+        if let Some(mut recorder) = flight {
+            let dumped = recorder.dump_if_anomalous();
+            if let Some(path) = dumped.map_err(|e| format!("{tag}flight-recorder dump: {e}"))? {
+                notes.push(format!(
+                    "{tag}flight recorder: anomaly -> {}",
+                    path.display()
+                ));
+            }
+        }
+        Ok(Some(Finished {
+            metrics,
+            drained,
+            weather,
+            notes,
+        }))
+    }
+}
+
+/// A checkpoint written: slot, file, encoded bytes.
+type Written = (u64, PathBuf, usize);
+
 /// Runs `engine` to `mode`'s goal, honoring `stop`, and — given a
-/// `store` — checkpointing it. This is the one slot loop behind every
-/// command's plain and `--checkpoint-*` runs.
-///
-/// With a store, every `every_slots` slots (and when `stop` is raised)
-/// the engine is snapshotted at a slot boundary, `decorate` may attach
-/// sidecar blobs (probe state such as trace or flight-recorder bytes),
-/// the snapshot goes through `store`, and `on_written(slot, path,
-/// bytes)` fires so the caller can log or publish telemetry. Without
-/// one nothing is written and the loop advances exactly like
-/// `Engine::run_slots` / `Engine::run_until_drained`. When `stop` is
-/// observed the current slot is already complete; the final checkpoint
-/// (if any) is written and [`DriveOutcome::Interrupted`] returned. An
-/// error says whether the simulation or a checkpoint write failed.
-///
-/// Quiet gaps are jumped in one step, bounded by the next checkpoint
-/// boundary, so the snapshot cadence (and therefore every written
-/// checkpoint) is identical to the slot-by-slot loop.
-#[allow(clippy::too_many_arguments)]
-pub fn drive_checkpointed<P, F, FS>(
-    engine: &mut Engine<'_, P, F>,
+/// `store` — checkpointing it with its observers' blobs every
+/// `every_slots` slots and when `stop` is raised: the slot loop of
+/// [`Opened::drive`]. Returns whether the engine drained, or `None`
+/// when `stop` ended the run (after the current slot and the final
+/// checkpoint), with every checkpoint written as `(slot, path, bytes)`.
+/// Without a store the loop advances exactly like `Engine::run_slots`
+/// / `Engine::run_until_drained`. Quiet gaps are jumped, but never past
+/// a checkpoint boundary, so the checkpoints written are those of the
+/// slot-by-slot loop.
+fn drive_checkpointed<S: EventSink, FS: CheckpointFs>(
+    engine: &mut Engine<'_, Observers<S>>,
     mode: RunMode,
     mut store: Option<&mut CheckpointStore<FS>>,
     every_slots: u64,
     stop: &AtomicBool,
-    mut decorate: impl FnMut(&Engine<'_, P, F>, &mut Snapshot),
-    mut on_written: impl FnMut(u64, &Path, usize),
-) -> Result<DriveOutcome, String>
-where
-    P: Probe,
-    F: Profiler,
-    FS: CheckpointFs,
-{
-    let every = every_slots.max(1);
-    let goal = match mode {
-        RunMode::UntilSlot(end) => end,
-        RunMode::UntilDrained(max_slot) => max_slot,
+) -> Result<(Option<bool>, Vec<Written>), String> {
+    let (goal, until_drained) = match mode {
+        RunMode::UntilSlot(end) => (end, false),
+        RunMode::UntilDrained(max_slot) => (max_slot, true),
     };
+    let every = every_slots.max(1);
     let mut next_ckpt = match store {
         Some(_) => engine.now_slot().saturating_add(every),
         None => u64::MAX,
     };
-    let mut write = |engine: &Engine<'_, P, F>, store: &mut CheckpointStore<FS>| {
+    let mut written = Vec::new();
+    let mut write = |engine: &Engine<'_, Observers<S>>, store: &mut CheckpointStore<FS>| {
         let mut snap = engine.checkpoint();
-        decorate(engine, &mut snap);
+        engine.probe().save(&mut snap);
         let (path, bytes) = store
             .write(&snap)
             .map_err(|e| format!("checkpoint failed: {e}"))?;
-        on_written(engine.now_slot(), &path, bytes);
-        Ok::<_, String>(path)
+        written.push((engine.now_slot(), path, bytes));
+        Ok::<_, String>(())
     };
     loop {
-        let done = match mode {
-            RunMode::UntilSlot(end) => (engine.now_slot() >= end).then(|| engine.is_drained()),
-            RunMode::UntilDrained(max_slot) => {
-                let drained = engine.is_drained();
-                (drained || engine.now_slot() >= max_slot).then_some(drained)
-            }
-        };
-        if let Some(drained) = done {
-            return Ok(DriveOutcome::Completed { drained });
+        let drained = engine.is_drained();
+        if engine.now_slot() >= goal || (until_drained && drained) {
+            return Ok((Some(drained), written));
         }
         if stop.load(Ordering::SeqCst) {
-            let slot = engine.now_slot();
-            let path = match store.as_deref_mut() {
-                Some(store) => Some(write(engine, store)?),
-                None => None,
-            };
-            return Ok(DriveOutcome::Interrupted { slot, path });
+            if let Some(store) = store {
+                write(engine, store)?;
+            }
+            return Ok((None, written));
         }
-        // Quiet gaps are jumped, but never past the run goal or the
-        // next checkpoint boundary — checkpoint cadence must be
-        // identical to the slot-by-slot loop so a resumed run replays
-        // the same snapshot sequence.
         engine
             .advance_to(goal.min(next_ckpt))
             .map_err(|e| format!("simulation failed: {e}"))?;
@@ -189,7 +377,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sorn_sim::{CheckpointFaultFs, DirectRouter, Flow, FlowId, SimConfig};
+    use sorn_sim::{CheckpointFaultFs, DirectRouter, FlowId};
+    use sorn_telemetry::{FlightRecorder, MemorySink};
     use sorn_topology::builders::round_robin;
     use sorn_topology::NodeId;
 
@@ -212,71 +401,79 @@ mod tests {
         assert!(!std::ptr::eq(flag, stop_flag(false)));
     }
 
-    /// One `drive_checkpointed` call that tags every snapshot it takes;
-    /// returns the outcome and the number of checkpoints written.
+    type Observed<'a> = Engine<'a, Observers<MemorySink>>;
+
+    /// One `drive_checkpointed` call checkpointing every 2 slots:
+    /// whether the engine drained (`None`: stopped), and the number of
+    /// checkpoints written.
     fn drive(
-        engine: &mut Engine<'_>,
+        engine: &mut Observed<'_>,
         mode: RunMode,
         store: Option<&mut CheckpointStore<CheckpointFaultFs>>,
         stop: &AtomicBool,
-    ) -> (DriveOutcome, usize) {
-        let mut writes = 0;
-        let tag = |_: &Engine<'_>, snap: &mut Snapshot| snap.attach_blob("marker", b"x".to_vec());
-        let outcome = drive_checkpointed(engine, mode, store, 2, stop, tag, |_, _, _| writes += 1);
-        (outcome.unwrap(), writes)
+    ) -> (Option<bool>, usize) {
+        let (drained, written) = drive_checkpointed(engine, mode, store, 2, stop).unwrap();
+        (drained, written.len())
     }
 
-    /// Interrupt mid-run, resume from the written checkpoint, and land
-    /// on exactly the metrics of an uninterrupted run — with a store,
-    /// and without one (where the same engine simply carries on).
+    /// Interrupt mid-run, resume from the written checkpoint (observer
+    /// state included), and land on exactly the metrics and flight
+    /// recorder of an uninterrupted run — with a store, and without one
+    /// (where the same engine simply carries on).
     #[test]
     fn drive_checkpointed_interrupt_then_resume_matches_uninterrupted() {
         let sched = round_robin(8).unwrap();
         let router = DirectRouter;
         let flows = seeded_flows(8, 40);
+        let observers = || Observers {
+            flight: Some(FlightRecorder::new(64)),
+            ..Observers::none()
+        };
         let fresh = || {
-            let mut engine = Engine::new(SimConfig::default(), &sched, &router);
+            let mut engine = Engine::with_probe(SimConfig::default(), &sched, &router, observers());
             engine.add_flows(flows.clone()).unwrap();
             engine
         };
         let (all, end) = (RunMode::UntilDrained(100_000), RunMode::UntilSlot(5));
+        let dump = |engine: Observed<'_>| engine.finish().flight.unwrap().dump_string();
 
         // Reference: run to drain, no interruptions.
         let mut reference = fresh();
         assert!(reference.run_until_drained(100_000).unwrap());
         let want = reference.metrics().clone();
+        let want_dump = dump(reference);
 
         // Checkpointed run: a few slots, then the flag is raised as if a
         // signal landed.
         let mut store = CheckpointStore::with_fs("ckpt", CheckpointFaultFs::new(), 2);
         let stop = AtomicBool::new(false);
         let mut engine = fresh();
-        let (outcome, writes) = drive(&mut engine, end, Some(&mut store), &stop);
-        assert_eq!(outcome, DriveOutcome::Completed { drained: false });
-        assert!(writes > 0);
+        let (drained, writes) = drive(&mut engine, end, Some(&mut store), &stop);
+        assert_eq!((drained, engine.now_slot()), (Some(false), 5));
+        assert_eq!(writes, 2, "at slots 2 and 4");
         stop.store(true, Ordering::SeqCst);
-        let (outcome, _) = drive(&mut engine, all, Some(&mut store), &stop);
-        assert!(
-            matches!(
-                outcome,
-                DriveOutcome::Interrupted {
-                    slot: 5,
-                    path: Some(_)
-                }
-            ),
-            "{outcome:?}"
+        let stopped = drive(&mut engine, all, Some(&mut store), &stop);
+        assert_eq!(
+            (stopped, engine.now_slot()),
+            ((None, 1), 5),
+            "final checkpoint"
         );
         drop(engine);
 
         // Resume from the store and finish.
         let loaded = store.load_latest().unwrap();
-        assert_eq!(loaded.snapshot.blob("marker"), Some(&b"x"[..]));
         assert_eq!(loaded.snapshot.slot(), 5);
-        let mut resumed = Engine::restore(&loaded.snapshot, &sched, &router).unwrap();
+        let mut restored = observers();
+        restored.restore(&loaded.snapshot).unwrap();
+        let mut resumed =
+            Engine::restore_with_probe(&loaded.snapshot, &sched, &router, restored).unwrap();
         stop.store(false, Ordering::SeqCst);
-        let (outcome, _) = drive(&mut resumed, all, Some(&mut store), &stop);
-        assert_eq!(outcome, DriveOutcome::Completed { drained: true });
+        assert_eq!(
+            drive(&mut resumed, all, Some(&mut store), &stop).0,
+            Some(true)
+        );
         assert_eq!(resumed.metrics(), &want);
+        assert_eq!(dump(resumed), want_dump);
 
         // No store: the stop flag still ends the run at a slot boundary,
         // nothing is written, and the same engine carries on to the
@@ -284,14 +481,10 @@ mod tests {
         let mut plain = fresh();
         assert_eq!(drive(&mut plain, end, None, &stop).1, 0);
         stop.store(true, Ordering::SeqCst);
-        let stopped = DriveOutcome::Interrupted {
-            slot: 5,
-            path: None,
-        };
-        assert_eq!(drive(&mut plain, all, None, &stop), (stopped, 0));
+        assert_eq!(drive(&mut plain, all, None, &stop), (None, 0));
+        assert_eq!(plain.now_slot(), 5);
         stop.store(false, Ordering::SeqCst);
-        let (outcome, _) = drive(&mut plain, all, None, &stop);
-        assert_eq!(outcome, DriveOutcome::Completed { drained: true });
+        assert_eq!(drive(&mut plain, all, None, &stop).0, Some(true));
         assert_eq!(plain.metrics(), &want);
     }
 }

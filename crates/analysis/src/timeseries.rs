@@ -117,22 +117,36 @@ pub struct TracedRun {
     pub metrics: Metrics,
 }
 
-/// The `--trace-out` companion run of an experiment: creates the JSONL
-/// trace at `path`, hands its sampler (one snapshot every `interval_ns`
-/// of simulated time) to `run`, which drives a packet simulation and
-/// returns the sampler with the run's metrics, then flushes the file,
-/// reads it back, and checks that it holds every event written and that
-/// its final snapshot's delivered cells equal the metrics'.
+/// The `--trace-out` companion run of an experiment: hands the
+/// [`trace_sampler`] for `path` and `interval_ns` to `run`, which
+/// drives a packet simulation and returns the sampler with the run's
+/// metrics, then checks the trace with [`read_back`].
 pub fn trace_run(
     path: &Path,
     interval_ns: u64,
     run: impl FnOnce(TraceSampler) -> Result<(Metrics, TraceSampler), String>,
 ) -> Result<TracedRun, String> {
-    let file = |e: std::io::Error| format!("--trace-out file {}: {e}", path.display());
-    let sink = JsonlTraceSink::create(path).map_err(file)?;
-    let (metrics, sampler) = run(IntervalSampler::new(sink, interval_ns))?;
-    let written = sampler.into_sink().finish().map_err(file)?;
-    let events = read_jsonl(path).map_err(file)?;
+    let (metrics, sampler) = run(trace_sampler(path, interval_ns)?)?;
+    read_back(path, sampler, metrics)
+}
+
+/// A sampler writing the JSONL trace at `path`, one snapshot every
+/// `interval_ns` of simulated time.
+pub fn trace_sampler(path: &Path, interval_ns: u64) -> Result<TraceSampler, String> {
+    let sink = JsonlTraceSink::create(path).map_err(trace_file(path))?;
+    Ok(IntervalSampler::new(sink, interval_ns))
+}
+
+/// Flushes a finished run's trace to `path`, reads it back, and checks
+/// that it holds every event written and that its final snapshot's
+/// delivered cells equal `metrics`'.
+pub fn read_back(
+    path: &Path,
+    sampler: TraceSampler,
+    metrics: Metrics,
+) -> Result<TracedRun, String> {
+    let written = sampler.into_sink().finish().map_err(trace_file(path))?;
+    let events = read_jsonl(path).map_err(trace_file(path))?;
     let snapshots = snapshots_of(&events);
     let delivered = snapshots.last().map(|s| s.delivered_cells);
     if events.len() as u64 != written || delivered != Some(metrics.delivered_cells) {
@@ -149,6 +163,11 @@ pub fn trace_run(
         snapshots,
         metrics,
     })
+}
+
+/// The error message of an I/O failure on the trace file at `path`.
+fn trace_file(path: &Path) -> impl Fn(std::io::Error) -> String + '_ {
+    move |e| format!("--trace-out file {}: {e}", path.display())
 }
 
 /// A `run` for [`trace_run`]: drains `flows` on `schedule` under

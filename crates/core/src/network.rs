@@ -119,6 +119,22 @@ impl SornNetwork {
             .map_err(|e| CoreError::InvalidConfig(format!("flow-level evaluation failed: {e}")))
     }
 
+    /// The packet engine's configuration for this network: its slot,
+    /// propagation delay, uplinks, engine threads and trace rate, with
+    /// routing randomness from `seed` and every other field at its
+    /// [`SimConfig`] default.
+    pub fn sim_config(&self, seed: u64) -> SimConfig {
+        SimConfig {
+            slot_ns: self.config.slot_ns,
+            propagation_ns: self.config.propagation_ns,
+            uplinks: self.config.uplinks,
+            seed,
+            engine_threads: self.config.engine_threads,
+            trace_one_in: self.config.trace_one_in,
+            ..SimConfig::default()
+        }
+    }
+
     /// Packet-simulates the given flows until drained (or `max_slots`),
     /// returning the metrics. `seed` controls routing randomness.
     pub fn simulate(
@@ -142,16 +158,8 @@ impl SornNetwork {
         max_slots: u64,
         probe: P,
     ) -> Result<(Metrics, bool, P), SimError> {
-        let cfg = SimConfig {
-            slot_ns: self.config.slot_ns,
-            propagation_ns: self.config.propagation_ns,
-            uplinks: self.config.uplinks,
-            seed,
-            engine_threads: self.config.engine_threads,
-            trace_one_in: self.config.trace_one_in,
-            ..SimConfig::default()
-        };
-        let mut engine = Engine::with_probe(cfg, &self.schedule, &self.router, probe);
+        let mut engine =
+            Engine::with_probe(self.sim_config(seed), &self.schedule, &self.router, probe);
         engine.add_flows(flows)?;
         let drained = engine.run_until_drained(max_slots)?;
         let metrics = engine.metrics().clone();

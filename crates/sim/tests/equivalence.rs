@@ -32,8 +32,8 @@ use sorn_sim::{
     Snapshot, WriteFault, FORMAT_VERSION,
 };
 use sorn_telemetry::{
-    CountingProbe, FlightRecorder, FlowTraceCollector, IntervalSampler, MemorySink, TraceEvent,
-    WeatherProbe, DEFAULT_CAPACITY,
+    CountingProbe, FlightRecorder, FlowTraceCollector, IntervalSampler, MemorySink, Observers,
+    TraceEvent, WeatherProbe, DEFAULT_CAPACITY,
 };
 use sorn_topology::builders::round_robin;
 use sorn_topology::{CircuitSchedule, CliqueMap, NodeId};
@@ -206,16 +206,10 @@ fn seeded_flows(n: usize, seed: u64, bursts: &[u64], per_burst: usize) -> Vec<Fl
 /// Absolute drain cap for every run.
 const MAX_SLOTS: u64 = 100_000;
 
-/// The observer stack every run carries: weather, flow trace, flight
-/// recorder and interval sampler. A `None` slot is one the scenario
-/// runs without.
-type Obs = (
-    Option<WeatherProbe>,
-    (
-        Option<FlowTraceCollector>,
-        (Option<FlightRecorder>, Option<IntervalSampler<MemorySink>>),
-    ),
-);
+/// The observer stack every run carries: interval sampler, flow trace,
+/// weather and flight recorder. A `None` slot is one the scenario runs
+/// without.
+type Obs = Observers<MemorySink>;
 
 /// The base round robin and the reversed schedule a reconfiguration
 /// installs.
@@ -248,6 +242,21 @@ fn plan(sc: &Scenario) -> FaultPlan {
     plan
 }
 
+/// `sc`'s checkpointed observers, fresh: weather, flow trace and
+/// flight recorder as the scenario asks, no sampler.
+fn observers(sc: &Scenario) -> Obs {
+    Obs {
+        trace: sc
+            .recorders
+            .then(|| FlowTraceCollector::new(SimConfig::default().slot_ns)),
+        weather: sc
+            .weather
+            .map(|(cliques, k)| WeatherProbe::new(CliqueMap::contiguous(sc.n, cliques), k)),
+        flight: sc.recorders.then(|| FlightRecorder::new(DEFAULT_CAPACITY)),
+        ..Observers::none()
+    }
+}
+
 /// A fresh engine for `sc` at `threads` engine threads: flows added,
 /// fault plan set, observers attached.
 fn start<'a>(sc: &Scenario, base: &'a CircuitSchedule, threads: usize) -> Engine<'a, Obs> {
@@ -259,18 +268,11 @@ fn start<'a>(sc: &Scenario, base: &'a CircuitSchedule, threads: usize) -> Engine
         node_queue_cap: sc.node_queue_cap,
         ..SimConfig::default()
     };
-    let probe = (
-        sc.weather
-            .map(|(cliques, k)| WeatherProbe::new(CliqueMap::contiguous(sc.n, cliques), k)),
-        (
-            sc.recorders.then(|| FlowTraceCollector::new(cfg.slot_ns)),
-            (
-                sc.recorders.then(|| FlightRecorder::new(DEFAULT_CAPACITY)),
-                (sc.sample_interval_ns > 0)
-                    .then(|| IntervalSampler::new(MemorySink::new(), sc.sample_interval_ns)),
-            ),
-        ),
-    );
+    let probe = Obs {
+        sampler: (sc.sample_interval_ns > 0)
+            .then(|| IntervalSampler::new(MemorySink::new(), sc.sample_interval_ns)),
+        ..observers(sc)
+    };
     let mut eng = Engine::with_probe(cfg, base, sc.routing.router(), probe);
     eng.add_flows(sc.flows.clone()).unwrap();
     eng.set_fault_plan(plan(sc));
@@ -317,23 +319,13 @@ fn drive<'a>(
     }
 }
 
-/// The engine's checkpoint with each attached observer's state as a
-/// blob and `engine_threads` pinned to 1, so byte comparisons across
-/// thread counts see only real state divergence. The sampler keeps no
-/// checkpoint state.
+/// The engine's checkpoint with the observers' state as blobs and
+/// `engine_threads` pinned to 1, so byte comparisons across thread
+/// counts see only real state divergence.
 fn snapshot(eng: &Engine<'_, Obs>) -> Snapshot {
     let mut snap = eng.checkpoint();
     snap.set_engine_threads(1);
-    let (weather, (trace, (flight, _))) = eng.probe();
-    if let Some(w) = weather {
-        snap.attach_blob("weather", w.to_bytes());
-    }
-    if let Some(t) = trace {
-        snap.attach_blob("trace", t.to_bytes());
-    }
-    if let Some(f) = flight {
-        snap.attach_blob("flight", f.to_bytes());
-    }
+    eng.probe().save(&mut snap);
     snap
 }
 
@@ -348,17 +340,11 @@ fn restore<'a>(
     sampler: Option<IntervalSampler<MemorySink>>,
 ) -> Engine<'a, Obs> {
     snap.set_engine_threads(threads);
-    let weather = sc.weather.map(|(cliques, _)| {
-        let map = CliqueMap::contiguous(sc.n, cliques);
-        WeatherProbe::from_bytes(snap.blob("weather").unwrap(), map).unwrap()
-    });
-    let blob = |name| snap.blob(name).unwrap();
-    let trace = sc
-        .recorders
-        .then(|| FlowTraceCollector::from_bytes(blob("trace")).unwrap());
-    let flight = sc
-        .recorders
-        .then(|| FlightRecorder::from_bytes(blob("flight")).unwrap());
+    let mut probe = Obs {
+        sampler,
+        ..observers(sc)
+    };
+    probe.restore(&snap).unwrap();
     // A reconfiguration strictly before the checkpoint is part of the
     // snapshotted state; the caller re-supplies the schedule installed
     // at checkpoint time.
@@ -366,7 +352,6 @@ fn restore<'a>(
         Some(t) if snap.slot() > t => reversed,
         _ => base,
     };
-    let probe = (weather, (trace, (flight, sampler)));
     Engine::restore_with_probe(&snap, current, sc.routing.router(), probe).unwrap()
 }
 
@@ -392,7 +377,12 @@ fn finish(eng: Engine<'_, Obs>) -> RunOutput {
     let metrics = eng.metrics().clone();
     let (queued, inflight) = (eng.total_queued(), eng.inflight_cells());
     let stranded = eng.count_stranded();
-    let (weather, (trace, (flight, sampler))) = eng.finish();
+    let Observers {
+        sampler,
+        trace,
+        weather,
+        flight,
+    } = eng.finish();
     let render = |f: fn(&WeatherProbe, &str) -> String| {
         weather.as_ref().map_or_else(String::new, |w| f(w, "equiv"))
     };
@@ -457,7 +447,7 @@ fn run(sc: &Scenario, d: Drive) -> RunOutput {
     if let Some((stop, restore_threads)) = d.resume {
         drive(&mut eng, sc, &reversed, d.stepping, stop);
         let snap = snapshot(&eng);
-        let sampler = eng.probe_mut().1 .1 .1.take();
+        let sampler = eng.probe_mut().sampler.take();
         drop(eng);
         let mut store = CheckpointStore::with_fs("ckpt", CheckpointFaultFs::new(), 2);
         store.write(&snap).unwrap();

@@ -27,7 +27,10 @@
 //! - [`WeatherProbe`] — bounded-memory "network weather": per-clique
 //!   demand/goodput matrices, [`SpaceSaving`] heavy-hitter sketches for
 //!   flows/links/ports, and an [`EpochSeries`] decimated timeline, with
-//!   deterministic text/JSON run reports.
+//!   deterministic text/JSON run reports;
+//! - [`Observers`] — the sampler, trace collector, weather probe and
+//!   flight recorder as one optional-each probe stack that saves its
+//!   state to checkpoint blobs and restores it on resume.
 //!
 //! Every probe's output is a pure function of the engine's event
 //! stream: nothing here reads a clock, opens a socket or spawns a
@@ -60,6 +63,7 @@
 
 mod counting;
 mod event;
+mod observers;
 mod recorder;
 mod sampler;
 mod sink;
@@ -68,11 +72,12 @@ mod weather;
 
 pub use counting::CountingProbe;
 pub use event::{Snapshot, TraceEvent};
+pub use observers::Observers;
 pub use recorder::{FlightRecorder, RecordedEvent, DEFAULT_CAPACITY, DEFAULT_DROP_SPIKE};
 pub use sampler::IntervalSampler;
 pub use sink::{parse_jsonl, read_jsonl, EventSink, JsonlTraceSink, MemorySink};
 pub use trace::{CellBreakdown, FlowTraceCollector};
 pub use weather::{
     EpochSeries, SketchEntry, SpaceSaving, WeatherBucket, WeatherProbe, DEFAULT_SERIES_BUDGET,
-    DEFAULT_TOPK,
+    DEFAULT_TOPK, MAX_TOPK,
 };

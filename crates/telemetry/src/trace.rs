@@ -472,77 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn byte_round_trip_reproduces_every_rendering() {
-        let mut c = FlowTraceCollector::new(100);
-        c.on_hop(&ev(
-            0,
-            0,
-            0,
-            HopKind::Enqueue {
-                next: Some(NodeId(1)),
-                depth: 3,
-                circuit_wait_slots: 2,
-            },
-        ));
-        c.on_hop(&ev(
-            0,
-            0,
-            500,
-            HopKind::Transmit {
-                to: NodeId(1),
-                depth_after: 2,
-            },
-        ));
-        c.on_hop(&ev(0, 1, 1100, HopKind::Deliver { latency_ns: 1100 }));
-        c.on_hop(&ev(1, 0, 1200, HopKind::Drop));
-        let bytes = c.to_bytes();
-        let back = FlowTraceCollector::from_bytes(&bytes).expect("round trip");
-        assert_eq!(back.render_all(), c.render_all());
-        assert_eq!(back.chrome_trace_json(500), c.chrome_trace_json(500));
-        assert_eq!(back.cell_breakdowns(), c.cell_breakdowns());
-        assert_eq!(back.to_bytes(), bytes, "re-encoding is byte-stable");
-    }
-
-    #[test]
-    fn trace_blob_truncations_never_panic() {
-        let mut c = FlowTraceCollector::new(100);
-        c.on_hop(&ev(
-            0,
-            0,
-            0,
-            HopKind::Enqueue {
-                next: Some(NodeId(1)),
-                depth: 2,
-                circuit_wait_slots: 3,
-            },
-        ));
-        c.on_hop(&ev(
-            0,
-            0,
-            100,
-            HopKind::Transmit {
-                to: NodeId(1),
-                depth_after: 1,
-            },
-        ));
-        c.on_hop(&ev(0, 1, 700, HopKind::Deliver { latency_ns: 700 }));
-        c.on_hop(&ev(1, 2, 300, HopKind::Drop));
-        let bytes = c.to_bytes();
-        for len in 0..bytes.len() {
-            assert!(FlowTraceCollector::from_bytes(&bytes[..len]).is_err());
-        }
-        // Any byte forced to 0x00 or 0xFF decodes to Ok or Err, never a
-        // panic.
-        for i in 0..bytes.len() {
-            for v in [0x00, 0xFF] {
-                let mut bad = bytes.clone();
-                bad[i] = v;
-                let _ = FlowTraceCollector::from_bytes(&bad);
-            }
-        }
-    }
-
-    #[test]
     fn dropped_cells_are_flagged() {
         let mut c = FlowTraceCollector::new(100);
         c.on_hop(&ev(0, 2, 300, HopKind::Drop));

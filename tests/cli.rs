@@ -217,6 +217,12 @@ fn bad_flag_values_exit_2() {
         ("resilience --trace-flows 0", "--trace-flows"),
         ("resilience --flight-ring 1000", "--flight-ring"),
         ("resilience --weather-topk 0", "--weather-topk"),
+        ("resilience --weather-topk 1048577", "--weather-topk"),
+        ("resilience --weather-topk 100000000000", "--weather-topk"),
+        (
+            "simulate --trace t --weather-topk 18446744073709551615",
+            "--weather-topk",
+        ),
         ("resilience --resume", "--checkpoint-dir"),
         ("resilience --checkpoint-every 9", "--checkpoint-dir"),
         ("resilience --checkpoint-dir d --trace-out t", "--trace-out"),
@@ -453,30 +459,61 @@ fn resilience_sigterm_then_resume_reproduces_the_uninterrupted_run() {
     }
 }
 
-/// A resume over a store whose only generation is garbage is refused
-/// before any output: exit 2, nothing on stdout, and stderr names the
-/// rejected file and why, for both checkpointing commands.
+/// A resume is refused before any output — exit 2, nothing on stdout,
+/// stderr naming the rejected file and why — over a store whose only
+/// generation is garbage, and over a checkpoint written with other
+/// observer flags (a resume must repeat them: the refusal names the
+/// flag), for both checkpointing commands.
 #[test]
 fn a_refused_resume_prints_nothing_and_names_the_rejected_file() {
     let dir = scratch_dir("resume-refused");
     let (code, _, err) = cli_in(&dir, GEN_TRACE);
     assert_eq!(code, Some(0), "{err}");
-    for (store, line) in [
-        ("ck/flat-vlb", "resilience --checkpoint-dir ck --resume"),
-        (
-            "ck/simulate",
-            "simulate --trace trace.json --cliques 4 --checkpoint-dir ck --resume",
-        ),
-    ] {
+    let refused = |line: &str, why: &[&str]| {
+        let (code, out, err) = cli_in(&dir, line);
+        assert_eq!(code, Some(2), "{line}: {err}");
+        assert_eq!(out, "", "{line} printed before refusing");
+        assert!(why.iter().all(|w| err.contains(w)), "{line}: {err}");
+    };
+    const SIMULATE: &str = "simulate --trace trace.json --cliques 4 --checkpoint-every 50";
+    const RESILIENCE: &str = "resilience --checkpoint-every 4000";
+    for (store, command) in [("ck/flat-vlb", RESILIENCE), ("ck/simulate", SIMULATE)] {
         let _ = std::fs::remove_dir_all(dir.join("ck"));
         std::fs::create_dir_all(dir.join(store)).unwrap();
         let file = format!("{store}/ckpt-00000001-slot8.sorn");
         std::fs::write(dir.join(&file), b"garbage, not a checkpoint\n").unwrap();
-        let (code, out, err) = cli_in(&dir, line);
-        assert_eq!(code, Some(2), "{line}: {err}");
-        assert_eq!(out, "", "{line} printed before refusing");
         let reason = format!("{file}: corrupt checkpoint: bad magic");
-        assert!(err.contains(&reason), "{line}: {err}");
+        refused(
+            &format!("{command} --checkpoint-dir ck --resume"),
+            &[&reason],
+        );
+    }
+    /// `(command, checkpointed flags, [(resumed flags, flag named)])`.
+    type Case<'a> = (&'a str, &'a str, &'a [(&'a str, &'a str)]);
+    #[rustfmt::skip]
+    let cases: &[Case] = &[
+        (SIMULATE, "", &[("--weather", "--weather"), ("--weather-topk 8", "--weather")]),
+        (SIMULATE, "--weather", &[("", "--weather"), ("--weather-topk 8", "--weather-topk")]),
+        (RESILIENCE, "", &[
+            ("--trace-flows 1", "--trace-flows"), ("--weather", "--weather"),
+            ("--flight-ring 1024", "--flight-ring"),
+        ]),
+        (RESILIENCE, "--trace-flows 4 --weather", &[
+            ("", "--trace-flows"), ("--weather", "--trace-flows"),
+            ("--trace-flows 2 --weather", "--trace-flows"), ("--trace-flows 4", "--weather"),
+            ("--trace-flows 4 --weather-topk 8", "--weather-topk"),
+            ("--trace-flows 4 --weather --flight-ring 8192", "--flight-ring"),
+        ]),
+    ];
+    for (i, &(command, saved, resumes)) in cases.iter().enumerate() {
+        let ck = format!("--checkpoint-dir ck{i}");
+        let (code, _, err) = cli_in(&dir, &format!("{command} {ck} {saved}"));
+        assert_eq!(code, Some(0), "{command} {saved}: {err}");
+        let file = format!("cannot resume from ck{i}/");
+        for &(flags, flag) in resumes {
+            let line = format!("{command} {ck} --resume {flags}");
+            refused(&line, &[&file, &format!("{flag} differs")]);
+        }
     }
     let _ = std::fs::remove_dir_all(dir);
 }
