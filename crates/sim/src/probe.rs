@@ -256,67 +256,3 @@ impl<A: Probe, B: Probe> Probe for (A, B) {
         self.1.on_hop(event);
     }
 }
-
-/// A probe that may not be there: `None` observes nothing. Lets a
-/// binary decide at runtime whether to attach an observer while the
-/// engine stays monomorphized over one composed probe type.
-impl<P: Probe> Probe for Option<P> {
-    fn on_slot_end(&mut self, view: &SlotView<'_>) {
-        if let Some(p) = self {
-            p.on_slot_end(view);
-        }
-    }
-    fn on_slots_skipped(&mut self, view: &SkipView<'_>) {
-        if let Some(p) = self {
-            p.on_slots_skipped(view);
-        }
-    }
-    fn next_boundary_ns(&self) -> Option<Nanos> {
-        self.as_ref().and_then(Probe::next_boundary_ns)
-    }
-    fn on_delivery(&mut self, cell: &Cell, latency_ns: Nanos, now_ns: Nanos) {
-        if let Some(p) = self {
-            p.on_delivery(cell, latency_ns, now_ns);
-        }
-    }
-    fn on_drop(&mut self, cell: &Cell, node: NodeId, now_ns: Nanos) {
-        if let Some(p) = self {
-            p.on_drop(cell, node, now_ns);
-        }
-    }
-    fn on_transmit(&mut self, cell: &Cell, from: NodeId, to: NodeId, now_ns: Nanos) {
-        if let Some(p) = self {
-            p.on_transmit(cell, from, to, now_ns);
-        }
-    }
-    fn on_flow_start(&mut self, flow: &Flow, now_ns: Nanos) {
-        if let Some(p) = self {
-            p.on_flow_start(flow, now_ns);
-        }
-    }
-    fn on_flow_finish(&mut self, record: &FlowRecord, now_ns: Nanos) {
-        if let Some(p) = self {
-            p.on_flow_finish(record, now_ns);
-        }
-    }
-    fn on_reconfiguration(&mut self, slot: u64, now_ns: Nanos) {
-        if let Some(p) = self {
-            p.on_reconfiguration(slot, now_ns);
-        }
-    }
-    fn on_fault(&mut self, view: &FaultView<'_>) {
-        if let Some(p) = self {
-            p.on_fault(view);
-        }
-    }
-    fn on_run_end(&mut self, view: &SlotView<'_>) {
-        if let Some(p) = self {
-            p.on_run_end(view);
-        }
-    }
-    fn on_hop(&mut self, event: &HopEvent) {
-        if let Some(p) = self {
-            p.on_hop(event);
-        }
-    }
-}
