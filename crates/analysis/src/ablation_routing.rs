@@ -15,11 +15,11 @@
 //! brackets the saturation point.
 
 use crate::render::TextTable;
-use crate::{header, Args};
+use crate::{header, plain, Args, Run, RunMode};
 use sorn_base::rng::Rng;
 use sorn_core::model::ideal_q;
 use sorn_routing::{Grouping, SornRouter};
-use sorn_sim::{Engine, Flow, FlowId, Router, SimConfig};
+use sorn_sim::{Flow, FlowId, Router, SimConfig};
 use sorn_topology::builders::{round_robin, sorn_schedule, SornScheduleParams};
 use sorn_topology::{CircuitSchedule, CliqueMap, NodeId, Ratio};
 
@@ -71,25 +71,22 @@ pub fn probe_stability(
     load: f64,
     slack_slots: u64,
 ) -> StabilityProbe {
-    let flows = workload.flows_at(load);
-    let duration = workload.duration_ns();
-    let mut eng = Engine::new(cfg, schedule, router);
-    eng.add_flows(flows)
-        .expect("workload within network bounds");
-    let slots = duration / cfg.slot_ns;
-    eng.run_slots(slots).expect("probe run");
+    let run = Run {
+        mode: RunMode::UntilSlot(workload.duration_ns() / cfg.slot_ns),
+        ..Run::new(schedule, router, workload.flows_at(load))
+    };
+    let done = (plain(cfg, None).and_then(|opened| opened.drive(run))).expect("probe run");
 
     // Arrival volume per slot ~ load * uplinks cells; allow `slack_slots`
     // worth of backlog before declaring instability.
     let n = schedule.n() as f64;
     let per_slot = load * cfg.uplinks as f64 * n;
     let budget = (per_slot * slack_slots as f64).max(64.0);
-    let backlog = eng.total_queued();
     StabilityProbe {
         load,
-        stable: (backlog as f64) < budget,
-        backlog_cells: backlog,
-        delivered_cells: eng.metrics().delivered_cells,
+        stable: (done.queued as f64) < budget,
+        backlog_cells: done.queued,
+        delivered_cells: done.metrics.delivered_cells,
     }
 }
 
@@ -203,14 +200,10 @@ fn low_load_tax(
     schedule: &CircuitSchedule,
     router: &dyn Router,
     wl: &CliqueWorkload,
-) -> (f64, f64) {
-    let mut eng = Engine::new(SimConfig::default(), schedule, router);
-    eng.add_flows(wl.flows_at(0.1)).unwrap();
-    eng.run_until_drained(10_000_000).unwrap();
-    (
-        eng.metrics().mean_hops(),
-        eng.metrics().mean_fct_ns() / 1000.0,
-    )
+) -> Result<(f64, f64), String> {
+    let run = Run::new(schedule, router, wl.flows_at(0.1));
+    let m = plain(SimConfig::default(), None)?.drive(run)?.metrics;
+    Ok((m.mean_hops(), m.mean_fct_ns() / 1000.0))
 }
 
 /// `sorn-cli ablation_routing` (no flags).
@@ -248,7 +241,7 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     ];
 
     for (name, sched, router) in cases {
-        let (hops, fct) = low_load_tax(sched, router, &wl);
+        let (hops, fct) = low_load_tax(sched, router, &wl)?;
         let sat = find_saturation(sched, router, SimConfig::default(), &wl, 0.15, 0.85, 4, 60);
         t.row(vec![
             name.into(),

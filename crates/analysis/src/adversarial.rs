@@ -12,10 +12,9 @@
 //! permutation on the uniform schedule and record a JSONL run trace.
 
 use crate::render::TextTable;
-use crate::timeseries::{drain, trace_run};
-use crate::{header, Args, TelemetryOpts};
+use crate::{header, plain, Args, Run, TelemetryOpts};
 use sorn_routing::{evaluate, worst_demand_search, DemandMatrix, SornPaths, SornRouter};
-use sorn_sim::{Flow, FlowId};
+use sorn_sim::{Flow, FlowId, SimConfig};
 use sorn_topology::builders::{
     gravity_schedule, round_robin, sorn_schedule, GravityWeights, SornScheduleParams,
 };
@@ -25,6 +24,8 @@ use sorn_topology::{CliqueMap, NodeId, Ratio};
 pub fn run(args: &mut Args) -> Result<(), String> {
     let telemetry = TelemetryOpts::read(args)?;
     args.reject_unknown()?;
+    let traced = (telemetry.trace()).map(|t| plain(SimConfig::default(), Some(t)));
+    let traced = traced.transpose()?;
     header("Adversarial demands: the price and remedy of semi-obliviousness");
     let n = 24;
     let nc = 4;
@@ -107,7 +108,7 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     // The worst permutation, packet-level: how the aggregate-level
     // collapse actually plays out in the fabric (queue growth is visible
     // in the trace's snapshot events).
-    if let Some(path) = &telemetry.trace_out {
+    if let (Some(opened), Some(path)) = (traced, &telemetry.trace_out) {
         let flows: Vec<Flow> = sorn_res
             .worst_permutation
             .iter()
@@ -122,14 +123,11 @@ pub fn run(args: &mut Args) -> Result<(), String> {
             })
             .collect();
         let router = SornRouter::new(map.clone());
-        let lines = trace_run(
-            path,
-            telemetry.sample_interval_ns,
-            drain(&uniform_sched, &router, flows),
-        )?
-        .events;
+        let events = opened
+            .drive(Run::new(&uniform_sched, &router, flows))?
+            .events;
         println!(
-            "packet trace of the worst permutation: {lines} events -> {}\n",
+            "packet trace of the worst permutation: {events} events -> {}\n",
             path.display()
         );
     }

@@ -1,7 +1,7 @@
 //! The one command-line parser behind every `sorn-cli` command, and the
 //! flag groups several commands share.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 /// Flags that take no value: `--resume`, not `--resume true`.
@@ -169,6 +169,11 @@ impl TelemetryOpts {
             trace_out: args.opt("trace-out")?,
             sample_interval_ns: args.count("sample-interval-ns", Self::DEFAULT_INTERVAL_NS)?,
         })
+    }
+
+    /// The trace file and its sampling interval, when tracing.
+    pub fn trace(&self) -> Option<(&Path, u64)> {
+        (self.trace_out.as_deref()).map(|path| (path, self.sample_interval_ns))
     }
 }
 

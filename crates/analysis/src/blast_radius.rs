@@ -12,14 +12,15 @@
 //! counts.
 
 use crate::render::TextTable;
-use crate::timeseries::{self, trace_run};
-use crate::{header, Args, TelemetryOpts};
+use crate::timeseries::summary_table;
+use crate::{header, plain, Args, Finished, Run, TelemetryOpts};
 use sorn_core::{SornConfig, SornNetwork};
 use sorn_routing::{PathModel, SornPaths};
-use sorn_sim::{Engine, FaultPlan};
+use sorn_sim::FaultPlan;
 use sorn_topology::{CliqueMap, NodeId};
 use sorn_traffic::{spatial::CliqueLocal, FlowSizeDist, PoissonWorkload};
 use std::collections::HashMap;
+use std::path::Path;
 
 /// Blast-radius statistics over all directed virtual links.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,6 +97,9 @@ pub fn blast_radius(n: usize, model: &dyn PathModel) -> BlastReport {
 pub fn run(args: &mut Args) -> Result<(), String> {
     let telemetry = TelemetryOpts::read(args)?;
     args.reject_unknown()?;
+    // The traced run goes first, so its trace file opens before any
+    // output; its report prints last.
+    let traced = telemetry.trace().map(trace_failure_run).transpose()?;
     header("§6 — failure blast radius: flat 1D ORN + VLB vs modular SORN");
     let n = 128;
     println!("network: {n} nodes; exposure = links whose failure can touch a flow\n");
@@ -136,19 +140,35 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     println!("links, and the affected set of a failure is confined to the failed");
     println!("element's clique(s) — easing diagnosis, as §6 argues.");
 
-    if let Some(path) = &telemetry.trace_out {
+    if let (Some(done), Some(path)) = (traced, &telemetry.trace_out) {
         header("Telemetry: packet run with a mid-run link failure");
-        trace_failure_run(path, telemetry.sample_interval_ns)?;
+        let (snapshots, metrics) = (done.snapshots, done.metrics);
+        println!(
+            "wrote {} events to {} (link 0->1 down for the middle third; drained: {})\n",
+            done.events,
+            path.display(),
+            done.drained
+        );
+        println!("{}", summary_table(&snapshots).render());
+        let peak = snapshots.iter().map(|s| s.queued_cells).max().unwrap_or(0);
+        println!("peak sampled queue depth: {peak} cells (watch it rise while the link is down)");
+        println!(
+            "failure slots: {} of {}; degraded-goodput ratio: {:.3}",
+            metrics.failure_slots,
+            metrics.slots,
+            metrics.degraded_goodput_ratio()
+        );
     }
     Ok(())
 }
 
 /// Packet-simulates a 32-node SORN under steady load with a scripted
 /// [`FaultPlan`] that fails the 0 -> 1 intra-clique link for the middle
-/// third of the workload, and writes the sampled time series to `path`
-/// — queue depth rises while the link is down and drains after
-/// restoration, and the trace carries the fault events themselves.
-fn trace_failure_run(path: &std::path::Path, sample_interval_ns: u64) -> Result<(), String> {
+/// third of the workload, and writes the time series sampled every
+/// given nanoseconds to `path` — queue depth rises while the link is
+/// down and drains after restoration, and the trace carries the fault
+/// events themselves.
+fn trace_failure_run((path, interval_ns): (&Path, u64)) -> Result<Finished, String> {
     let net = SornNetwork::build(SornConfig::small(32, 4, 0.5)).expect("network");
     let duration_ns = 500_000u64;
     let wl = PoissonWorkload {
@@ -163,37 +183,14 @@ fn trace_failure_run(path: &std::path::Path, sample_interval_ns: u64) -> Result<
         &CliqueLocal::new(net.cliques().clone(), 0.5),
     );
 
-    let cfg = net.sim_config(42);
-    let slot_ns = cfg.slot_ns;
     let third_ns = duration_ns / 3;
     let mut plan = FaultPlan::new();
     plan.link_outage(NodeId(0), NodeId(1), third_ns, 2 * third_ns);
-    let mut drained = false;
-    let traced = trace_run(path, sample_interval_ns, |sampler| {
-        let mut eng = Engine::with_probe(cfg, net.schedule(), net.router(), sampler);
-        eng.add_flows(flows).map_err(|e| e.to_string())?;
-        eng.set_fault_plan(plan);
-        drained = eng
-            .run_until_drained(duration_ns / slot_ns * 50)
-            .map_err(|e| e.to_string())?;
-        Ok((eng.metrics().clone(), eng.finish()))
-    })?;
-    let (snapshots, metrics) = (traced.snapshots, traced.metrics);
-    println!(
-        "wrote {} events to {} (link 0->1 down for the middle third; drained: {drained})\n",
-        traced.events,
-        path.display()
-    );
-    println!("{}", timeseries::summary_table(&snapshots).render());
-    let peak = snapshots.iter().map(|s| s.queued_cells).max().unwrap_or(0);
-    println!("peak sampled queue depth: {peak} cells (watch it rise while the link is down)");
-    println!(
-        "failure slots: {} of {}; degraded-goodput ratio: {:.3}",
-        metrics.failure_slots,
-        metrics.slots,
-        metrics.degraded_goodput_ratio()
-    );
-    Ok(())
+    let opened = plain(net.sim_config(42), Some((path, interval_ns)))?;
+    opened.drive(Run {
+        faults: plan,
+        ..Run::new(net.schedule(), net.router(), flows)
+    })
 }
 
 #[cfg(test)]

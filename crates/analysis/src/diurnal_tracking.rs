@@ -10,12 +10,11 @@
 //! (`--sample-interval-ns` sets the snapshot cadence).
 
 use crate::render::TextTable;
-use crate::timeseries::{drain, trace_run};
-use crate::{header, Args, TelemetryOpts};
+use crate::{header, plain, Args, Run, TelemetryOpts};
 use sorn_control::PatternEstimator;
 use sorn_core::model;
 use sorn_routing::{evaluate, DemandMatrix, SornPaths, SornRouter};
-use sorn_sim::Flow;
+use sorn_sim::{Flow, SimConfig};
 use sorn_topology::builders::{sorn_schedule, SornScheduleParams};
 use sorn_topology::{CircuitSchedule, CliqueMap, Ratio};
 use sorn_traffic::{DiurnalPattern, DiurnalWorkload, FlowSizeDist};
@@ -24,6 +23,8 @@ use sorn_traffic::{DiurnalPattern, DiurnalWorkload, FlowSizeDist};
 pub fn run(args: &mut Args) -> Result<(), String> {
     let telemetry = TelemetryOpts::read(args)?;
     args.reject_unknown()?;
+    let traced = (telemetry.trace()).map(|t| plain(SimConfig::default(), Some(t)));
+    let traced = traced.transpose()?;
     header("§6 — diurnal tracking: fixed q vs control-loop retuning");
     let n = 32usize;
     let cliques = CliqueMap::contiguous(n, 4);
@@ -114,7 +115,7 @@ pub fn run(args: &mut Args) -> Result<(), String> {
 
     // Packet-level companion: trace the first busy window on the fixed-q
     // fabric (arrivals rebased to the window start).
-    if let Some(path) = &telemetry.trace_out {
+    if let (Some(opened), Some(path)) = (traced, &telemetry.trace_out) {
         if let Some(window) = windows.iter().find(|w| !w.is_empty()) {
             let t0 = window.iter().map(|f| f.arrival_ns).min().unwrap_or(0);
             let flows: Vec<Flow> = window
@@ -125,14 +126,9 @@ pub fn run(args: &mut Args) -> Result<(), String> {
                 })
                 .collect();
             let router = SornRouter::new(cliques.clone());
-            let lines = trace_run(
-                path,
-                telemetry.sample_interval_ns,
-                drain(&fixed_sched, &router, flows),
-            )?
-            .events;
+            let events = opened.drive(Run::new(&fixed_sched, &router, flows))?.events;
             println!(
-                "packet trace of window 0 on the fixed-q fabric: {lines} events -> {}\n",
+                "packet trace of window 0 on the fixed-q fabric: {events} events -> {}\n",
                 path.display()
             );
         }

@@ -1,25 +1,29 @@
-//! The one run path of the checkpointing commands (`simulate`,
-//! `resilience`): [`open`] the store and the observers before any
-//! output, then [`Opened::drive`] the engine through periodic
-//! checkpoints, graceful stop and resume, and write the observers'
-//! reports.
+//! The one run path of every packet run in `sorn-analysis`: [`open`]
+//! a run before any output — its checkpoint store and newest checkpoint
+//! when it keeps them, its observers, and its `--trace-out` file — then
+//! [`Opened::drive`] the engine to its goal (through periodic
+//! checkpoints, graceful stop and resume when it has a store) and write
+//! the observers' reports. Nothing else in the crate builds or advances
+//! an engine.
 
 use crate::autopsy::TailAutopsy;
-use crate::timeseries::{read_back, trace_sampler};
+use crate::timeseries::snapshots_of;
 use crate::CheckpointOpts;
 use sorn_sim::{
     CheckpointError, CheckpointFs, CheckpointStore, Engine, FaultPlan, Flow, LinkHealth,
     LoadOutcome, Metrics, Router, SimConfig,
 };
-use sorn_telemetry::{EventSink, JsonlTraceSink, Observers, WeatherProbe};
+use sorn_telemetry::{
+    read_jsonl, EventSink, IntervalSampler, JsonlTraceSink, Observers, Snapshot, WeatherProbe,
+};
 use sorn_topology::CircuitSchedule;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Exit code for a run interrupted by SIGINT/SIGTERM after writing a
 /// final checkpoint: distinct from success (0) and usage errors (2) so
 /// wrappers can tell "stopped cleanly, resume me" apart from both.
-pub const EXIT_INTERRUPTED: i32 = 3;
+const EXIT_INTERRUPTED: i32 = 3;
 
 static STOP_FLAG: AtomicBool = AtomicBool::new(false);
 
@@ -73,6 +77,11 @@ pub enum RunMode {
     UntilDrained(u64),
 }
 
+/// The slot budget of every run driven [`RunMode::UntilDrained`]
+/// (`simulate --max-slots` defaults to it). Every experiment's run
+/// drains long before it, so the budget shows in no output.
+pub const DRAIN_SLOTS: u64 = 10_000_000;
+
 /// The observer stack every driven run carries; its sampler writes a
 /// `--trace-out` JSONL file.
 pub type Stack = Observers<JsonlTraceSink>;
@@ -91,8 +100,21 @@ pub struct Run<'a> {
     pub health: Option<LinkHealth>,
     /// How far to run.
     pub mode: RunMode,
-    /// `--trace-out` and its sampling interval: a JSONL run trace.
-    pub trace_out: Option<(PathBuf, u64)>,
+}
+
+impl<'a> Run<'a> {
+    /// `flows` on a healthy fabric, run until drained within
+    /// [`DRAIN_SLOTS`].
+    pub fn new(schedule: &'a CircuitSchedule, router: &'a dyn Router, flows: Vec<Flow>) -> Self {
+        Run {
+            schedule,
+            router,
+            flows,
+            faults: FaultPlan::new(),
+            health: None,
+            mode: RunMode::UntilDrained(DRAIN_SLOTS),
+        }
+    }
 }
 
 /// A finished run.
@@ -101,6 +123,13 @@ pub struct Finished {
     pub metrics: Metrics,
     /// Whether the engine drained.
     pub drained: bool,
+    /// Cells still queued in the nodes at the end.
+    pub queued: usize,
+    /// Events written to the `--trace-out` file (0 without one).
+    pub events: u64,
+    /// That trace's snapshot series as read back, in order; the last is
+    /// the run's end.
+    pub snapshots: Vec<Snapshot>,
     /// The weather roll-up, if attached; its report files are written.
     pub weather: Option<WeatherProbe>,
     /// Lines for stdout: the run trace written, the tail autopsy, the
@@ -113,8 +142,9 @@ pub fn weather_paths(name: &str) -> [PathBuf; 2] {
     ["txt", "json"].map(|ext| PathBuf::from(format!("WEATHER_{name}.{ext}")))
 }
 
-/// One run's store, newest checkpoint and observers: [`open`] makes it
-/// before anything reaches stdout, [`Opened::drive`] runs it.
+/// One run's store, newest checkpoint, observers and trace file:
+/// [`open`] makes it before anything reaches stdout, [`Opened::drive`]
+/// runs it.
 pub struct Opened {
     /// Store subdirectory and `WEATHER_` / `FLIGHT_` report suffix.
     name: String,
@@ -127,6 +157,8 @@ pub struct Opened {
     every_slots: u64,
     resumed: Option<LoadOutcome>,
     observers: Stack,
+    /// The `--trace-out` file the stack's sampler writes.
+    trace_out: Option<PathBuf>,
 }
 
 /// Opens run `name`'s store (`<dir>/<name>/`) and, with `--resume`,
@@ -135,14 +167,18 @@ pub struct Opened {
 /// checkpoint yet is a fresh start (a run may have finished before the
 /// interruption; rerunning it is deterministic), but a store whose
 /// every generation is corrupt, or whose newest was written with other
-/// observers or another trace rate, is refused naming the reason or
-/// the flag — before any output.
+/// observers or another [`SimConfig`] (`engine_threads` aside), is
+/// refused naming the reason or the flag — before any output. A run
+/// that starts fresh with `trace_out` creates that JSONL file (and its
+/// directory) for a sampler snapshotting every given nanoseconds of
+/// simulated time; a resumed one never does.
 pub fn open(
     ckpt: &CheckpointOpts,
     name: &str,
     (tag, log): (&str, &str),
     cfg: SimConfig,
     mut observers: Stack,
+    trace_out: Option<(&Path, u64)>,
 ) -> Result<Opened, String> {
     let dump = format!("FLIGHT_{name}.jsonl");
     observers.flight = observers.flight.take().map(|f| f.with_dump_path(dump));
@@ -162,14 +198,25 @@ pub fn open(
     }
     if let Some(out) = &resumed {
         let refuse = |e: String| format!("{tag}cannot resume from {}: {e}", out.path.display());
-        let (saved, mine) = (out.snapshot.config().trace_one_in, cfg.trace_one_in);
-        if saved != mine {
-            return Err(refuse(format!(
-                "--trace-flows differs: the checkpointed run traced one flow in {saved}, \
-                 this run one in {mine} (0: none)"
-            )));
+        let saved = SimConfig {
+            engine_threads: cfg.engine_threads,
+            ..out.snapshot.config()
+        };
+        let differs = [
+            (saved.uplinks != cfg.uplinks, "--uplinks"),
+            (saved.seed != cfg.seed, "--seed"),
+            (saved.trace_one_in != cfg.trace_one_in, "--trace-flows"),
+            (saved != cfg, "the engine configuration"),
+        ];
+        if let Some((_, flag)) = differs.into_iter().find(|(differs, _)| *differs) {
+            let why = format!("{flag} differs: checkpointed {saved:?}, this run {cfg:?}");
+            return Err(refuse(why));
         }
         observers.restore(&out.snapshot).map_err(refuse)?;
+    }
+    let trace_out = trace_out.filter(|_| resumed.is_none());
+    if let Some((path, interval_ns)) = trace_out {
+        observers.sampler = Some(trace_sampler(path, interval_ns)?);
     }
     Ok(Opened {
         name: name.to_string(),
@@ -180,28 +227,60 @@ pub fn open(
         every_slots: ckpt.every_slots,
         resumed,
         observers,
+        trace_out: trace_out.map(|(path, _)| path.to_path_buf()),
     })
 }
 
+/// [`open`]s a run of `cfg` that keeps no checkpoints and carries no
+/// observer but the `trace_out` sampler, if any.
+pub fn plain(cfg: SimConfig, trace_out: Option<(&Path, u64)>) -> Result<Opened, String> {
+    let no_store = CheckpointOpts {
+        dir: None,
+        every_slots: 1,
+        resume: false,
+    };
+    open(&no_store, "", ("", ""), cfg, Observers::none(), trace_out)
+}
+
+/// A sampler writing the JSONL trace at `path` (its directory created
+/// if missing), one snapshot every `interval_ns` of simulated time.
+fn trace_sampler(path: &Path, interval_ns: u64) -> Result<IntervalSampler<JsonlTraceSink>, String> {
+    if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
+        std::fs::create_dir_all(parent).map_err(|e| {
+            format!(
+                "cannot create --trace-out directory {}: {e}",
+                parent.display()
+            )
+        })?;
+    }
+    let sink = JsonlTraceSink::create(path).map_err(trace_file(path))?;
+    Ok(IntervalSampler::new(sink, interval_ns))
+}
+
+/// The error message of an I/O failure on the trace file at `path`.
+fn trace_file(path: &Path) -> impl Fn(std::io::Error) -> String + '_ {
+    move |e| format!("--trace-out file {}: {e}", path.display())
+}
+
 impl Opened {
-    /// The one run path of the checkpointing commands. Builds `run`'s
-    /// engine fresh, or restores it from the checkpoint (flows, fault
-    /// plan and failure state come from the snapshot) at the configured
-    /// engine threads, and runs it to `run.mode` with periodic
-    /// checkpoints and graceful stop. The flight recorder notes the
-    /// restore before the run and the checkpoints written after it, so
-    /// the checkpoint cadence never shows in its engine events. At the
-    /// end the run trace is read back against the metrics, and the
-    /// weather reports and flight dump are written.
+    /// The one run path. Builds `run`'s engine fresh, or restores it
+    /// from the checkpoint (flows, fault plan and failure state come
+    /// from the snapshot) at the configured engine threads, and runs it
+    /// to `run.mode` with periodic checkpoints and graceful stop when
+    /// it has a store. The flight recorder notes the restore before the
+    /// run and the checkpoints written after it, so the checkpoint
+    /// cadence never shows in its engine events. At the end the run
+    /// trace is read back and checked against the metrics (every event
+    /// written, the final snapshot's delivered cells), and the weather
+    /// reports and flight dump are written.
     ///
-    /// `Ok(None)` means a signal stopped this run (its final checkpoint
-    /// is on disk) or an earlier one: the caller exits with
-    /// [`EXIT_INTERRUPTED`].
-    pub fn drive(mut self, run: Run<'_>) -> Result<Option<Finished>, String> {
+    /// A signal that stopped this run (its final checkpoint is on disk)
+    /// or an earlier one ends the process with [`EXIT_INTERRUPTED`].
+    pub fn drive(mut self, run: Run<'_>) -> Result<Finished, String> {
         let (tag, log) = (&self.tag, &self.log);
         let stop = stop_flag(self.store.is_some());
         if stop.load(Ordering::SeqCst) {
-            return Ok(None);
+            std::process::exit(EXIT_INTERRUPTED);
         }
         let mut eng = if let Some(out) = &mut self.resumed {
             for (path, reason) in &out.skipped {
@@ -220,9 +299,6 @@ impl Opened {
             eprintln!("{log}resumed from {path} at slot {}", out.snapshot.slot());
             eng
         } else {
-            if let Some((path, interval_ns)) = &run.trace_out {
-                self.observers.sampler = Some(trace_sampler(path, *interval_ns)?);
-            }
             let mut eng = Engine::with_probe(self.cfg, run.schedule, run.router, self.observers);
             eng.set_fault_plan(run.faults);
             eng.add_flows(run.flows).map_err(|e| format!("{tag}{e}"))?;
@@ -257,9 +333,10 @@ impl Opened {
                 "{log}interrupted at slot {}{wrote}; rerun with --resume",
                 eng.now_slot()
             );
-            return Ok(None);
+            std::process::exit(EXIT_INTERRUPTED);
         };
 
+        let queued = eng.total_queued();
         let mut metrics = eng.metrics().clone();
         metrics.stranded_cells = eng.count_stranded();
         let Observers {
@@ -269,14 +346,25 @@ impl Opened {
             flight,
         } = eng.finish();
         let mut notes = Vec::new();
-        if let (Some(sampler), Some((path, _))) = (sampler, &run.trace_out) {
-            let traced = read_back(path, sampler, metrics)?;
+        let (mut events, mut snapshots) = (0, Vec::new());
+        if let (Some(sampler), Some(path)) = (sampler, &self.trace_out) {
+            events = sampler.into_sink().finish().map_err(trace_file(path))?;
+            let read = read_jsonl(path).map_err(trace_file(path))?;
+            snapshots = snapshots_of(&read);
+            let delivered = snapshots.last().map(|s| s.delivered_cells);
+            if read.len() as u64 != events || delivered != Some(metrics.delivered_cells) {
+                return Err(format!(
+                    "--trace-out file {}: read back {} of {events} events, final snapshot \
+                     delivered {delivered:?} cells, the run {}",
+                    path.display(),
+                    read.len(),
+                    metrics.delivered_cells
+                ));
+            }
             notes.push(format!(
-                "{tag}wrote {} trace events to {}",
-                traced.events,
+                "{tag}wrote {events} trace events to {}",
                 path.display()
             ));
-            metrics = traced.metrics;
         }
         if let Some(c) = trace {
             notes.push(format!("{tag}traced {} hop events", c.len()));
@@ -303,12 +391,15 @@ impl Opened {
                 ));
             }
         }
-        Ok(Some(Finished {
+        Ok(Finished {
             metrics,
             drained,
+            queued,
+            events,
+            snapshots,
             weather,
             notes,
-        }))
+        })
     }
 }
 

@@ -11,11 +11,11 @@
 //!   web-search traffic ("real-world traffic \[2\]").
 
 use crate::render::{to_csv, TextTable};
-use crate::timeseries::{self, trace_run};
-use crate::{header, run_jobs, Args, Task, TelemetryOpts};
+use crate::timeseries::summary_table;
+use crate::{header, plain, run_jobs, Args, Finished, Run, Task, TelemetryOpts};
 use sorn_core::{model, CoreError, SornConfig, SornNetwork};
-use sorn_sim::{Metrics, NoopProbe, Probe, SimError};
 use sorn_traffic::{spatial::CliqueLocal, FlowSizeDist, PoissonWorkload};
+use std::path::Path;
 
 /// One point of the Figure 2(f) series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,12 +90,11 @@ pub struct PacketValidation {
 /// Packet-simulates one Figure 2(f) point with pFabric web-search flows
 /// at the given offered load, checking that a load below the predicted
 /// throughput drains. `engine_threads` shards the engine's slot phases
-/// (`1` = serial path; any value is bit-identical). `probe` observes the
-/// run ([`NoopProbe`] for none); it comes back with the run's metrics
-/// alongside the validation summary, so a caller can cross-check a
-/// written trace against the aggregate counters.
+/// (`1` = serial path; any value is bit-identical). `trace_out` records
+/// the run as a JSONL trace sampled at the given interval; the finished
+/// run comes back alongside the validation summary.
 #[allow(clippy::too_many_arguments)]
-pub fn validate_point<P: Probe>(
+pub fn validate_point(
     n: usize,
     cliques: usize,
     x: f64,
@@ -103,8 +102,8 @@ pub fn validate_point<P: Probe>(
     duration_ns: u64,
     seed: u64,
     engine_threads: usize,
-    probe: P,
-) -> Result<(PacketValidation, Metrics, P), SimError> {
+    trace_out: Option<(&Path, u64)>,
+) -> Result<(PacketValidation, Finished), String> {
     let mut cfg = SornConfig::small(n, cliques, x);
     cfg.q = Some(sorn_topology::Ratio::approximate(model::ideal_q(x), 64));
     cfg.engine_threads = engine_threads;
@@ -121,18 +120,18 @@ pub fn validate_point<P: Probe>(
     };
     let flows = wl.generate(&FlowSizeDist::web_search(), &CliqueLocal::new(map, x));
     let n_flows = flows.len();
-    // Generous drain budget: 50x the workload duration.
-    let max_slots = duration_ns / 100 * 50;
-    let (metrics, drained, probe) = net.simulate_with_probe(flows, seed, max_slots, probe)?;
+    let opened = plain(net.sim_config(seed), trace_out)?;
+    let done = opened.drive(Run::new(net.schedule(), net.router(), flows))?;
+    let (m, drained) = (&done.metrics, done.drained);
     let validation = PacketValidation {
         x,
         offered_load: load,
         drained,
-        mean_hops: metrics.mean_hops(),
-        delivery_fraction: metrics.delivery_fraction(),
-        flows: n_flows.min(metrics.flows.len()),
+        mean_hops: m.mean_hops(),
+        delivery_fraction: m.delivery_fraction(),
+        flows: n_flows.min(m.flows.len()),
     };
-    Ok((validation, metrics, probe))
+    Ok((validation, done))
 }
 
 /// `sorn-cli fig2f [--n N] [--cliques C] [--jobs N] [--engine-threads N]
@@ -146,6 +145,11 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     let engine_threads = args.count("engine-threads", 1)?;
     let telemetry = TelemetryOpts::read(args)?;
     args.reject_unknown()?;
+    // The traced re-run of the x = 0.56 validation point goes first, so
+    // its trace file opens before any output; its report prints last.
+    let traced = (telemetry.trace())
+        .map(|t| validate_point(128, 8, 0.56, 0.3, 2_000_000, 42, engine_threads, Some(t)))
+        .transpose()?;
     let pts = generate(&params).map_err(|e| e.to_string())?;
 
     header("Figure 2(f) — worst-case throughput vs locality ratio");
@@ -187,7 +191,7 @@ pub fn run(args: &mut Args) -> Result<(), String> {
         .iter()
         .map(|&x| -> Task<PacketValidation> {
             Box::new(move || {
-                validate_point(128, 8, x, 0.3, 2_000_000, 42, engine_threads, NoopProbe)
+                validate_point(128, 8, x, 0.3, 2_000_000, 42, engine_threads, None)
                     .expect("validation point")
                     .0
             })
@@ -206,25 +210,19 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     println!("(delivery fraction ~= 1/mean_hops; mean hops ~= 3 - x, so the");
     println!(" measured packet-level throughput tracks the theory curve)");
 
-    if let Some(path) = &telemetry.trace_out {
+    if let (Some((_, done)), Some(path)) = (traced, &telemetry.trace_out) {
         header("Telemetry: traced re-run of the x = 0.56 validation point");
-        let traced = trace_run(path, telemetry.sample_interval_ns, |sampler| {
-            let (_, metrics, sampler) =
-                validate_point(128, 8, 0.56, 0.3, 2_000_000, 42, engine_threads, sampler)
-                    .map_err(|e| e.to_string())?;
-            Ok((metrics, sampler))
-        })?;
         println!(
             "wrote {} events to {} (sample interval {} ns)",
-            traced.events,
+            done.events,
             path.display(),
             telemetry.sample_interval_ns
         );
         println!(
             "final snapshot: {} delivered cells == metrics aggregate\n",
-            traced.metrics.delivered_cells
+            done.metrics.delivered_cells
         );
-        println!("{}", timeseries::summary_table(&traced.snapshots).render());
+        println!("{}", summary_table(&done.snapshots).render());
     }
     Ok(())
 }
@@ -273,7 +271,7 @@ mod tests {
 
     #[test]
     fn packet_validation_drains_below_capacity() {
-        let point = |threads| validate_point(16, 4, 0.5, 0.2, 200_000, 7, threads, NoopProbe);
+        let point = |threads| validate_point(16, 4, 0.5, 0.2, 200_000, 7, threads, None);
         let v = point(1).unwrap().0;
         // The sharded engine must reproduce the serial run bit-for-bit.
         assert_eq!(point(2).unwrap().0, v);

@@ -8,10 +8,10 @@
 //! must multiply to the same 4096 racks.
 
 use crate::render::{fmt_latency, fmt_pct, TextTable};
-use crate::{header, Args};
+use crate::{header, plain, Args, Run};
 use sorn_core::{model, HierarchyModel};
 use sorn_routing::HierarchicalRouter;
-use sorn_sim::{Engine, Flow, FlowId, SimConfig};
+use sorn_sim::{Flow, FlowId, SimConfig};
 use sorn_topology::builders::hierarchical_schedule;
 
 /// `sorn-cli hierarchy [--radices a,b,c] [--profile x0,x1,x2]`.
@@ -76,7 +76,6 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     let spec = sorn_topology::builders::HierarchySpec::new(vec![4, 4, 4], vec![6, 2, 1]).unwrap();
     let sched = hierarchical_schedule(&spec, 1 << 20).unwrap();
     let router = HierarchicalRouter::new(spec);
-    let mut eng = Engine::new(SimConfig::default(), &sched, &router);
     let flows: Vec<Flow> = (0..64u32)
         .flat_map(|s| [(s, (s + 1) % 64), (s, (s + 5) % 64), (s, (s + 21) % 64)])
         .enumerate()
@@ -89,9 +88,8 @@ pub fn run(args: &mut Args) -> Result<(), String> {
         })
         .collect();
     let count = flows.len();
-    eng.add_flows(flows).unwrap();
-    let drained = eng.run_until_drained(5_000_000).unwrap();
-    let m = eng.metrics();
+    let done = plain(SimConfig::default(), None)?.drive(Run::new(&sched, &router, flows))?;
+    let (m, drained) = (&done.metrics, done.drained);
     println!(
         "flows: {count}, drained: {drained}, completed: {}",
         m.flows.len()

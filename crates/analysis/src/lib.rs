@@ -20,15 +20,16 @@
 //!   single-configuration tools.
 //!
 //! Shared pieces: [`render`] (text tables), [`fct`] (slowdown buckets),
-//! [`timeseries`] (JSONL run-trace summaries and the one `--trace-out`
-//! companion run), [`autopsy`] (tail-latency attribution); [`Args`] and
-//! the flag groups several commands read (`TelemetryOpts`,
-//! `WeatherOpts`, `CheckpointOpts`); the one run path of [`simulate`]
-//! and [`resilience`] (`drive`: open the checkpoint store and restore
-//! the observer stack before any output, build or restore the engine,
-//! run the slot loop with checkpoints and graceful stop, and write the
-//! observers' reports); and [`run_jobs`] for `--jobs`. (The simulator
-//! is timed by the repository benchmark, `benchmark/run.sh`.)
+//! [`timeseries`] (JSONL run-trace summaries), [`autopsy`]
+//! (tail-latency attribution); [`Args`] and the flag groups several
+//! commands read (`TelemetryOpts`, `WeatherOpts`, `CheckpointOpts`);
+//! the one run path of every packet run (`drive`: before any output,
+//! open the `--trace-out` file, the checkpoint store and the observer
+//! stack restored from it; then build or restore the engine, run the
+//! slot loop with checkpoints and graceful stop, read the trace back,
+//! and write the observers' reports — a command only describes its
+//! run); and [`run_jobs`] for `--jobs`. (The simulator is timed by the
+//! repository benchmark, `benchmark/run.sh`.)
 
 #![warn(missing_docs)]
 
@@ -59,7 +60,7 @@ pub mod tools;
 
 pub use args::Args;
 use args::{CheckpointOpts, TelemetryOpts, WeatherOpts};
-use drive::{open, weather_paths, Run, RunMode, Stack, EXIT_INTERRUPTED};
+use drive::{open, plain, weather_paths, Finished, Run, RunMode, Stack, DRAIN_SLOTS};
 
 /// One `sorn-cli` command.
 pub struct Command {

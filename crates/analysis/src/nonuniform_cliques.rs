@@ -8,9 +8,9 @@
 //! 8-community is split); design B uses non-uniform cliques {8, 4, 4}.
 
 use crate::render::TextTable;
-use crate::{header, Args};
+use crate::{header, plain, Args, Finished, Run};
 use sorn_routing::{GeneralSornRouter, SornRouter};
-use sorn_sim::{Engine, Flow, FlowId, Metrics, Router, SimConfig};
+use sorn_sim::{Flow, FlowId, Router, SimConfig};
 use sorn_topology::builders::{nonuniform_sorn_schedule, sorn_schedule, SornScheduleParams};
 use sorn_topology::{CircuitSchedule, CliqueId, CliqueMap, NodeId, Ratio};
 
@@ -47,11 +47,8 @@ fn workload() -> Vec<Flow> {
     flows
 }
 
-fn drain(sched: &CircuitSchedule, router: &dyn Router) -> (Metrics, bool) {
-    let mut eng = Engine::new(SimConfig::default(), sched, router);
-    eng.add_flows(workload()).unwrap();
-    let drained = eng.run_until_drained(10_000_000).unwrap();
-    (eng.metrics().clone(), drained)
+fn drain(sched: &CircuitSchedule, router: &dyn Router) -> Result<Finished, String> {
+    plain(SimConfig::default(), None)?.drive(Run::new(sched, router, workload()))
 }
 
 /// `sorn-cli nonuniform_cliques` (no flags).
@@ -74,8 +71,11 @@ pub fn run(args: &mut Args) -> Result<(), String> {
         nonuniform_sorn_schedule(&matched_map, Ratio::integer(3), 0, 1 << 20).unwrap();
     let matched_router = GeneralSornRouter::new(matched_map.clone());
 
-    let (mu, du) = drain(&uniform_sched, &uniform_router);
-    let (mm, dm) = drain(&matched_sched, &matched_router);
+    let (u, m) = (
+        drain(&uniform_sched, &uniform_router)?,
+        drain(&matched_sched, &matched_router)?,
+    );
+    let (mu, du, mm, dm) = (&u.metrics, u.drained, &m.metrics, m.drained);
 
     let mut t = TextTable::new(&[
         "design",

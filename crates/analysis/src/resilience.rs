@@ -47,7 +47,7 @@
 use crate::render::{fmt_latency, TextTable};
 use crate::{
     header, open, run_jobs, Args, CheckpointOpts, Run, RunMode, Stack, Task, TelemetryOpts,
-    WeatherOpts, EXIT_INTERRUPTED,
+    WeatherOpts,
 };
 use sorn_control::{ControlConfig, ControlLoop, EpochOutcome};
 use sorn_routing::{Grouping, SornRouter};
@@ -176,8 +176,8 @@ pub fn run(args: &mut Args) -> Result<(), String> {
         ..SimConfig::default()
     };
     let map = CliqueMap::contiguous(N, CLIQUES);
-    // Both schemes' stores and observers open, and a refused resume
-    // exits, before anything reaches stdout.
+    // Both schemes' stores, observers and trace files open, and a
+    // refused resume exits, before anything reaches stdout.
     let opened = SCHEMES
         .iter()
         .map(|&name| {
@@ -188,30 +188,18 @@ pub fn run(args: &mut Args) -> Result<(), String> {
                 ..Observers::none()
             };
             let tag = format!("[{name}] ");
+            let trace_out = (telemetry.trace_out.as_ref()).map(|base| suffixed(base, name));
             open(
                 &ckpt,
                 name,
                 (&tag, &format!("resilience: {tag}")),
                 cfg,
                 observers,
+                (trace_out.as_deref()).map(|path| (path, telemetry.sample_interval_ns)),
             )
         })
         .collect::<Result<Vec<_>, _>>()?;
     header("Resilience: flat VLB vs modular SORN under one failure storm");
-
-    // The per-scheme trace files land next to the `--trace-out` base
-    // path; create its directory up front so a fresh results tree
-    // doesn't fail deep inside a worker thread.
-    if let Some(base) = &telemetry.trace_out {
-        if let Some(parent) = base.parent().filter(|p| !p.as_os_str().is_empty()) {
-            std::fs::create_dir_all(parent).map_err(|e| {
-                format!(
-                    "cannot create --trace-out directory {}: {e}",
-                    parent.display()
-                )
-            })?;
-        }
-    }
 
     let q = Ratio::integer(3);
     let flat_sched = round_robin(N).expect("round robin");
@@ -270,8 +258,6 @@ pub fn run(args: &mut Args) -> Result<(), String> {
         .zip(opened)
         .map(|((scheme, sched), opened)| -> Task<_> {
             let (map, flows, plan) = (map.clone(), flows.clone(), plan.clone());
-            let trace_out = (telemetry.trace_out.as_ref())
-                .map(|base| (suffixed(base, scheme), telemetry.sample_interval_ns));
             Box::new(move || {
                 let health = LinkHealth::new();
                 let grouping = if scheme == "flat-vlb" {
@@ -291,19 +277,14 @@ pub fn run(args: &mut Args) -> Result<(), String> {
                     // low-rate tail of all-healthy slots and skew the
                     // healthy-goodput baseline.
                     mode: RunMode::UntilSlot(DURATION_NS / cfg.slot_ns),
-                    trace_out,
                 };
                 opened.drive(run)
             })
         })
         .collect();
-    let outcomes = run_jobs(jobs, tasks)
+    let done = run_jobs(jobs, tasks)
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
-    let Some(done) = outcomes.into_iter().collect::<Option<Vec<_>>>() else {
-        // Interrupted: the final checkpoint is on disk.
-        std::process::exit(EXIT_INTERRUPTED);
-    };
     for note in done.iter().flat_map(|run| &run.notes) {
         println!("{note}");
     }

@@ -13,16 +13,15 @@
 //! finishes the current slot, writes a final checkpoint, and exits with
 //! code 3; `--resume` continues from the newest valid generation and
 //! prints the identical tables an uninterrupted run would have. A
-//! resume repeats the checkpointed run's `--weather` and
-//! `--weather-topk`, or exits 2 naming the flag.
+//! resume repeats the checkpointed run's `--weather`, `--weather-topk`,
+//! `--uplinks` and `--seed`, or exits 2 naming the flag.
 
 use crate::fct::{bucketed_slowdown, DEFAULT_BUCKETS};
 use crate::render::{fmt_latency, TextTable};
 use crate::{
-    open, weather_paths, Args, CheckpointOpts, Run, RunMode, Stack, WeatherOpts, EXIT_INTERRUPTED,
+    open, weather_paths, Args, CheckpointOpts, Run, RunMode, Stack, WeatherOpts, DRAIN_SLOTS,
 };
 use sorn_core::{SornConfig, SornNetwork};
-use sorn_sim::FaultPlan;
 use sorn_telemetry::{Observers, WeatherProbe};
 use sorn_traffic::Trace;
 
@@ -33,7 +32,7 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     let locality = args.get("locality", 0.56f64)?;
     let uplinks = args.get("uplinks", 1usize)?;
     let seed: u64 = args.get("seed", 0u64)?;
-    let max_slots: u64 = args.get("max-slots", 10_000_000u64)?;
+    let max_slots: u64 = args.get("max-slots", DRAIN_SLOTS)?;
     let weather = WeatherOpts::read(args)?;
     let ckpt = CheckpointOpts::read(args)?;
     args.reject_unknown()?;
@@ -53,7 +52,8 @@ pub fn run(args: &mut Args) -> Result<(), String> {
         ..Observers::none()
     };
     // A refused resume exits before anything reaches stdout.
-    let opened = open(&ckpt, "simulate", ("", "sorn-cli: "), sim_cfg, observers)?;
+    let tags = ("", "sorn-cli: ");
+    let opened = open(&ckpt, "simulate", tags, sim_cfg, observers, None)?;
     let flows = trace.replay();
     println!(
         "simulating {} flows ({}) on {} nodes / {} cliques...",
@@ -63,18 +63,10 @@ pub fn run(args: &mut Args) -> Result<(), String> {
         cliques
     );
 
-    let run = Run {
-        schedule: net.schedule(),
-        router: net.router(),
-        flows,
-        faults: FaultPlan::new(),
-        health: None,
+    let done = opened.drive(Run {
         mode: RunMode::UntilDrained(max_slots),
-        trace_out: None,
-    };
-    let Some(done) = opened.drive(run)? else {
-        std::process::exit(EXIT_INTERRUPTED);
-    };
+        ..Run::new(net.schedule(), net.router(), flows)
+    })?;
     let (metrics, drained) = (done.metrics, done.drained);
 
     let mut rows = vec![

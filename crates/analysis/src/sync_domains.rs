@@ -20,9 +20,9 @@
 //! utilization the guard times discount.
 
 use crate::render::TextTable;
-use crate::timeseries::{drain, trace_run};
-use crate::{header, Args, TelemetryOpts};
+use crate::{header, plain, Args, Run, TelemetryOpts};
 use sorn_routing::SornRouter;
+use sorn_sim::SimConfig;
 use sorn_topology::builders::{sorn_schedule, SornScheduleParams};
 use sorn_topology::{CliqueMap, Ratio};
 use sorn_traffic::{spatial::CliqueLocal, FlowSizeDist, PoissonWorkload};
@@ -131,6 +131,8 @@ pub fn sorn_sync(n: usize, cliques: usize, q: f64, model: &SyncModel) -> SyncRep
 pub fn run(args: &mut Args) -> Result<(), String> {
     let telemetry = TelemetryOpts::read(args)?;
     args.reject_unknown()?;
+    let traced = (telemetry.trace()).map(|t| plain(SimConfig::default(), Some(t)));
+    let traced = traced.transpose()?;
     header("§6 — synchronization domains: flat vs modular slot sync");
     let m = SyncModel::default();
     println!(
@@ -170,7 +172,7 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     // Packet-level reference run for the modular design: the trace's
     // utilization snapshots show which scheduled circuits actually carry
     // cells — the quantity the guard times above are discounting.
-    if let Some(path) = &telemetry.trace_out {
+    if let (Some(opened), Some(path)) = (traced, &telemetry.trace_out) {
         let ref_n = 64usize;
         let map = CliqueMap::contiguous(ref_n, 8);
         let schedule =
@@ -187,14 +189,9 @@ pub fn run(args: &mut Args) -> Result<(), String> {
             &CliqueLocal::new(map.clone(), 0.5),
         );
         let router = SornRouter::new(map);
-        let lines = trace_run(
-            path,
-            telemetry.sample_interval_ns,
-            drain(&schedule, &router, flows),
-        )?
-        .events;
+        let events = opened.drive(Run::new(&schedule, &router, flows))?.events;
         println!(
-            "reference packet run (n={ref_n}, nc=8): {lines} events -> {}\n",
+            "reference packet run (n={ref_n}, nc=8): {events} events -> {}\n",
             path.display()
         );
     }

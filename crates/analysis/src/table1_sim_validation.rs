@@ -8,10 +8,10 @@
 //! to its prediction.
 
 use crate::render::TextTable;
-use crate::{header, Args};
+use crate::{header, plain, Args, Run};
 use sorn_core::model::{self, InterCliqueLatencyModel};
 use sorn_routing::{HdimRouter, OperaModel, OperaShortRouter, SornRouter};
-use sorn_sim::{Engine, Flow, FlowId, Router, SimConfig};
+use sorn_sim::{Flow, FlowId, Router, SimConfig};
 use sorn_topology::builders::{hdim_orn, round_robin, sorn_schedule, SornScheduleParams};
 use sorn_topology::{CircuitSchedule, CliqueMap, NodeId, Ratio};
 
@@ -25,7 +25,7 @@ fn measure(
     router: &dyn Router,
     pairs: &[(u32, u32)],
     phase_stride: u64,
-) -> (u64, f64) {
+) -> Result<(u64, f64), String> {
     let mut worst = 0u64;
     let mut sum = 0.0;
     let mut count = 0u64;
@@ -33,24 +33,24 @@ fn measure(
     let mut phase = 0u64;
     while phase < period {
         for &(s, d) in pairs {
-            let mut eng = Engine::new(SimConfig::default(), sched, router);
-            eng.add_flows([Flow {
+            let flow = Flow {
                 id: FlowId(0),
                 src: NodeId(s),
                 dst: NodeId(d),
                 size_bytes: 1,
                 arrival_ns: phase * SLOT,
-            }])
-            .unwrap();
-            assert!(eng.run_until_drained(20 * period + 1000).unwrap());
-            let fct = eng.metrics().flows[0].fct_ns();
+            };
+            let done =
+                plain(SimConfig::default(), None)?.drive(Run::new(sched, router, vec![flow]))?;
+            assert!(done.drained);
+            let fct = done.metrics.flows[0].fct_ns();
             worst = worst.max(fct);
             sum += fct as f64;
             count += 1;
         }
         phase += phase_stride;
     }
-    (worst, sum / count as f64)
+    Ok((worst, sum / count as f64))
 }
 
 /// `sorn-cli table1_sim_validation` (no flags).
@@ -78,7 +78,7 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     let rr = round_robin(N).unwrap();
     let vlb = SornRouter::flat();
     let pairs = [(0u32, 1u32), (3, 130), (7, 200)];
-    let (worst, mean) = measure(&rr, &vlb, &pairs, 13);
+    let (worst, mean) = measure(&rr, &vlb, &pairs, 13)?;
     // delta_m = N-1 slots for the direct hop + up to 1 slot spray wait.
     let pred_1d = pred(model::flat_delta_m(N) + 1.0, 2);
     row("1D ORN (Sirius-style)".into(), worst, pred_1d, mean);
@@ -86,7 +86,7 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     // --- 2D ORN ---
     let h2 = hdim_orn(N, 2).unwrap();
     let hr = HdimRouter::new(N, 2);
-    let (worst2, mean2) = measure(&h2, &hr, &pairs, 1);
+    let (worst2, mean2) = measure(&h2, &hr, &pairs, 1)?;
     // delta_m = h^2 (delta-1) for corrections + ~2h slots of spray.
     let pred2 = pred(model::hdim_delta_m(N, 2).unwrap() + 4.0, 4);
     row("2D ORN".into(), worst2, pred2, mean2);
@@ -97,13 +97,13 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     let sr = SornRouter::new(map.clone());
     // Intra pairs.
     let intra_pairs = [(0u32, 5u32), (2, 9), (17, 30)];
-    let (worst_i, mean_i) = measure(&ss, &sr, &intra_pairs, 17);
+    let (worst_i, mean_i) = measure(&ss, &sr, &intra_pairs, 17)?;
     let qf = q.to_f64();
     let pred_i = pred(model::intra_delta_m(qf, 16) + 2.0, 2);
     row("SORN Nc=16 intra".into(), worst_i, pred_i, mean_i);
     // Inter pairs.
     let inter_pairs = [(0u32, 100u32), (5, 250), (20, 70)];
-    let (worst_e, mean_e) = measure(&ss, &sr, &inter_pairs, 17);
+    let (worst_e, mean_e) = measure(&ss, &sr, &inter_pairs, 17)?;
     let inter_dm = model::inter_delta_m(qf, 16, 16, InterCliqueLatencyModel::Text);
     row(
         "SORN Nc=16 inter".into(),
@@ -116,7 +116,7 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     let om = OperaModel::new(N, 8, 0.75, 4, 3).unwrap();
     let frozen = om.frozen_schedule(0, 4).unwrap();
     let or = OperaShortRouter::new(&om, 0, 4).expect("connected");
-    let (worst_o, mean_o) = measure(&frozen, &or, &pairs, 1);
+    let (worst_o, mean_o) = measure(&frozen, &or, &pairs, 1)?;
     // Each hop waits at most one active-set cycle (6 slots).
     let pred_o = or.diameter() as f64 * (6.0 * SLOT as f64 + PROP as f64);
     row(

@@ -1,15 +1,12 @@
-//! Time-series summaries of telemetry run traces, and the one
-//! `--trace-out` companion run the experiments record them with.
+//! Time-series summaries of `--trace-out` run traces.
 //!
-//! Consumes the [`Snapshot`] series an [`IntervalSampler`] emits and
+//! Consumes the [`Snapshot`] series an
+//! [`IntervalSampler`](sorn_telemetry::IntervalSampler) emits and
 //! renders queue- and utilization-over-time as percentile tables,
 //! following the `render` module's conventions.
 
 use crate::render::TextTable;
-use sorn_sim::{Engine, Flow, Metrics, Router, SimConfig};
-use sorn_telemetry::{read_jsonl, IntervalSampler, JsonlTraceSink, Snapshot, TraceEvent};
-use sorn_topology::CircuitSchedule;
-use std::path::Path;
+use sorn_telemetry::{Snapshot, TraceEvent};
 
 /// Order statistics of one sampled series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,90 +97,6 @@ pub fn summary_table(snapshots: &[Snapshot]) -> TextTable {
         ]);
     }
     t
-}
-
-/// The probe a `--trace-out` run writes through: a JSONL file sink
-/// sampled every `--sample-interval-ns`.
-pub type TraceSampler = IntervalSampler<JsonlTraceSink>;
-
-/// What [`trace_run`] returns: the trace as written and read back.
-#[derive(Debug, Clone)]
-pub struct TracedRun {
-    /// Events written to the trace file.
-    pub events: u64,
-    /// The trace's snapshot series, in order; the last is the run's end.
-    pub snapshots: Vec<Snapshot>,
-    /// The run's aggregate metrics.
-    pub metrics: Metrics,
-}
-
-/// The `--trace-out` companion run of an experiment: hands the
-/// [`trace_sampler`] for `path` and `interval_ns` to `run`, which
-/// drives a packet simulation and returns the sampler with the run's
-/// metrics, then checks the trace with [`read_back`].
-pub fn trace_run(
-    path: &Path,
-    interval_ns: u64,
-    run: impl FnOnce(TraceSampler) -> Result<(Metrics, TraceSampler), String>,
-) -> Result<TracedRun, String> {
-    let (metrics, sampler) = run(trace_sampler(path, interval_ns)?)?;
-    read_back(path, sampler, metrics)
-}
-
-/// A sampler writing the JSONL trace at `path`, one snapshot every
-/// `interval_ns` of simulated time.
-pub fn trace_sampler(path: &Path, interval_ns: u64) -> Result<TraceSampler, String> {
-    let sink = JsonlTraceSink::create(path).map_err(trace_file(path))?;
-    Ok(IntervalSampler::new(sink, interval_ns))
-}
-
-/// Flushes a finished run's trace to `path`, reads it back, and checks
-/// that it holds every event written and that its final snapshot's
-/// delivered cells equal `metrics`'.
-pub fn read_back(
-    path: &Path,
-    sampler: TraceSampler,
-    metrics: Metrics,
-) -> Result<TracedRun, String> {
-    let written = sampler.into_sink().finish().map_err(trace_file(path))?;
-    let events = read_jsonl(path).map_err(trace_file(path))?;
-    let snapshots = snapshots_of(&events);
-    let delivered = snapshots.last().map(|s| s.delivered_cells);
-    if events.len() as u64 != written || delivered != Some(metrics.delivered_cells) {
-        return Err(format!(
-            "--trace-out file {}: read back {} of {written} events, final snapshot \
-             delivered {delivered:?} cells, the run {}",
-            path.display(),
-            events.len(),
-            metrics.delivered_cells
-        ));
-    }
-    Ok(TracedRun {
-        events: written,
-        snapshots,
-        metrics,
-    })
-}
-
-/// The error message of an I/O failure on the trace file at `path`.
-fn trace_file(path: &Path) -> impl Fn(std::io::Error) -> String + '_ {
-    move |e| format!("--trace-out file {}: {e}", path.display())
-}
-
-/// A `run` for [`trace_run`]: drains `flows` on `schedule` under
-/// `router` with the default [`SimConfig`], giving up after 100 000
-/// slots.
-pub fn drain<'a>(
-    schedule: &'a CircuitSchedule,
-    router: &'a dyn Router,
-    flows: Vec<Flow>,
-) -> impl FnOnce(TraceSampler) -> Result<(Metrics, TraceSampler), String> + 'a {
-    move |sampler| {
-        let mut eng = Engine::with_probe(SimConfig::default(), schedule, router, sampler);
-        eng.add_flows(flows).map_err(|e| e.to_string())?;
-        eng.run_until_drained(100_000).map_err(|e| e.to_string())?;
-        Ok((eng.metrics().clone(), eng.finish()))
-    }
 }
 
 #[cfg(test)]

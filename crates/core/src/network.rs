@@ -8,7 +8,7 @@
 use crate::config::{CoreError, SornConfig};
 use crate::model;
 use sorn_routing::{evaluate, DemandMatrix, SornPaths, SornRouter, ThroughputReport};
-use sorn_sim::{Engine, Flow, Metrics, NoopProbe, Probe, SimConfig, SimError};
+use sorn_sim::{Engine, Flow, Metrics, SimConfig, SimError};
 use sorn_topology::builders::{sorn_schedule, SornScheduleParams};
 use sorn_topology::{CircuitSchedule, CliqueMap};
 
@@ -143,27 +143,10 @@ impl SornNetwork {
         seed: u64,
         max_slots: u64,
     ) -> Result<(Metrics, bool), SimError> {
-        let (metrics, drained, NoopProbe) =
-            self.simulate_with_probe(flows, seed, max_slots, NoopProbe)?;
-        Ok((metrics, drained))
-    }
-
-    /// Like [`SornNetwork::simulate`], but with a telemetry probe
-    /// observing the run. Fires the probe's run-end hook after the last
-    /// slot and hands the probe back alongside the metrics.
-    pub fn simulate_with_probe<P: Probe>(
-        &self,
-        flows: Vec<Flow>,
-        seed: u64,
-        max_slots: u64,
-        probe: P,
-    ) -> Result<(Metrics, bool, P), SimError> {
-        let mut engine =
-            Engine::with_probe(self.sim_config(seed), &self.schedule, &self.router, probe);
+        let mut engine = Engine::new(self.sim_config(seed), &self.schedule, &self.router);
         engine.add_flows(flows)?;
         let drained = engine.run_until_drained(max_slots)?;
-        let metrics = engine.metrics().clone();
-        Ok((metrics, drained, engine.finish()))
+        Ok((engine.metrics().clone(), drained))
     }
 }
 

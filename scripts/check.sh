@@ -43,7 +43,20 @@ std_only() {
     fi
 }
 
+# Every packet run of the experiments goes through one path,
+# sorn-analysis's `drive` module: no other file there names the engine.
+one_drive() {
+    local stray
+    stray=$(grep -rn "Engine::" crates/analysis/src | grep -v '^crates/analysis/src/drive.rs:')
+    if [ -n "$stray" ]; then
+        echo "$stray"
+        echo "sorn-analysis reaches the engine outside drive.rs (above); describe the run as a drive::Run instead."
+        return 1
+    fi
+}
+
 run_step "Cargo.lock is workspace only" std_only
+run_step "Engine only in drive.rs" one_drive
 run_step "cargo fmt --check" cargo fmt --all --check
 run_step "cargo clippy (deny warnings)" cargo clippy --workspace --all-targets -- -D warnings
 # Every intra-doc link must resolve: a link to a deleted item fails here.

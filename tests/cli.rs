@@ -4,7 +4,8 @@
 //! Every command in `sorn_analysis::COMMANDS` runs and prints its
 //! paper-defining numbers (the measured columns of EXPERIMENTS.md). The
 //! flag parser rejects what a command does not read. The tools
-//! round-trip a trace through files. And `resilience` keeps the
+//! round-trip a trace through files, and the `--trace-out` commands
+//! create their trace's directory. And `resilience` keeps the
 //! process-level determinism contract: stdout and report files do not
 //! depend on `--jobs` or `--engine-threads`, observers do not change
 //! the results, a SIGTERM mid-run exits 3 with a checkpoint that
@@ -53,8 +54,14 @@ fn words(text: &str) -> String {
 const GEN_TRACE: &str = "gen-trace --n 16 --cliques 4 --locality 0.5 --load 0.2 \
                          --duration-us 100 --dist fixed:5000 --seed 3 --out trace.json";
 
+/// The `--trace-out` flag of the [`EXPECTED`] lines that record a
+/// packet trace: a file in a directory that does not exist yet.
+const TRACE_OUT: &str = "--trace-out missing/t.jsonl";
+
 /// One command line per command, and rows its whitespace-collapsed
-/// stdout must contain: the numbers EXPERIMENTS.md records.
+/// stdout must contain: the numbers EXPERIMENTS.md records. A command
+/// that records a packet run next to its tables writes it to
+/// [`TRACE_OUT`], creating the missing directory.
 #[rustfmt::skip]
 const EXPECTED: &[(&str, &[&str])] = &[
     ("table1", &[
@@ -70,7 +77,7 @@ const EXPECTED: &[(&str, &[&str])] = &[
     ]),
     ("fig1_schedule", &["1 B C D E A", "4 E A B C D", "period N-1 = 4 slots"]),
     ("fig2_topologies", &["src m1 m2 m3 m4 m5", "every cyclic matching within reach = true", "Topology A", "Topology B"]),
-    ("fig2f", &[
+    ("fig2f --trace-out missing/t.jsonl", &[
         "0.0 0.3333 0.3333 2.937", "0.5 0.4000 0.4000 2.435", "0.9 0.4762 0.4762 2.034",
         "0.20 603 true 2.703 0.370", "0.56 626 true 2.439 0.410", "0.80 657 true 2.186 0.457",
     ]),
@@ -80,23 +87,23 @@ const EXPECTED: &[(&str, &[&str])] = &[
         "uniform 4x4 (community split) true 2.284 0.438 7.2", "non-uniform 8/4/4 (matched) true 2.100 0.476 6.7",
         "matched cliques cut the bandwidth tax 8.1%",
     ]),
-    ("blast_radius", &["flat VLB 16256 253.0 253", "SORN Nc=8 2816 42.3 45", "SORN Nc=32 4352 8.2 9"]),
+    ("blast_radius --trace-out missing/t.jsonl", &["flat VLB 16256 253.0 253", "SORN Nc=8 2816 42.3 45", "SORN Nc=32 4352 8.2 9"]),
     ("resilience", &[
         "32 nodes, 4 cliques, 3838 flows over 400000 ns;", "6.7% of estimated demand masked",
         "flat-vlb 37959 0 0 4 1297 9.946 8.540 0.859 0 ns 0 ns", "sorn 37909 0 0 4 1297 9.448 9.538 1.010 0 ns 0 ns",
         "install attempts: 3, modeled retry backoff: 150000000 ns, gave up: false",
     ]),
-    ("sync_domains", &[
+    ("sync_domains --trace-out missing/t.jsonl", &[
         "flat ORN (4096 nodes) 4096 10250 - 0.010", "SORN (16 cliques of 256) 256 650 10260 0.111",
         "SORN (128 cliques of 32) 32 90 10260 0.433",
     ]),
-    ("diurnal_tracking", &["day-average throughput: fixed q 0.367, tracking 0.383 (+4.2%)"]),
+    ("diurnal_tracking --trace-out missing/t.jsonl", &["day-average throughput: fixed q 0.367, tracking 0.383 (+4.2%)"]),
     ("hierarchy", &[
         "2-level 64x64 level-0 traffic (2 hops) 77 1.48 us 40.98% 2.44x", "flows: 192, drained: true, completed: 192",
         "3-level 16^3 level-0 traffic (2 hops) 20 1.12 us 37.88% 2.64x", "worst hops observed: 4 (<= levels + 1 = 4)",
         "3-level 16^3 level-1 traffic (3 hops) 110 2.19 us 37.88% 2.64x",
     ]),
-    ("adversarial", &[
+    ("adversarial --trace-out missing/t.jsonl", &[
         "flat VLB adversarial search 0.5000 (guarantee 0.5 holds)", "SORN gravity-matched same adversarial demand 0.2778",
         "SORN uniform-inter adversarial search 0.1111 (= 1/((q+1)(Nc-1)) = 0.1111)",
     ]),
@@ -135,6 +142,10 @@ fn every_command_reproduces_its_recorded_numbers() {
                 }
                 let (code, out, err) = cli_in(&dir, line);
                 assert_eq!(code, Some(0), "{line}: {err}");
+                if line.contains(TRACE_OUT) {
+                    let trace = std::fs::metadata(dir.join("missing/t.jsonl"));
+                    assert!(trace.is_ok_and(|t| t.len() > 0), "{line}: no trace");
+                }
                 let out = words(&out);
                 for w in want {
                     assert!(out.contains(w), "`{line}` lacks `{w}`:\n{out}");
@@ -242,6 +253,13 @@ fn bad_flag_values_exit_2() {
         ),
     ] {
         rejects(line, flag);
+    }
+    // The trace file opens before any output.
+    let traced = EXPECTED.iter().filter(|(line, _)| line.contains(TRACE_OUT));
+    let commands = traced.filter_map(|(line, _)| line.split_whitespace().next());
+    for cmd in commands.chain(["resilience"]) {
+        let line = format!("{cmd} --trace-out /dev/null/t.jsonl");
+        rejects(&line, "--trace-out");
     }
 }
 
@@ -462,8 +480,8 @@ fn resilience_sigterm_then_resume_reproduces_the_uninterrupted_run() {
 /// A resume is refused before any output — exit 2, nothing on stdout,
 /// stderr naming the rejected file and why — over a store whose only
 /// generation is garbage, and over a checkpoint written with other
-/// observer flags (a resume must repeat them: the refusal names the
-/// flag), for both checkpointing commands.
+/// observer or engine flags (a resume must repeat them: the refusal
+/// names the flag), for both checkpointing commands.
 #[test]
 fn a_refused_resume_prints_nothing_and_names_the_rejected_file() {
     let dir = scratch_dir("resume-refused");
@@ -494,6 +512,7 @@ fn a_refused_resume_prints_nothing_and_names_the_rejected_file() {
     let cases: &[Case] = &[
         (SIMULATE, "", &[("--weather", "--weather"), ("--weather-topk 8", "--weather")]),
         (SIMULATE, "--weather", &[("", "--weather"), ("--weather-topk 8", "--weather-topk")]),
+        (SIMULATE, "", &[("--uplinks 2", "--uplinks"), ("--seed 1", "--seed")]),
         (RESILIENCE, "", &[
             ("--trace-flows 1", "--trace-flows"), ("--weather", "--weather"),
             ("--flight-ring 1024", "--flight-ring"),
