@@ -4,11 +4,11 @@
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-/// Flags that take no value: `--resume`, not `--resume true`.
-const SWITCHES: &[&str] = &["resume", "weather"];
+/// Flags that take no value: `--weather`, not `--weather true`.
+const SWITCHES: &[&str] = &["weather"];
 
 /// A command's flags: `--key value`, `--key=value`, and the bare
-/// switches `--resume` / `--weather`.
+/// switch `--weather`.
 ///
 /// Parsing only splits the command line; a command asks for the flags
 /// it knows ([`Args::get`], [`Args::flag`], ...) and then calls
@@ -204,54 +204,6 @@ impl WeatherOpts {
     }
 }
 
-/// The checkpoint/resume flags of the long-running commands.
-///
-/// - `--checkpoint-dir <dir>`: keep rolling checkpoint generations in
-///   `dir` (created if missing). Enables checkpointing.
-/// - `--checkpoint-every <n>`: write a checkpoint every `n` slots
-///   (default [`CheckpointOpts::DEFAULT_EVERY_SLOTS`]).
-/// - `--resume`: before running, load the newest valid checkpoint from
-///   `--checkpoint-dir` and continue from it.
-///
-/// The last two require `--checkpoint-dir`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointOpts {
-    /// Rolling checkpoint directory; `None` disables checkpointing.
-    pub dir: Option<PathBuf>,
-    /// Slots between periodic checkpoints.
-    pub every_slots: u64,
-    /// Resume from the newest valid checkpoint before running.
-    pub resume: bool,
-}
-
-impl CheckpointOpts {
-    /// Default checkpoint cadence when `--checkpoint-dir` is given
-    /// without `--checkpoint-every`.
-    pub const DEFAULT_EVERY_SLOTS: u64 = 10_000;
-
-    /// True when checkpointing is configured at all.
-    pub fn enabled(&self) -> bool {
-        self.dir.is_some()
-    }
-
-    /// Reads `--checkpoint-dir`, `--checkpoint-every` and `--resume`.
-    pub fn read(args: &mut Args) -> Result<Self, String> {
-        let every: Option<u64> = args.opt("checkpoint-every")?;
-        if every == Some(0) {
-            return Err("--checkpoint-every must be at least 1".to_string());
-        }
-        let opts = CheckpointOpts {
-            dir: args.opt("checkpoint-dir")?,
-            every_slots: every.unwrap_or(Self::DEFAULT_EVERY_SLOTS),
-            resume: args.flag("resume")?,
-        };
-        if opts.dir.is_none() && (every.is_some() || opts.resume) {
-            return Err("--checkpoint-every / --resume require --checkpoint-dir".to_string());
-        }
-        Ok(opts)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,12 +216,12 @@ mod tests {
     fn values_counts_and_switches() {
         let mut a = args(&["--n=16", "--weather", "--n", "32", "--jobs", "0", "--k=4"]);
         assert_eq!(a.get("n", 0usize).unwrap(), 32, "the last value wins");
-        assert!(a.flag("weather").unwrap() && !a.flag("resume").unwrap());
+        assert!(a.flag("weather").unwrap() && !a.flag("absent").unwrap());
         assert!(a.count("jobs", 1usize).is_err());
         assert_eq!(a.count("k", 0u64).unwrap(), 4);
         assert_eq!(a.count("absent", 0u64).unwrap(), 0);
         assert!(a.reject_unknown().is_ok());
-        assert!(args(&["--resume=yes"]).flag("resume").is_err());
+        assert!(args(&["--weather=yes"]).flag("weather").is_err());
         assert!(Args::parse(&["--jobs".into(), "--weather".into()]).is_err());
     }
 
@@ -283,10 +235,5 @@ mod tests {
         let t = TelemetryOpts::read(&mut args(&[])).unwrap();
         assert_eq!(t.trace_out, None);
         assert_eq!(t.sample_interval_ns, TelemetryOpts::DEFAULT_INTERVAL_NS);
-        let c = CheckpointOpts::read(&mut args(&["--checkpoint-dir=d", "--resume"])).unwrap();
-        assert!(c.enabled() && c.resume);
-        assert_eq!(c.every_slots, CheckpointOpts::DEFAULT_EVERY_SLOTS);
-        let mut zero = args(&["--checkpoint-dir=d", "--checkpoint-every=0"]);
-        assert!(CheckpointOpts::read(&mut zero).is_err());
     }
 }

@@ -22,15 +22,16 @@
 //! Shared pieces: [`render`] (text tables), [`fct`] (slowdown buckets),
 //! [`timeseries`] (JSONL run-trace summaries), [`autopsy`]
 //! (tail-latency attribution); [`Args`] and the flag groups several
-//! commands read (`TelemetryOpts`, `WeatherOpts`, `CheckpointOpts`);
-//! the one run path of every packet run (`drive`: before any output,
-//! open the `--trace-out` file, the checkpoint store and the observer
-//! stack restored from it; then build or restore the engine, run the
-//! slot loop with checkpoints and graceful stop, read the trace back,
-//! and write the observers' reports — a command only describes its
-//! run); and [`run_jobs`] for `--jobs`. (The simulator is timed by the
+//! commands read (`TelemetryOpts`, `WeatherOpts`); the one run path of
+//! every packet run (`drive`: before any output, open the `--trace-out`
+//! file and the observer stack; then build the engine, run it, read the
+//! trace back, and write the observers' reports — a command only
+//! describes its run); and [`run_jobs`] for `--jobs`. Every run is
+//! deterministic and finishes in seconds, so none is checkpointed: a
+//! run is re-run, not resumed. (The simulator is timed by the
 //! repository benchmark, `benchmark/run.sh`.)
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod args;
@@ -59,7 +60,7 @@ pub mod timeseries;
 pub mod tools;
 
 pub use args::Args;
-use args::{CheckpointOpts, TelemetryOpts, WeatherOpts};
+use args::{TelemetryOpts, WeatherOpts};
 use drive::{open, plain, weather_paths, Finished, Run, RunMode, Stack, DRAIN_SLOTS};
 
 /// One `sorn-cli` command.

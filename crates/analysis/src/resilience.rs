@@ -29,26 +29,10 @@
 //! bounded-memory network-weather roll-up (per-clique demand/goodput
 //! matrices, `--weather-topk K` heavy-hitter sketches, a decimated
 //! timeline) and writes `WEATHER_<scheme>.{txt,json}` run reports in
-//! the working directory, byte-identical at any `--engine-threads` and
-//! across a checkpoint/resume.
-//!
-//! `--checkpoint-dir DIR` turns on crash-safe checkpointing: both
-//! schemes run sequentially, snapshotting engine and observer state
-//! every `--checkpoint-every N` slots to `DIR/<scheme>/` (two
-//! rolling generations). SIGINT/SIGTERM finishes the current slot,
-//! writes a final checkpoint, and exits with code 3; `--resume`
-//! continues from the newest valid checkpoint and prints the identical
-//! table an uninterrupted run would have. A resume repeats the
-//! checkpointed run's `--trace-flows`, `--weather`, `--weather-topk` and
-//! `--flight-ring`, or exits 2 naming the flag. Checkpointing composes with
-//! `--engine-threads` but not with `--trace-out` (the JSONL sink
-//! appends to a file mid-run and cannot be rewound on resume).
+//! the working directory, byte-identical at any `--engine-threads`.
 
 use crate::render::{fmt_latency, TextTable};
-use crate::{
-    header, open, run_jobs, Args, CheckpointOpts, Run, RunMode, Stack, Task, TelemetryOpts,
-    WeatherOpts,
-};
+use crate::{header, open, run_jobs, Args, Run, RunMode, Stack, Task, TelemetryOpts, WeatherOpts};
 use sorn_control::{ControlConfig, ControlLoop, EpochOutcome};
 use sorn_routing::{Grouping, SornRouter};
 use sorn_sim::{FailureSet, FaultPlan, FaultStorm, Flow, LinkHealth, Metrics, SimConfig};
@@ -162,13 +146,7 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     let weather = WeatherOpts::read(args)?;
     let trace_flows = args.count("trace-flows", 0)?;
     let telemetry = TelemetryOpts::read(args)?;
-    let ckpt = CheckpointOpts::read(args)?;
     args.reject_unknown()?;
-    if ckpt.enabled() && telemetry.trace_out.is_some() {
-        return Err("--checkpoint-dir cannot be combined with --trace-out \
-                    (the JSONL trace file cannot be rewound on resume)"
-            .into());
-    }
     let cfg = SimConfig {
         seed: 42,
         engine_threads,
@@ -176,8 +154,8 @@ pub fn run(args: &mut Args) -> Result<(), String> {
         ..SimConfig::default()
     };
     let map = CliqueMap::contiguous(N, CLIQUES);
-    // Both schemes' stores, observers and trace files open, and a
-    // refused resume exits, before anything reaches stdout.
+    // Both schemes' observers and trace files open before anything
+    // reaches stdout.
     let opened = SCHEMES
         .iter()
         .map(|&name| {
@@ -187,12 +165,10 @@ pub fn run(args: &mut Args) -> Result<(), String> {
                 flight: Some(FlightRecorder::new(flight_ring)),
                 ..Observers::none()
             };
-            let tag = format!("[{name}] ");
             let trace_out = (telemetry.trace_out.as_ref()).map(|base| suffixed(base, name));
             open(
-                &ckpt,
                 name,
-                (&tag, &format!("resilience: {tag}")),
+                &format!("[{name}] "),
                 cfg,
                 observers,
                 (trace_out.as_deref()).map(|path| (path, telemetry.sample_interval_ns)),
@@ -232,23 +208,6 @@ pub fn run(args: &mut Args) -> Result<(), String> {
         "plus a correlated port-group burst at 4 clique-2 nodes ({BURST_FROM_NS}-{BURST_UNTIL_NS} ns)\n"
     );
 
-    // Checkpointed runs go sequentially: the two schemes share one stop
-    // flag, and a signal mid-suite leaves each scheme's own rolling
-    // generations behind for `--resume`.
-    let jobs = match &ckpt.dir {
-        Some(dir) => {
-            if jobs > 1 {
-                eprintln!("resilience: --checkpoint-dir runs the schemes sequentially; ignoring --jobs {jobs}");
-            }
-            eprintln!(
-                "resilience: checkpointing to {} every {} slots",
-                dir.display(),
-                ckpt.every_slots
-            );
-            1
-        }
-        None => jobs,
-    };
     // Each scheme's closure owns everything it touches (schedule,
     // router, health mirror, flows, plan), so the pair can run on
     // worker threads; notes print after the join, in order.
@@ -343,7 +302,7 @@ fn storm(map: &CliqueMap) -> FaultPlan {
     plan
 }
 
-/// The two fabrics, in table order; each checkpoints to `DIR/<scheme>/`.
+/// The two fabrics, in table order.
 const SCHEMES: [&str; 2] = ["flat-vlb", "sorn"];
 
 /// `base.jsonl` + `tag` -> `base.<tag>.jsonl`.

@@ -4,23 +4,11 @@
 //! slowdown table.
 //!
 //! `--trace <file> --cliques <count> [--locality x] [--uplinks u]
-//! [--seed k] [--max-slots m] [--weather] [--weather-topk k]
-//! [--checkpoint-dir <dir>] [--checkpoint-every <slots>] [--resume]`
-//!
-//! With `--checkpoint-dir`, full engine state (plus the weather probe,
-//! when on) is snapshotted to `dir/simulate/` every `--checkpoint-every`
-//! slots (default 10000, two rolling generations). SIGINT/SIGTERM
-//! finishes the current slot, writes a final checkpoint, and exits with
-//! code 3; `--resume` continues from the newest valid generation and
-//! prints the identical tables an uninterrupted run would have. A
-//! resume repeats the checkpointed run's `--weather`, `--weather-topk`,
-//! `--uplinks` and `--seed`, or exits 2 naming the flag.
+//! [--seed k] [--max-slots m] [--weather] [--weather-topk k]`
 
 use crate::fct::{bucketed_slowdown, DEFAULT_BUCKETS};
 use crate::render::{fmt_latency, TextTable};
-use crate::{
-    open, weather_paths, Args, CheckpointOpts, Run, RunMode, Stack, WeatherOpts, DRAIN_SLOTS,
-};
+use crate::{open, weather_paths, Args, Run, RunMode, Stack, WeatherOpts, DRAIN_SLOTS};
 use sorn_core::{SornConfig, SornNetwork};
 use sorn_telemetry::{Observers, WeatherProbe};
 use sorn_traffic::Trace;
@@ -34,7 +22,6 @@ pub fn run(args: &mut Args) -> Result<(), String> {
     let seed: u64 = args.get("seed", 0u64)?;
     let max_slots: u64 = args.get("max-slots", DRAIN_SLOTS)?;
     let weather = WeatherOpts::read(args)?;
-    let ckpt = CheckpointOpts::read(args)?;
     args.reject_unknown()?;
 
     let json = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -51,9 +38,7 @@ pub fn run(args: &mut Args) -> Result<(), String> {
         weather: (weather.enabled).then(|| WeatherProbe::new(net.cliques().clone(), weather.topk)),
         ..Observers::none()
     };
-    // A refused resume exits before anything reaches stdout.
-    let tags = ("", "sorn-cli: ");
-    let opened = open(&ckpt, "simulate", tags, sim_cfg, observers, None)?;
+    let opened = open("simulate", "", sim_cfg, observers, None)?;
     let flows = trace.replay();
     println!(
         "simulating {} flows ({}) on {} nodes / {} cliques...",

@@ -506,9 +506,10 @@ impl<'a> Engine<'a, NoopProbe, NoopProfiler> {
         Engine::with_probe(cfg, schedule, router, NoopProbe)
     }
 
-    /// Rebuilds an uninstrumented engine from a snapshot; see
-    /// [`Engine::restore_with_probe_and_profiler`] for the validation
-    /// contract.
+    /// Rebuilds an uninstrumented engine from a snapshot. It trusts its
+    /// caller to pass the schedule and router the snapshot was taken
+    /// with; see [`Engine::restore_with_probe_and_profiler`] for what it
+    /// does validate.
     pub fn restore(
         snapshot: &Snapshot,
         schedule: &'a CircuitSchedule,
@@ -1419,6 +1420,16 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
     /// bookkeeping, calendar shape — so a decoded-but-inconsistent
     /// snapshot yields [`RestoreError`] rather than an engine that
     /// panics later.
+    ///
+    /// What is *not* checked is that `schedule` and `router` are the
+    /// ones the snapshot was taken with: any schedule of the same node
+    /// count and any router with the same class ids pass, so the caller
+    /// must pass the checkpointed pair. Under another pair (a SORN of
+    /// another clique count, say) a restored cell can wait for a
+    /// circuit the new schedule never builds, and the run never drains.
+    /// A servable-queue invariant — every queued cell has a circuit
+    /// that can carry it — is the check that would refuse such a
+    /// restore.
     pub fn restore_with_probe_and_profiler(
         snapshot: &Snapshot,
         schedule: &'a CircuitSchedule,

@@ -1,5 +1,5 @@
-//! The observer stack a checkpointed run carries, and the one place
-//! that maps its observers to checkpoint blobs.
+//! The observer stack every run carries, and the one place that maps
+//! its observers to checkpoint blobs.
 
 use crate::recorder::FlightRecorder;
 use crate::sampler::IntervalSampler;
@@ -68,11 +68,12 @@ impl<S: EventSink> Observers<S> {
     /// weather probe keeps this stack's clique map and the flight
     /// recorder its dump path; the sampler is left as it is.
     ///
-    /// Refuses, naming the `sorn-cli` flag that sets the observer, a
-    /// snapshot that carries a blob for an observer this stack lacks or
-    /// lacks one for an observer it has, whose weather probe keeps
-    /// another top-k, or whose flight recorder rings another capacity:
-    /// a resumed run must observe exactly what the checkpointed run did.
+    /// Refuses, naming the flag that sets the observer, a snapshot that
+    /// carries a blob for an observer this stack lacks or lacks one for
+    /// an observer it has, whose weather probe keeps another top-k, or
+    /// whose flight recorder rings another capacity. A snapshot is
+    /// input: restored into a stack that observes something else, it
+    /// would yield reports that mix two runs.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), String> {
         if let Some((bytes, _)) = paired(snap, TRACE, self.trace.as_ref(), "--trace-flows")? {
             self.trace = Some(FlowTraceCollector::from_bytes(bytes)?);
@@ -206,7 +207,7 @@ mod tests {
 
     /// A short fully traced run that overflows its node queues and
     /// reinstalls its schedule midway, observed by `observers` (the
-    /// flight recorder also notes checkpoint events): its checkpoint
+    /// flight recorder also notes a checkpoint written): its checkpoint
     /// with their blobs, and [`renders`].
     fn observed_run(observers: Stack) -> (Snapshot, String) {
         let sched = round_robin(8).unwrap();
@@ -228,8 +229,6 @@ mod tests {
         eng.install_schedule(&sched);
         eng.run_slots(10).unwrap();
         if let Some(f) = &mut eng.probe_mut().flight {
-            f.note_checkpoint_corrupt_skipped("ck/1.sorn", "bad \"magic\"");
-            f.note_checkpoint_restored(10, "ck/0.sorn");
             f.note_checkpoint_written(20, 99, "ck/2.sorn");
         }
         let mut snap = eng.checkpoint();

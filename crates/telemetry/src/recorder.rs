@@ -96,20 +96,6 @@ pub enum RecordedEvent {
         /// Generation file path.
         path: String,
     },
-    /// The run driver restored state from a checkpoint.
-    CheckpointRestored {
-        /// Slot the run resumed from.
-        slot: u64,
-        /// Generation file path it loaded.
-        path: String,
-    },
-    /// A corrupt checkpoint generation was skipped during load.
-    CheckpointCorruptSkipped {
-        /// The rejected file.
-        path: String,
-        /// Why it was rejected.
-        reason: String,
-    },
 }
 
 impl RecordedEvent {
@@ -152,15 +138,6 @@ impl RecordedEvent {
             RecordedEvent::CheckpointWritten { slot, bytes, path } => format!(
                 "{{\"type\":\"checkpoint_written\",\"slot\":{slot},\"bytes\":{bytes},\"path\":{}}}",
                 quote(path)
-            ),
-            RecordedEvent::CheckpointRestored { slot, path } => format!(
-                "{{\"type\":\"checkpoint_restored\",\"slot\":{slot},\"path\":{}}}",
-                quote(path)
-            ),
-            RecordedEvent::CheckpointCorruptSkipped { path, reason } => format!(
-                "{{\"type\":\"checkpoint_corrupt_skipped\",\"path\":{},\"reason\":{}}}",
-                quote(path),
-                quote(reason)
             ),
         }
     }
@@ -298,22 +275,6 @@ impl FlightRecorder {
             slot,
             bytes,
             path: path.to_string(),
-        });
-    }
-
-    /// Records that the run driver restored from a checkpoint.
-    pub fn note_checkpoint_restored(&mut self, slot: u64, path: &str) {
-        self.record(RecordedEvent::CheckpointRestored {
-            slot,
-            path: path.to_string(),
-        });
-    }
-
-    /// Records that a corrupt checkpoint generation was skipped.
-    pub fn note_checkpoint_corrupt_skipped(&mut self, path: &str, reason: &str) {
-        self.record(RecordedEvent::CheckpointCorruptSkipped {
-            path: path.to_string(),
-            reason: reason.to_string(),
         });
     }
 
@@ -471,16 +432,6 @@ fn encode_event(out: &mut Vec<u8>, ev: &RecordedEvent) {
             out.put_u64(*bytes);
             out.put_str(path);
         }
-        RecordedEvent::CheckpointRestored { slot, path } => {
-            out.put_u8(7);
-            out.put_u64(*slot);
-            out.put_str(path);
-        }
-        RecordedEvent::CheckpointCorruptSkipped { path, reason } => {
-            out.put_u8(8);
-            out.put_str(path);
-            out.put_str(reason);
-        }
     }
 }
 
@@ -519,14 +470,6 @@ fn decode_event(r: &mut Reader<'_>) -> Result<RecordedEvent, String> {
             slot: r.u64()?,
             bytes: r.u64()?,
             path: r.str("checkpoint path")?,
-        },
-        7 => RecordedEvent::CheckpointRestored {
-            slot: r.u64()?,
-            path: r.str("checkpoint path")?,
-        },
-        8 => RecordedEvent::CheckpointCorruptSkipped {
-            path: r.str("checkpoint path")?,
-            reason: r.str("skip reason")?,
         },
         tag => return Err(format!("has unknown event tag {tag}")),
     })
@@ -765,9 +708,7 @@ mod tests {
         let mut m = Metrics::default();
         m.dropped_cells = DEFAULT_DROP_SPIKE;
         r.on_slot_end(&view(&m, 2)); // arms the anomaly, wraps the ring
-        r.note_checkpoint_written(2, 123, "/tmp/ckpt-1.sorn");
-        r.note_checkpoint_restored(2, "/tmp/ckpt-1.sorn");
-        r.note_checkpoint_corrupt_skipped("/tmp/ckpt-2.sorn", "checksum \"mismatch\"");
+        r.note_checkpoint_written(2, 123, "/tmp/ckpt-\"1\".sorn");
         let bytes = r.to_bytes();
         let back = FlightRecorder::from_bytes(&bytes).expect("round trip");
         assert_eq!(back.dump_string(), r.dump_string());
@@ -777,16 +718,19 @@ mod tests {
 
     #[test]
     fn a_recorder_blob_with_an_unknown_event_tag_is_an_error() {
-        // Tag 5 is unassigned: a hostile blob holding one retained
-        // event with that tag (and a well-formed 16-byte body) is an
-        // error, not a panic.
-        let mut hostile = FlightRecorder::new(4).to_bytes();
-        let count_at = hostile.len() - 8;
-        hostile[count_at..].copy_from_slice(&1u64.to_le_bytes());
-        hostile.push(5);
-        hostile.extend_from_slice(&[0; 16]);
-        let err = FlightRecorder::from_bytes(&hostile).unwrap_err();
-        assert!(err.contains("unknown event tag 5"), "{err}");
+        // Tags 5, 7 and 8 are unassigned (7 and 8 were the checkpoint
+        // restore and corrupt-skip notes): a hostile blob holding one
+        // retained event with such a tag (and a well-formed 16-byte
+        // body) is an error, not a panic.
+        for tag in [5u8, 7, 8] {
+            let mut hostile = FlightRecorder::new(4).to_bytes();
+            let count_at = hostile.len() - 8;
+            hostile[count_at..].copy_from_slice(&1u64.to_le_bytes());
+            hostile.push(tag);
+            hostile.extend_from_slice(&[0; 16]);
+            let err = FlightRecorder::from_bytes(&hostile).unwrap_err();
+            assert!(err.contains(&format!("unknown event tag {tag}")), "{err}");
+        }
     }
 
     #[test]
@@ -811,11 +755,12 @@ mod tests {
     }
 
     #[test]
-    fn dump_escapes_control_characters_in_paths_and_reasons() {
+    fn dump_escapes_control_characters_in_paths() {
         let mut r = FlightRecorder::new(8);
         let path = "/tmp/a\nb\u{1}.sorn";
         r.note_checkpoint_written(1, 9, path);
-        r.note_checkpoint_corrupt_skipped(path, "bad\tcrc \"x\"");
+        let tabbed = "/tmp/c\td \"e\".sorn";
+        r.note_checkpoint_written(2, 9, tabbed);
         let dump = r.dump_string();
         let lines: Vec<&str> = dump.lines().collect();
         assert_eq!(lines.len(), 3, "a newline in a path must not split a line");
@@ -827,8 +772,9 @@ mod tests {
         for line in &lines {
             sorn_base::json::parse(line).unwrap_or_else(|e| panic!("{line}: {e}"));
         }
-        let skipped = sorn_base::json::parse(lines[2]).unwrap();
-        assert_eq!(skipped.field::<String>("path").unwrap(), path);
-        assert_eq!(skipped.field::<String>("reason").unwrap(), "bad\tcrc \"x\"");
+        let first = sorn_base::json::parse(lines[1]).unwrap();
+        assert_eq!(first.field::<String>("path").unwrap(), path);
+        let second = sorn_base::json::parse(lines[2]).unwrap();
+        assert_eq!(second.field::<String>("path").unwrap(), tabbed);
     }
 }

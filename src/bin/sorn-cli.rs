@@ -8,8 +8,9 @@
 //! ```
 //!
 //! The commands live in `sorn_analysis::COMMANDS`. An unknown command or
-//! flag, a bad value, or a failed run prints a message and exits 2; a
-//! checkpointed run stopped by SIGINT/SIGTERM exits 3.
+//! flag, a bad value, or a failed run prints a message and exits 2.
+
+#![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 
@@ -58,8 +59,8 @@ mod tests {
 
     #[test]
     fn parse_bool_flags_take_no_value() {
-        let mut a = args("--resume --n 4");
-        assert!(a.flag("resume").unwrap());
+        let mut a = args("--weather --n 4");
+        assert!(a.flag("weather").unwrap());
         assert_eq!(a.get("n", 0usize).unwrap(), 4);
         assert!(a.reject_unknown().is_ok());
     }

@@ -21,6 +21,8 @@
 //!
 //! See `examples/quickstart.rs` for a guided tour.
 
+#![forbid(unsafe_code)]
+
 pub use sorn_analysis as analysis;
 pub use sorn_control as control;
 pub use sorn_core as core;

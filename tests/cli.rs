@@ -7,15 +7,14 @@
 //! round-trip a trace through files, and the `--trace-out` commands
 //! create their trace's directory. And `resilience` keeps the
 //! process-level determinism contract: stdout and report files do not
-//! depend on `--jobs` or `--engine-threads`, observers do not change
-//! the results, a SIGTERM mid-run exits 3 with a checkpoint that
-//! `--resume` finishes into the uninterrupted run's output. No command
-//! serves its results: they are stdout and the files a run leaves.
+//! depend on `--jobs` or `--engine-threads`, and observers do not
+//! change the results. No command serves its results or keeps
+//! checkpoints: they are stdout and the files a run leaves, and a run is
+//! re-run, not resumed.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Stdio};
-use std::time::Duration;
+use std::process::Command;
 
 /// `sorn-cli` with a whitespace-separated command line, run in `dir`.
 fn sorn_cli(dir: &Path, line: &str) -> Command {
@@ -157,13 +156,19 @@ fn every_command_reproduces_its_recorded_numbers() {
     sorn_analysis::run_jobs(2, tasks);
 }
 
-/// Runs `line`, expecting exit 2 with nothing on stdout and `flag`
-/// named on stderr.
+/// Runs `line` in the temp directory, expecting exit 2 with nothing on
+/// stdout and `flag` named on stderr.
 fn rejects(line: &str, flag: &str) {
-    let (code, out, err) = cli_in(&std::env::temp_dir(), line);
+    rejects_in(&std::env::temp_dir(), line, flag);
+}
+
+/// [`rejects`], run in `dir`; returns the stderr.
+fn rejects_in(dir: &Path, line: &str, flag: &str) -> String {
+    let (code, out, err) = cli_in(dir, line);
     assert_eq!(code, Some(2), "`{line}` exited {code:?}: {err}");
     assert!(out.is_empty(), "`{line}` printed before rejecting: {out}");
     assert!(err.contains(flag), "`{line}`: stderr lacks {flag}: {err}");
+    err
 }
 
 #[test]
@@ -173,7 +178,7 @@ fn a_misspelt_flag_is_an_error() {
 
 #[test]
 fn a_flag_the_command_does_not_read_is_an_error() {
-    rejects("schedule --n 8 --cliques 2 --q 3 --resume", "--resume");
+    rejects("schedule --n 8 --cliques 2 --q 3 --weather", "--weather");
 }
 
 #[test]
@@ -183,10 +188,13 @@ fn flag_values_may_follow_an_equals_sign() {
     assert_eq!(inline, cli("analyze --n 16 --cliques 4").1);
 }
 
-/// The `--serve-<name> <value>` flags of a live metrics endpoint: no
-/// command serves anything, so each is an unread flag everywhere.
+/// Flags no command reads, each an unread flag everywhere: the
+/// `--serve-<name> <value>` flags of a live metrics endpoint (no command
+/// serves anything), and the checkpoint flags of the two long-running
+/// commands (no run keeps checkpoints: each is deterministic and
+/// finishes in seconds, so it is re-run, not resumed).
 #[test]
-fn no_command_takes_the_serve_flags() {
+fn no_command_takes_the_serve_or_checkpoint_flags() {
     for cmd in [
         "resilience",
         "fig2f",
@@ -201,6 +209,32 @@ fn no_command_takes_the_serve_flags() {
             rejects(&format!("{cmd} {flag} {value}"), &flag);
         }
     }
+
+    // Without its checkpoint flag each line is a run that succeeds
+    // (`simulate` replays a real trace). Each flag is refused as an
+    // unread flag, not for a missing or conflicting checkpoint
+    // directory; the resume flag is no longer a switch, so bare it is
+    // refused as a flag missing its value.
+    let dir = scratch_dir("unread-checkpoint-flags");
+    assert_eq!(cli_in(&dir, GEN_TRACE).0, Some(0));
+    let simulate = "simulate --trace trace.json --cliques 4 --locality 0.5";
+    for cmd in ["resilience", simulate, "resilience --trace-out t"] {
+        for (name, value) in [
+            ("checkpoint-dir", "ck"),
+            ("checkpoint-every", "9"),
+            ("resume", ""),
+        ] {
+            let flag = format!("--{name}");
+            let line = format!("{cmd} {flag} {value}");
+            let err = rejects_in(&dir, &line, &flag);
+            let unread = [
+                format!("unknown flag {flag}:"),
+                format!("flag `{flag}` is missing a value"),
+            ];
+            assert!(unread.iter().any(|u| err.contains(u)), "`{line}`: {err}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -234,12 +268,8 @@ fn bad_flag_values_exit_2() {
             "simulate --trace t --weather-topk 18446744073709551615",
             "--weather-topk",
         ),
-        ("resilience --resume", "--checkpoint-dir"),
-        ("resilience --checkpoint-every 9", "--checkpoint-dir"),
-        ("resilience --checkpoint-dir d --trace-out t", "--trace-out"),
         ("fig2f --sample-interval-ns 0", "--sample-interval-ns"),
         ("hierarchy --radices 4,4,4", "--radices"),
-        ("simulate --trace t --resume", "--checkpoint-dir"),
         ("gen-trace --n 8 --cliques 2 --load 0", "--load"),
         ("gen-trace --n 8 --cliques 2 --load nan", "--load"),
         ("gen-trace --n 8 --cliques 2 --out t --load 1e300", "--load"),
@@ -399,154 +429,4 @@ fn resilience_observers_keep_the_table_and_reports_ignore_engine_threads() {
     for dir in [dir0, dir1, dir4] {
         let _ = std::fs::remove_dir_all(dir);
     }
-}
-
-/// A flight dump's engine-originated lines. The header's event counts
-/// and the `checkpoint_*` lines are the *driver's* notes about the
-/// files this process wrote and restored, which an interrupted-and-
-/// resumed run and an uninterrupted one differ in by construction.
-fn engine_events(flight: &[u8]) -> Vec<&str> {
-    std::str::from_utf8(flight)
-        .unwrap()
-        .lines()
-        .skip(1)
-        .filter(|l| !l.starts_with(r#"{"type":"checkpoint_"#))
-        .collect()
-}
-
-#[cfg(unix)]
-#[test]
-fn resilience_sigterm_then_resume_reproduces_the_uninterrupted_run() {
-    const OBSERVERS: &str = "--trace-flows 1 --weather";
-    let ref_dir = scratch_dir("resilience-ckref");
-    let reference = resilience(&ref_dir, OBSERVERS);
-
-    // Interrupt once the first periodic checkpoint is on disk. A run
-    // that outpaces the signal exits 0: retry with a shorter cadence.
-    let dir = scratch_dir("resilience-ck");
-    let interrupt = |cadence: u32| -> Option<String> {
-        let _ = std::fs::remove_dir_all(dir.join("ck"));
-        let every = format!("--checkpoint-dir ck --checkpoint-every {cadence}");
-        let mut child = sorn_cli(&dir, &format!("resilience {OBSERVERS} {every}"))
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("launch resilience");
-        // Signal only a child that is still running: once `try_wait`
-        // has reaped it the pid may belong to someone else.
-        while child.try_wait().unwrap().is_none() {
-            if checkpoints(&dir.join("ck/flat-vlb")) > 0 {
-                let kill = Command::new("kill")
-                    .args(["-TERM", &child.id().to_string()])
-                    .status()
-                    .expect("launch kill");
-                assert!(kill.success(), "kill -TERM failed");
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        match child.wait().unwrap().code() {
-            Some(3) => Some(every),
-            Some(0) => None,
-            code => panic!("interrupted run exited {code:?}, want 3 (EXIT_INTERRUPTED)"),
-        }
-    };
-    let every = [1_000, 250, 60]
-        .into_iter()
-        .find_map(interrupt)
-        .expect("three runs each finished before SIGTERM could land");
-    let on_disk = checkpoints(&dir.join("ck/flat-vlb")) + checkpoints(&dir.join("ck/sorn"));
-    assert!(on_disk >= 2, "periodic + final checkpoint, found {on_disk}");
-
-    let resumed = resilience(&dir, &format!("{OBSERVERS} {every} --resume"));
-    assert_eq!(resumed, reference);
-    let (want, got) = (reports(&ref_dir), reports(&dir));
-    assert_eq!(
-        want.keys().collect::<Vec<_>>(),
-        got.keys().collect::<Vec<_>>()
-    );
-    for (name, bytes) in &want {
-        if name.starts_with("FLIGHT_") {
-            assert_eq!(engine_events(bytes), engine_events(&got[name]), "{name}");
-        } else {
-            assert!(*bytes == got[name], "{name} differs after resume");
-        }
-    }
-    for dir in [ref_dir, dir] {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-}
-
-/// A resume is refused before any output — exit 2, nothing on stdout,
-/// stderr naming the rejected file and why — over a store whose only
-/// generation is garbage, and over a checkpoint written with other
-/// observer or engine flags (a resume must repeat them: the refusal
-/// names the flag), for both checkpointing commands.
-#[test]
-fn a_refused_resume_prints_nothing_and_names_the_rejected_file() {
-    let dir = scratch_dir("resume-refused");
-    let (code, _, err) = cli_in(&dir, GEN_TRACE);
-    assert_eq!(code, Some(0), "{err}");
-    let refused = |line: &str, why: &[&str]| {
-        let (code, out, err) = cli_in(&dir, line);
-        assert_eq!(code, Some(2), "{line}: {err}");
-        assert_eq!(out, "", "{line} printed before refusing");
-        assert!(why.iter().all(|w| err.contains(w)), "{line}: {err}");
-    };
-    const SIMULATE: &str = "simulate --trace trace.json --cliques 4 --checkpoint-every 50";
-    const RESILIENCE: &str = "resilience --checkpoint-every 4000";
-    for (store, command) in [("ck/flat-vlb", RESILIENCE), ("ck/simulate", SIMULATE)] {
-        let _ = std::fs::remove_dir_all(dir.join("ck"));
-        std::fs::create_dir_all(dir.join(store)).unwrap();
-        let file = format!("{store}/ckpt-00000001-slot8.sorn");
-        std::fs::write(dir.join(&file), b"garbage, not a checkpoint\n").unwrap();
-        let reason = format!("{file}: corrupt checkpoint: bad magic");
-        refused(
-            &format!("{command} --checkpoint-dir ck --resume"),
-            &[&reason],
-        );
-    }
-    /// `(command, checkpointed flags, [(resumed flags, flag named)])`.
-    type Case<'a> = (&'a str, &'a str, &'a [(&'a str, &'a str)]);
-    #[rustfmt::skip]
-    let cases: &[Case] = &[
-        (SIMULATE, "", &[("--weather", "--weather"), ("--weather-topk 8", "--weather")]),
-        (SIMULATE, "--weather", &[("", "--weather"), ("--weather-topk 8", "--weather-topk")]),
-        (SIMULATE, "", &[("--uplinks 2", "--uplinks"), ("--seed 1", "--seed")]),
-        (RESILIENCE, "", &[
-            ("--trace-flows 1", "--trace-flows"), ("--weather", "--weather"),
-            ("--flight-ring 1024", "--flight-ring"),
-        ]),
-        (RESILIENCE, "--trace-flows 4 --weather", &[
-            ("", "--trace-flows"), ("--weather", "--trace-flows"),
-            ("--trace-flows 2 --weather", "--trace-flows"), ("--trace-flows 4", "--weather"),
-            ("--trace-flows 4 --weather-topk 8", "--weather-topk"),
-            ("--trace-flows 4 --weather --flight-ring 8192", "--flight-ring"),
-        ]),
-    ];
-    for (i, &(command, saved, resumes)) in cases.iter().enumerate() {
-        let ck = format!("--checkpoint-dir ck{i}");
-        let (code, _, err) = cli_in(&dir, &format!("{command} {ck} {saved}"));
-        assert_eq!(code, Some(0), "{command} {saved}: {err}");
-        let file = format!("cannot resume from ck{i}/");
-        for &(flags, flag) in resumes {
-            let line = format!("{command} {ck} --resume {flags}");
-            refused(&line, &[&file, &format!("{flag} differs")]);
-        }
-    }
-    let _ = std::fs::remove_dir_all(dir);
-}
-
-/// Checkpoint generations in one scheme's store directory.
-#[cfg(unix)]
-fn checkpoints(dir: &Path) -> usize {
-    std::fs::read_dir(dir).map_or(0, |entries| {
-        entries
-            .filter(|e| {
-                let name = e.as_ref().unwrap().file_name();
-                let name = name.to_string_lossy();
-                name.starts_with("ckpt-") && name.ends_with(".sorn")
-            })
-            .count()
-    })
 }
