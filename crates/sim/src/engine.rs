@@ -13,9 +13,10 @@
 //! interleaving. The two heavy passes of a slot are sharded by node:
 //!
 //! * **arrival routing** — due arrivals are grouped by arrival node and
-//!   routed node-ascending; queue pushes are node-local, while
-//!   deliveries and drops are buffered per shard and applied in node
-//!   order afterwards;
+//!   routed node-ascending; an arrival bitset marks the nodes that have
+//!   cells, so a pass visits those nodes only. Queue pushes are
+//!   node-local, while deliveries and drops are buffered per shard and
+//!   applied in node order afterwards;
 //! * **the transmit walk** — each shard walks its node range across all
 //!   uplinks, popping node-local queues and buffering transmitted cells;
 //!   the buffers merge into the arrival calendar in node order, so the
@@ -34,11 +35,16 @@
 //! quadratic, active flows live in struct-of-arrays columns behind a
 //! direct-mapped id index ([`crate::flow_table::FlowTable`]), and a
 //! slot-bucketed arrival calendar orders in-flight cells — no hashing
-//! or heap rebalancing per transmitted cell. Slots with provably no
+//! or heap rebalancing per transmitted cell. A busy slot costs what it
+//! moves: a visit to a circuit the node has nothing for is answered by
+//! the queue header's inlined test ([`NodeQueues::pop_for_circuit`]),
+//! the arrival pass walks the arrival bitset rather than every node's
+//! list, and nothing is allocated per slot (the slot's matchings are
+//! written into a buffer the engine keeps). Slots with provably no
 //! work (nothing queued, injecting, in flight, arriving, or faulting)
 //! are jumped by one gap path ([`Engine::jump_quiet`]; a quiet
 //! [`Engine::step`] is its one-slot case), touching only the idle-port
-//! counters.
+//! counters, which a per-period prefix sum charges in O(1) per gap.
 //!
 //! There is one routing body ([`route_at`]) for every cell that
 //! needs a decision: due arrivals, fresh injections, and queued cells
@@ -212,13 +218,15 @@ fn cut<'w, T>(items: &mut &'w mut [T], at: usize) -> &'w mut [T] {
 }
 
 /// One shard of a routing pass: a node range with exclusive access to
-/// those nodes' queues, RNG streams, per-node cell index lists, and
+/// those nodes' queues, RNG streams, per-node cell index lists, the
+/// words of the arrival bitset that mark the non-empty lists, and
 /// occupancy words.
 struct RouteShard<'w> {
     base: usize,
     queues: &'w mut [NodeQueues],
     rngs: &'w mut [NodeRng],
     lists: &'w mut [Vec<u32>],
+    arriving: &'w mut [u64],
     occ: &'w mut [u64],
 }
 
@@ -233,6 +241,7 @@ impl Shard for RouteShard<'_> {
             queues: cut(&mut self.queues, at),
             rngs: cut(&mut self.rngs, at),
             lists: cut(&mut self.lists, at),
+            arriving: cut(&mut self.arriving, at / 64),
             occ: cut(&mut self.occ, at / 64),
         }
     }
@@ -267,9 +276,9 @@ impl Shard for TransmitShard<'_> {
 /// `words[m][w]` counts the scheduled (non-self) ports of pool matching
 /// `m` among nodes `64w .. 64w+63`: when an occupancy word is zero, the
 /// walk charges that many idle ports and skips 64 nodes without touching
-/// a queue. `phase_totals`/`period_total` pre-sum those circuit totals
-/// per schedule phase, which is all a provably-quiet gap — one slot or
-/// many — needs ([`Engine::jump_quiet`]).
+/// a queue. `phase_prefix` pre-sums those circuit totals over one
+/// schedule period, which is all a provably-quiet gap — one slot or
+/// many — needs ([`IdleTables::quiet_charge`]).
 struct IdleTables {
     words: Vec<Vec<u32>>,
     /// Per pool matching `m`, the failure epoch its counts were taken at
@@ -278,14 +287,12 @@ struct IdleTables {
     /// [`IdleTables::refresh_down`] for the matchings a degraded slot
     /// walks; a run that never degrades never allocates it.
     down: Vec<(Option<u64>, Vec<u32>)>,
-    /// `phase_totals[p]` sums the matchings' circuit totals over the
-    /// uplink-staggered matchings active when `slot % period == p` — the
-    /// idle-port charge of one fully-quiet slot at that phase. Summed in
-    /// uplink order, exactly like the per-slot accounting it replaces.
-    phase_totals: Vec<u64>,
-    /// Sum of `phase_totals`: the idle-port charge of one whole quiet
-    /// schedule period, for closed-form gap accounting.
-    period_total: u64,
+    /// `phase_prefix[p]` is the idle-port charge of the fully-quiet
+    /// phases `0 .. p` of one schedule period: a phase charges the
+    /// circuit totals of the uplink-staggered matchings active when
+    /// `slot % period` is that phase. `period + 1` entries; the last is
+    /// one whole quiet period's charge.
+    phase_prefix: Vec<u64>,
 }
 
 impl IdleTables {
@@ -306,22 +313,39 @@ impl IdleTables {
             words.push(per);
             totals.push(total);
         }
-        let period = schedule.period() as u64;
-        let phase_totals: Vec<u64> = (0..period)
-            .map(|phase| {
-                staggered_matchings(schedule, cfg, phase)
-                    .iter()
-                    .map(|&(pi, _)| totals[pi])
-                    .sum()
-            })
-            .collect();
-        let period_total = phase_totals.iter().sum();
+        let period = schedule.period();
+        let mut phase_prefix = Vec::with_capacity(period + 1);
+        let mut active = Vec::with_capacity(cfg.uplinks);
+        let mut sum = 0u64;
+        phase_prefix.push(sum);
+        for phase in 0..period as u64 {
+            staggered_matchings(schedule, cfg, phase, &mut active);
+            sum += active.iter().map(|&(pi, _)| totals[pi]).sum::<u64>();
+            phase_prefix.push(sum);
+        }
         IdleTables {
             words,
             down: Vec::new(),
-            phase_totals,
-            period_total,
+            phase_prefix,
         }
+    }
+
+    /// The idle-port charge of `slots` fully-quiet slots from `slot` on:
+    /// every scheduled port idles. Whole periods cost one multiply and
+    /// the remainder one prefix difference, or two when it wraps past
+    /// the period's end — the same u64 sum as charging slot by slot.
+    fn quiet_charge(&self, slot: u64, slots: u64) -> u64 {
+        let prefix = &self.phase_prefix;
+        let period = prefix.len() - 1;
+        let whole = prefix[period];
+        let start = (slot % period as u64) as usize;
+        let end = start + (slots % period as u64) as usize;
+        let rest = if end <= period {
+            prefix[end] - prefix[start]
+        } else {
+            whole - prefix[start] + prefix[end - period]
+        };
+        slots / period as u64 * whole + rest
     }
 
     /// Brings the down-port counts of `active`'s matchings up to failure
@@ -347,23 +371,24 @@ impl IdleTables {
     }
 }
 
-/// The uplink-staggered matchings active in `slot`, each with its index
-/// into the schedule's matching pool (the key into [`IdleTables`]).
+/// Fills `out` with the uplink-staggered matchings active in `slot`, in
+/// uplink order, each with its index into the schedule's matching pool
+/// (the key into [`IdleTables`]).
 fn staggered_matchings<'a>(
     schedule: &'a CircuitSchedule,
     cfg: &SimConfig,
     slot: u64,
-) -> Vec<(usize, &'a Matching)> {
+    out: &mut Vec<(usize, &'a Matching)>,
+) {
     let period = schedule.period() as u64;
     let indices = schedule.slot_indices();
     let pool = schedule.matchings();
-    (0..cfg.uplinks)
-        .map(|uplink| {
-            let offset = (uplink as u64 * period) / cfg.uplinks as u64;
-            let pi = indices[((slot + offset) % period) as usize];
-            (pi, &pool[pi])
-        })
-        .collect()
+    out.clear();
+    out.extend((0..cfg.uplinks).map(|uplink| {
+        let offset = (uplink as u64 * period) / cfg.uplinks as u64;
+        let pi = indices[((slot + offset) % period) as usize];
+        (pi, &pool[pi])
+    }));
 }
 
 /// Runs `work` over a pass's shards, each with its own scratch, and
@@ -445,6 +470,8 @@ pub struct Engine<'a, P: Probe = NoopProbe, F: Profiler = NoopProfiler> {
     occupancy: Vec<u64>,
     /// Per-matching scheduled-port counts; rebuilt on schedule installs.
     idle_tables: IdleTables,
+    /// The matchings the current slot's transmit walk uses (reused).
+    active: Vec<(usize, &'a Matching)>,
     inflight: SlotCalendar<Arrival>,
     /// Cells sitting in node queues, maintained incrementally so
     /// `total_queued`/`is_drained` are O(1) (debug builds re-count).
@@ -477,6 +504,10 @@ pub struct Engine<'a, P: Probe = NoopProbe, F: Profiler = NoopProfiler> {
     /// Per-node indices into `route_buf`, giving the canonical
     /// node-grouped processing order (reused; cleared by the shards).
     node_cells: Vec<Vec<u32>>,
+    /// One bit per node, set while `node_cells[v]` is non-empty: an
+    /// arrival pass visits only the set bits and clears them as it
+    /// goes, so the words are all zero between passes.
+    arriving: Vec<u64>,
     /// Flow records completed during a merge, applied after the deliver
     /// span closes (reused).
     finished_flows: Vec<FlowRecord>,
@@ -574,6 +605,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             table: FlowTable::new(),
             occupancy: vec![0; n.div_ceil(64)],
             idle_tables: IdleTables::build(schedule, &cfg),
+            active: Vec::with_capacity(cfg.uplinks),
             inflight: SlotCalendar::new(delay_slots),
             queued_cells: 0,
             failures: FailureSet::none(),
@@ -595,6 +627,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
                 .collect(),
             route_buf: Vec::new(),
             node_cells: vec![Vec::new(); n],
+            arriving: vec![0; n.div_ceil(64)],
             finished_flows: Vec::new(),
             tracer: (cfg.trace_one_in > 0).then(|| FlowSampler::new(cfg.seed, cfg.trace_one_in)),
             probe,
@@ -760,7 +793,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
     /// injecting, no arrival or flow activation due, no scripted fault
     /// firing, and a healthy fabric. Such a slot's only observable
     /// effects are idle-port counts and the per-slot hooks, so the gap
-    /// path ([`Engine::jump_quiet`]) reproduces it in O(uplinks).
+    /// path ([`Engine::jump_quiet`]) reproduces it in O(1).
     fn slot_is_quiet(&self, now: Nanos) -> bool {
         self.queued_cells == 0
             && self.injecting_flows == 0
@@ -831,11 +864,12 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
 
     /// Jumps the provably-quiet slots `self.slot .. bound` (see
     /// [`Engine::slot_is_quiet`]) without walking any node: every
-    /// scheduled port idles, so the idle counter advances by each active
-    /// matching's precomputed circuit total and the calendar head keeps
-    /// pace. A quiet [`Engine::step`] is the one-slot case and
-    /// [`Engine::advance_to`] the batched one; either way the run stays
-    /// bit-identical to walking every slot, checkpoints included.
+    /// scheduled port idles, so the idle counter advances by the gap's
+    /// precomputed charge ([`IdleTables::quiet_charge`], O(1) for any
+    /// gap) and the calendar head keeps pace. A quiet [`Engine::step`]
+    /// is the one-slot case and [`Engine::advance_to`] the batched one;
+    /// either way the run stays bit-identical to walking every slot,
+    /// checkpoints included.
     /// Returns the number of slots jumped.
     fn jump_quiet(&mut self, bound: u64) -> u64 {
         let now = self.cfg.slot_start(self.slot);
@@ -845,16 +879,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         // same as one `pop_due(bound - 1)`.
         let stray = self.inflight.pop_due(bound - 1);
         debug_assert!(stray.is_none(), "quiet gap released an arrival");
-        // Closed-form idle-port accounting: whole schedule periods in
-        // one multiply, the remainder phase-by-phase. Identical u64 sums
-        // to the per-slot loop; one slot charges exactly
-        // `phase_totals[slot % period]`.
-        let period = self.schedule.period() as u64;
-        let whole = skipped / period;
-        self.metrics.idle_circuit_slots += whole * self.idle_tables.period_total;
-        for s in (self.slot + whole * period)..bound {
-            self.metrics.idle_circuit_slots += self.idle_tables.phase_totals[(s % period) as usize];
-        }
+        self.metrics.idle_circuit_slots += self.idle_tables.quiet_charge(self.slot, skipped);
         self.end_slots(now, skipped, true);
         skipped
     }
@@ -1020,7 +1045,9 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         let mut lists = std::mem::take(&mut self.node_cells);
         if !in_order {
             for (i, a) in cells.iter().enumerate() {
-                lists[a.node.index()].push(i as u32);
+                let v = a.node.index();
+                lists[v].push(i as u32);
+                self.arriving[v / 64] |= 1u64 << (v % 64);
             }
         }
         let pool = (!in_order && cells.len() >= PAR_MIN_ARRIVALS)
@@ -1045,6 +1072,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
                 queues: &mut self.queues,
                 rngs: &mut self.rngs,
                 lists: &mut lists,
+                arriving: &mut self.arriving,
                 occ: &mut self.occupancy,
             };
             shards_used = for_each_shard(pool, whole, &mut scratch, |shard, out| {
@@ -1098,12 +1126,12 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
         let transmit_span = self.profiler.span(Phase::Transmit);
         let track = self.stranded_tracking();
         let n = self.queues.len();
-        let matchings = staggered_matchings(self.schedule, &self.cfg, self.slot);
+        staggered_matchings(self.schedule, &self.cfg, self.slot, &mut self.active);
         let walk = if self.failures.is_empty() {
             run_transmit_shard::<false>
         } else {
             self.idle_tables
-                .refresh_down(&matchings, &self.failures, self.failure_epoch);
+                .refresh_down(&self.active, &self.failures, self.failure_epoch);
             run_transmit_shard::<true>
         };
         let mut scratch = std::mem::take(&mut self.shards);
@@ -1115,7 +1143,7 @@ impl<'a, P: Probe, F: Profiler> Engine<'a, P, F> {
             let slot = self.slot;
             let tracer = self.tracer;
             let tables = &self.idle_tables;
-            let matchings = &matchings[..];
+            let matchings = &self.active[..];
             let links = self.metrics.link_transmissions.rows_mut();
             debug_assert_eq!(links.len(), n, "link matrix must match the network size");
             let whole = TransmitShard {
@@ -1670,7 +1698,9 @@ struct RouteCtx<'a> {
 /// and the shard covers every node (injection, re-route): they are
 /// decided as they come. Otherwise (arrivals) they are taken node by
 /// node through the shard's per-node index lists, in buffer order
-/// within a node.
+/// within a node: the arrival bitset's set bits name the non-empty
+/// lists in ascending node order, so a pass costs its cells plus one
+/// load per 64-node word, and each word is cleared as it is walked.
 fn run_route_shard(
     shard: &mut RouteShard<'_>,
     out: &mut ShardScratch,
@@ -1684,16 +1714,18 @@ fn run_route_shard(
         }
         return;
     }
-    for li in 0..shard.lists.len() {
-        if shard.lists[li].is_empty() {
-            continue;
+    for w in 0..shard.arriving.len() {
+        let mut bits = std::mem::take(&mut shard.arriving[w]);
+        while bits != 0 {
+            let li = w * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            let mut list = std::mem::take(&mut shard.lists[li]);
+            for &i in &list {
+                route_at(shard, out, ctx, &cells[i as usize]);
+            }
+            list.clear();
+            shard.lists[li] = list;
         }
-        let mut list = std::mem::take(&mut shard.lists[li]);
-        for &i in &list {
-            route_at(shard, out, ctx, &cells[i as usize]);
-        }
-        list.clear();
-        shard.lists[li] = list;
     }
 }
 
@@ -1776,7 +1808,12 @@ fn route_at(shard: &mut RouteShard<'_>, out: &mut ShardScratch, ctx: &RouteCtx<'
 /// minus, on a degraded fabric, the word's down ports (a down circuit is
 /// neither idle nor transmitting) — a zero word skips all 64 nodes, a
 /// down circuit is skipped, and each successful pop refunds one
-/// pre-charged idle port.
+/// pre-charged idle port. An occupied node still visits every uplink's
+/// circuit; a visit the node has nothing for ends in
+/// [`NodeQueues::pop_for_circuit`]'s inlined header test, with no call,
+/// no search and no router call, so it leaves the pre-charge standing.
+/// `matchings` is the engine's per-slot buffer, filled once per slot by
+/// [`staggered_matchings`].
 ///
 /// `DEGRADED` is `!failures.is_empty()`, chosen once per slot: the one
 /// body is compiled twice so that a healthy slot's loop carries no
@@ -2399,6 +2436,137 @@ mod tests {
                 "only {busy_boundaries} boundaries mid-injection"
             );
             assert_eq!(eng.metrics().flows.len(), 300);
+        }
+    }
+
+    /// A gap's idle-port charge from the prefix table equals the sum of
+    /// its slots' one-slot charges, for gaps that start anywhere in the
+    /// period, wrap past its end, or span whole periods.
+    #[test]
+    fn quiet_charge_matches_the_slot_by_slot_sum() {
+        let sched = round_robin(13).unwrap();
+        let mut cfg = SimConfig::default();
+        cfg.uplinks = 3;
+        let tables = IdleTables::build(&sched, &cfg);
+        // One quiet slot idles every scheduled port of its matchings.
+        let one = |s: u64| {
+            let mut active = Vec::new();
+            staggered_matchings(&sched, &cfg, s, &mut active);
+            let ports = |pi: usize| tables.words[pi].iter().map(|&c| u64::from(c)).sum::<u64>();
+            active.iter().map(|&(pi, _)| ports(pi)).sum::<u64>()
+        };
+        let period = sched.period() as u64;
+        assert!(one(0) > 0);
+        for slot in [0, 1, 5, period - 1, period, 7 * period + 3] {
+            for slots in [0, 1, 2, period - 1, period, period + 1, 3 * period + 5] {
+                let want: u64 = (slot..slot + slots).map(one).sum();
+                assert_eq!(tables.quiet_charge(slot, slots), want, "{slot} + {slots}");
+            }
+        }
+    }
+
+    /// The arrival pass takes its nodes from the arrival bitset across
+    /// 64-node word edges (nodes 63 | 64, 127 | 128, and the last,
+    /// partly used word) in the canonical order: node-ascending, batch
+    /// order within a node, at one thread and sharded across a pool.
+    #[test]
+    fn arrival_order_holds_across_word_edges() {
+        use std::sync::Mutex;
+        /// Drops every cell, logging `(deciding thread, node, seq)`.
+        #[derive(Default)]
+        struct Recorder(Mutex<Vec<(std::thread::ThreadId, u32, u64)>>);
+        impl Router for Recorder {
+            fn decide(&self, node: NodeId, cell: &mut Cell, _rng: &mut NodeRng) -> RouteDecision {
+                let me = std::thread::current().id();
+                self.0.lock().unwrap().push((me, node.0, cell.seq));
+                RouteDecision::Drop
+            }
+            fn classes(&self) -> &[ClassId] {
+                &[]
+            }
+            fn max_hops(&self) -> u8 {
+                4
+            }
+            fn name(&self) -> &str {
+                "recorder"
+            }
+        }
+        /// The merge's order: `(node, seq)` of every drop it fires.
+        #[derive(Default)]
+        struct Drops(Vec<(u32, u64)>);
+        impl Probe for Drops {
+            fn on_drop(&mut self, cell: &Cell, node: NodeId, _now_ns: Nanos) {
+                self.0.push((node.0, cell.seq));
+            }
+        }
+
+        const NODES: [u32; 6] = [0, 63, 64, 127, 128, 192];
+        let sched = round_robin(193).unwrap();
+        for threads in [1, 3] {
+            let router = Recorder::default();
+            let mut cfg = SimConfig::default();
+            cfg.engine_threads = threads;
+            let mut eng = Engine::with_probe(cfg, &sched, &router, Drops::default());
+            let mut rng = NodeRng::for_node(0xA771, threads as u32);
+            let mut seq = 0;
+            for pass in 0..4 {
+                // 11 cells at each node (66 ≥ PAR_MIN_ARRIVALS, so three
+                // threads shard the pass), never in node order: the
+                // first pass interleaves nodes descending, the rest
+                // shuffle.
+                let mut batch = Vec::new();
+                for _ in 0..11 {
+                    for &v in NODES.iter().rev() {
+                        let cell = Cell {
+                            flow: FlowId(seq),
+                            seq,
+                            src: NodeId(v),
+                            dst: NodeId((v + 1) % 193),
+                            injected_ns: 0,
+                            hops: 0,
+                            tag: 0,
+                        };
+                        batch.push(Arrival {
+                            at_ns: 0,
+                            node: NodeId(v),
+                            cell,
+                        });
+                        seq += 1;
+                    }
+                }
+                if pass > 0 {
+                    for i in (1..batch.len()).rev() {
+                        batch.swap(i, rng.gen_range(i as u64 + 1) as usize);
+                    }
+                }
+                let mut want: Vec<(u32, u64)> =
+                    batch.iter().map(|a| (a.node.0, a.cell.seq)).collect();
+                want.sort_by_key(|&(v, _)| v); // stable: batch order within a node
+                router.0.lock().unwrap().clear();
+                eng.probe_mut().0.clear();
+                eng.route_pass(batch, false);
+
+                let log = std::mem::take(&mut *router.0.lock().unwrap());
+                assert_eq!(log.len(), want.len(), "threads {threads}, pass {pass}");
+                // Shards run concurrently, and each thread claims its
+                // shards in ascending order: what one thread decided is
+                // a run of the canonical order (all of it at one thread).
+                let deciders: std::collections::HashSet<_> = log.iter().map(|e| e.0).collect();
+                for me in deciders {
+                    let seen: Vec<(u32, u64)> = log
+                        .iter()
+                        .filter(|&&(t, _, _)| t == me)
+                        .map(|&(_, v, s)| (v, s))
+                        .collect();
+                    let mine: Vec<(u32, u64)> =
+                        want.iter().copied().filter(|w| seen.contains(w)).collect();
+                    assert_eq!(seen, mine, "threads {threads}, pass {pass}");
+                }
+                assert_eq!(eng.probe().0, want, "threads {threads}, pass {pass}: merge");
+                assert!(eng.arriving.iter().all(|&w| w == 0), "bitset left set");
+                assert!(eng.node_cells.iter().all(Vec::is_empty));
+            }
+            assert_eq!(eng.metrics().dropped_cells, 4 * 66);
         }
     }
 

@@ -21,9 +21,11 @@
 //! summary word: bit `summary_bit(next)` is set exactly while some
 //! non-empty FIFO hashes to it (a per-bit count of such FIFOs keeps it
 //! exact under collisions), so most circuits that have nothing to send
-//! are answered from the node header without a search. The word only
-//! ever skips a search that would have found an empty FIFO or none;
-//! results never depend on it.
+//! are answered from the node header without a search: that test (the
+//! summary bit, or any class-queued cell) is the inlined entry of
+//! [`NodeQueues::pop_for_circuit`], and the rest of the pop is out of
+//! line. The word only ever skips a search that would have found an
+//! empty FIFO or none; results never depend on it.
 //!
 //! Class queues are one `VecDeque` per declared class, found by a
 //! linear scan of the one-to-three declared ids.
@@ -197,16 +199,42 @@ impl NodeQueues {
         Some(cell)
     }
 
+    /// The header test: false when the node provably has nothing for a
+    /// circuit to `to` — the summary bit for `to` is clear and no cell is
+    /// class-queued — answered from the node header alone.
+    #[inline]
+    fn may_serve(&self, to: NodeId) -> bool {
+        self.summary >> summary_bit(to.0) & 1 != 0 || self.class_cells != 0
+    }
+
     /// Pops the cell to transmit on a circuit `from → to`, if any.
     ///
-    /// Each non-empty class queue is first asked about as a whole
-    /// ([`Router::circuit_admits`]): a circuit that serves none of its
-    /// cells skips it in O(1), one that serves all of them pops its head.
-    /// Only when the answer depends on the cell is the queue scanned, in
-    /// place, for the first cell [`Router::class_admits`] accepts.
-    /// Head-of-line cells whose constraints reject `to` are skipped, not
-    /// dropped, and keep their order.
+    /// The inlined entry is the header test: a circuit the node has
+    /// nothing for returns `None` there, without a search or a router
+    /// call. The rest is out of line. Each non-empty class queue is first
+    /// asked about as a whole ([`Router::circuit_admits`]): a circuit that
+    /// serves none of its cells skips it in O(1), one that serves all of
+    /// them pops its head. Only when the answer depends on the cell is the
+    /// queue scanned, in place, for the first cell
+    /// [`Router::class_admits`] accepts. Head-of-line cells whose
+    /// constraints reject `to` are skipped, not dropped, and keep their
+    /// order.
+    #[inline]
     pub fn pop_for_circuit<R: Router + ?Sized>(
+        &mut self,
+        router: &R,
+        from: NodeId,
+        to: NodeId,
+    ) -> Option<Cell> {
+        if !self.may_serve(to) {
+            return None; // nothing for this circuit, no router call made
+        }
+        self.pop_served(router, from, to)
+    }
+
+    /// The body of [`NodeQueues::pop_for_circuit`] past the header test.
+    #[inline(never)]
+    fn pop_served<R: Router + ?Sized>(
         &mut self,
         router: &R,
         from: NodeId,
@@ -219,7 +247,7 @@ impl NodeQueues {
             }
         }
         if self.class_cells == 0 {
-            return None; // nothing for this circuit, no router call made
+            return None;
         }
         for (class, q) in &mut self.class {
             if q.is_empty() {
@@ -525,10 +553,19 @@ mod tests {
 
     /// Class 0 rides any circuit, class 1 any circuit to an even node,
     /// class 2 only the circuit to the cell's own destination — one
-    /// class per `circuit_admits` answer shape. Counts `class_admits`.
+    /// class per `circuit_admits` answer shape. Counts `class_admits`
+    /// and `circuit_admits` calls apart.
     #[derive(Default)]
     struct ThreeShapeRouter {
         per_cell_calls: std::sync::atomic::AtomicUsize,
+        circuit_calls: std::sync::atomic::AtomicUsize,
+    }
+    impl ThreeShapeRouter {
+        /// Every call the router has seen, of either kind.
+        fn calls(&self) -> usize {
+            use std::sync::atomic::Ordering::Relaxed;
+            self.per_cell_calls.load(Relaxed) + self.circuit_calls.load(Relaxed)
+        }
     }
     impl Router for ThreeShapeRouter {
         fn decide(
@@ -546,6 +583,8 @@ mod tests {
                 .unwrap_or(cell.dst == to)
         }
         fn circuit_admits(&self, class: ClassId, _from: NodeId, to: NodeId) -> Option<bool> {
+            self.circuit_calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             match class.0 {
                 0 => Some(true),
                 1 => Some(to.0.is_multiple_of(2)),
@@ -566,9 +605,13 @@ mod tests {
     /// Drives `NodeQueues` and the `VecDeque`-per-next-hop reference
     /// with the same random pushes, pops and drains toward `hops`, and
     /// compares every observable after every op, over three random
-    /// streams.
-    fn drive_against_reference(hops: &[u32], ops_per_stream: u64) {
+    /// streams. Before every pop it checks the header test against the
+    /// pop: a "no" pops nothing and calls no router, and a pop that
+    /// returns a cell was a "yes". Returns how many pops the header
+    /// test answered "no".
+    fn drive_against_reference(hops: &[u32], ops_per_stream: u64) -> usize {
         let r = ThreeShapeRouter::default();
+        let mut header_nos = 0;
         for stream in [0, 1, 3] {
             let mut rng = crate::rng::NodeRng::for_node(0x51DE, stream);
             let mut fast = NodeQueues::new(r.classes());
@@ -593,7 +636,14 @@ mod tests {
                     }
                     230 => assert_eq!(fast.drain_all(), slow.drain_all(), "op {seq}"),
                     _ => {
+                        let header = fast.may_serve(peer);
+                        let calls = r.calls();
                         let got = fast.pop_for_circuit(&r, NodeId(9), peer);
+                        if !header {
+                            assert_eq!(got, None, "op {seq}: header said no");
+                            assert_eq!(r.calls(), calls, "op {seq}: header said no");
+                            header_nos += 1;
+                        }
                         let want = slow.pop_for_circuit(&r, NodeId(9), peer);
                         assert_eq!(got, want, "op {seq}, stream {stream}");
                         pops += got.is_some() as usize;
@@ -618,6 +668,7 @@ mod tests {
                 "only {pops} pops returned a cell"
             );
         }
+        header_nos
     }
 
     #[test]
@@ -633,6 +684,16 @@ mod tests {
         // while anything targeted is queued, and the pops are the same.
         let hops: Vec<u32> = (0..).filter(|&h| summary_bit(h) == 17).take(200).collect();
         drive_against_reference(&hops, 8_000);
+    }
+
+    #[test]
+    fn the_header_test_agrees_with_the_pop() {
+        // Next hops spread over the whole id range, so the summary word
+        // holds a mix of set and clear bits; the drive checks the header
+        // test before every pop against all three answer shapes.
+        let hops: Vec<u32> = (0..96u32).map(|i| i.wrapping_mul(44_739_243)).collect();
+        let nos = drive_against_reference(&hops, 20_000);
+        assert!(nos > 1_000, "only {nos} pops answered by the header");
     }
 
     #[test]
